@@ -20,9 +20,13 @@ product of spheres the kernel with a per-factor mollifier is the pointwise
 product of the factor kernels; the literal joint-frequency (radial) mollifier
 is kept as a brute-force diagnostic.
 
-Away from the torus corners the nu-sums are evaluated as polynomials in
-exp(i theta) (Horner), inside the corner guard band by a recurrence sweep;
-both routes cost O(#modes * #angles).
+On the full uniform grid theta_k = 2 pi k / M (the quadrature grid) each
+kappa is one FFT per exponential half: exp(i f theta_k) depends only on
+f mod M, so placing the weights at frequency (n - nu + lam) mod M is exact,
+and the cost is O(M log M).  Where the division by (2 sin theta)^(nu+lam)
+would amplify rounding past specialfn.COND_LIMIT, and at every angle off
+that grid, the kernel comes from the recurrence sweep phi_series instead,
+at O(#modes * #angles).
 """
 
 from __future__ import annotations
@@ -33,13 +37,13 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
+from .measure import uniform_grid_size
 from .space import ProductSpace, check_multi_index, eigenvalue, harmonic_dim
 from .specialfn import (
+    COND_LIMIT,
     DEFAULT_GUARD,
     CornerGuardError,
-    UltrasphericalCoeffs,
     get_coeffs,
     phi_matrix,
     phi_series,
@@ -130,13 +134,33 @@ def mode_weights(
     return n, w
 
 
-def _cos_sum(
-    weights: np.ndarray, m_lo: int, psi: float, z: np.ndarray
-) -> np.ndarray:
-    """sum_k weights[k] * cos((m_lo + k) * theta - psi) at z = exp(i theta)."""
-    plus = z**m_lo * npoly.polyval(z, weights)
-    minus = np.conj(z**m_lo * npoly.polyval(z, np.conj(weights)))
-    return 0.5 * (np.exp(-1j * psi) * plus + np.exp(1j * psi) * minus)
+# exp(i psi) for psi = q pi / 2, exact
+_QUARTER_TURNS = (1.0, 1j, -1.0, -1j)
+
+
+def _grid_sin(M: int) -> np.ndarray:
+    """sin(2 pi k / M), k < M, as +-sin(pi u / M) with integer 0 <= u <= M/2.
+
+    np.sin of the rounded node loses up to 1e-12 relative next to pi and
+    2 pi, which the (2 sin theta)^-(nu+lam) factors amplify.
+    """
+    r = 2 * np.arange(M)
+    r = np.where(r > M, r - 2 * M, r)
+    u = np.minimum(np.abs(r), M - np.abs(r))
+    return np.sign(r) * np.sin(math.pi * u / M)
+
+
+def _cos_sum_grid(weights: np.ndarray, freq: np.ndarray, q: int, M: int) -> np.ndarray:
+    """sum_k weights[k] cos(freq[k] theta - q pi / 2) at theta = 2 pi j / M, j < M.
+
+    The exp(+i f theta) half is the conjugate of the transform of
+    conj(weights), so the two halves are conjugate bit for bit when the
+    weights are real, and the sum is then exactly real.
+    """
+    spec = np.zeros(M, dtype=complex)
+    np.add.at(spec, freq % M, weights)
+    c = _QUARTER_TURNS[q % 4]
+    return 0.5 * (np.conj(c * np.fft.fft(np.conj(spec))) + c * np.fft.fft(spec))
 
 
 def kernel_1d(
@@ -146,15 +170,13 @@ def kernel_1d(
     t: float,
     theta_grid,
     bump: Bump,
-    *,
-    guard: float = DEFAULT_GUARD,
-    coeffs: UltrasphericalCoeffs | None = None,
 ) -> np.ndarray:
     """Single-factor kernel K_N(t, theta) over an angle grid.
 
-    Direct summation over the O(N) degrees in the bump support; the guard
-    band around the corners uses the recurrence route, the rest the
-    trigonometric nu-decomposition.
+    On the full uniform grid the nu-decomposition is summed by FFT; nodes
+    where a nu-term exceeds COND_LIMIT times sum_n |w_n| (the corners and
+    their neighbourhood), and every angle set other than that grid, use
+    the recurrence sweep.
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
@@ -165,26 +187,24 @@ def kernel_1d(
     out = np.zeros(theta.shape, dtype=complex)
     if n.size == 0:
         return out[0] if scalar else out
-    if coeffs is None or coeffs.nmax < int(n[-1]):
+    M = uniform_grid_size(theta)
+    slow = np.ones(theta.shape, dtype=bool)
+    if M:
         coeffs = get_coeffs(lam, int(n[-1]))
-    near = np.abs(np.sin(theta)) < guard
-    if near.any():
+        two_sin = 2.0 * _grid_sin(M)
+        worst = np.zeros(M)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for nu in range(lam):
+                a = w * coeffs.cnv[n, nu]
+                sin_pow = two_sin ** (nu + lam)
+                out += 2.0 * _cos_sum_grid(a, n - nu + lam, nu + lam, M) / sin_pow
+                np.maximum(worst, 2.0 * np.sum(np.abs(a)) / np.abs(sin_pow), out=worst)
+        # NaN-safe: a term that is not provably small goes to the recurrence
+        slow = ~(worst <= COND_LIMIT * np.sum(np.abs(w)))
+    if slow.any():
         wfull = np.zeros(int(n[-1]) + 1, dtype=complex)
         wfull[n] = w
-        out[near] = phi_series(lam, wfull, theta[near])
-    far = ~near
-    if far.any():
-        th = theta[far]
-        z = np.exp(1j * th)
-        sin_pow = (2.0 * np.sin(th)) ** lam
-        acc = np.zeros(th.shape, dtype=complex)
-        for nu in range(lam):
-            a = w * coeffs.cnv[n, nu]
-            ksum = _cos_sum(a, int(n[0]) - nu + lam, (nu + lam) * math.pi / 2.0, z)
-            if nu > 0:
-                sin_pow = sin_pow * (2.0 * np.sin(th))
-            acc += 2.0 * ksum / sin_pow
-        out[far] = acc
+        out[slow] = phi_series(lam, wfull, theta[slow])
     return out[0] if scalar else out
 
 
@@ -197,9 +217,11 @@ def kappa_nu(
     bump: Bump,
     *,
     beta=1,
-    coeffs: UltrasphericalCoeffs | None = None,
 ) -> np.ndarray:
-    """Pure trigonometric numerator sum kappa_N^{(nu)}; valid at every angle."""
+    """Pure trigonometric numerator sum kappa_N^{(nu)}; valid at every angle.
+
+    FFT on the full uniform grid, a direct cosine sum at other angles.
+    """
     if not 0 <= nu <= lam - 1:
         raise ValueError(f"need 0 <= nu <= lam-1 = {lam - 1}, got {nu}")
     theta = np.asarray(theta, dtype=float)
@@ -209,10 +231,16 @@ def kappa_nu(
     if n.size == 0:
         out = np.zeros(theta.shape, dtype=complex)
         return out[0] if scalar else out
-    if coeffs is None or coeffs.nmax < int(n[-1]):
-        coeffs = get_coeffs(lam, int(n[-1]))
-    a = w * coeffs.cnv[n, nu]
-    out = _cos_sum(a, int(n[0]) - nu + lam, (nu + lam) * math.pi / 2.0, np.exp(1j * theta))
+    a = w * get_coeffs(lam, int(n[-1])).cnv[n, nu]
+    freq = n - nu + lam
+    M = uniform_grid_size(theta)
+    if M:
+        out = _cos_sum_grid(a, freq, nu + lam, M)
+    else:  # direct sum, 256 angles at a time to bound memory
+        blocks = np.split(theta.ravel(), list(range(256, theta.size, 256)))
+        psi = (nu + lam) * math.pi / 2.0
+        sums = [np.cos(np.multiply.outer(th, freq) - psi) @ a for th in blocks]
+        out = np.concatenate(sums).reshape(theta.shape)
     return out[0] if scalar else out
 
 
@@ -226,7 +254,6 @@ def kernel_nu(
     *,
     beta=1,
     guard: float = DEFAULT_GUARD,
-    coeffs: UltrasphericalCoeffs | None = None,
 ) -> np.ndarray:
     """Decomposition piece K_N^{(nu)} = 2 (2 sin theta)^{-(nu+lam)} kappa_N^{(nu)}.
 
@@ -238,7 +265,7 @@ def kernel_nu(
         raise CornerGuardError(
             f"kernel_nu needs |sin theta| >= {guard}; the full kernel owns corners"
         )
-    kap = kappa_nu(lam, N, nu, t, theta_arr, bump, beta=beta, coeffs=coeffs)
+    kap = kappa_nu(lam, N, nu, t, theta_arr, bump, beta=beta)
     out = 2.0 * kap / (2.0 * sin_t) ** (nu + lam)
     return out[0] if np.asarray(theta).ndim == 0 else out
 
@@ -259,13 +286,10 @@ class KernelField:
     grids: tuple[np.ndarray, ...]
     factor_values: tuple[np.ndarray, ...]
     bump: Bump
-    guard: float = DEFAULT_GUARD
 
     def evaluate_factor(self, j: int, theta) -> np.ndarray:
         f = self.space.factors[j]
-        return kernel_1d(
-            f.lam, f.beta, self.N, self.t, theta, self.bump, guard=self.guard
-        )
+        return kernel_1d(f.lam, f.beta, self.N, self.t, theta, self.bump)
 
     def full_values(self) -> np.ndarray:
         total = 1
@@ -285,18 +309,15 @@ def kernel_product(
     t: float,
     grids: Sequence[np.ndarray],
     bump: Bump,
-    *,
-    guard: float = DEFAULT_GUARD,
 ) -> KernelField:
     """Product-space kernel with the per-factor mollifier, stored factored."""
     if len(grids) != space.r:
         raise ValueError(f"got {len(grids)} grids for rank {space.r}")
     grids = tuple(np.atleast_1d(np.asarray(g, dtype=float)) for g in grids)
     values = tuple(
-        kernel_1d(f.lam, f.beta, N, t, g, bump, guard=guard)
-        for f, g in zip(space.factors, grids)
+        kernel_1d(f.lam, f.beta, N, t, g, bump) for f, g in zip(space.factors, grids)
     )
-    return KernelField(space, N, t, grids, values, bump, guard)
+    return KernelField(space, N, t, grids, values, bump)
 
 
 def kernel_direct_multi(
@@ -471,7 +492,6 @@ def write_field(field_obj: KernelField, csv_path, json_path) -> None:
         "N": field_obj.N,
         "t": field_obj.t,
         "bump": {"kind": field_obj.bump.kind, "lo": field_obj.bump.lo, "hi": field_obj.bump.hi},
-        "guard": field_obj.guard,
         "storage": "factored",
     }
     with open(json_path, "w") as fh:

@@ -146,14 +146,21 @@ class FieldSample:
         return self.evaluators[j](np.asarray(theta, dtype=float))
 
 
+def uniform_grid_size(grid) -> int:
+    """M if grid is the uniform periodic grid 2 pi k / M, k < M; else 0."""
+    grid = np.asarray(grid)
+    M = grid.size
+    if grid.ndim != 1 or M == 0:
+        return 0
+    return M if np.allclose(grid, 2.0 * math.pi * np.arange(M) / M, rtol=0.0, atol=1e-12) else 0
+
+
 def _check_uniform(grid: np.ndarray) -> float:
     """Weight 2*pi/M for a uniform full-circle grid starting at 0."""
-    M = len(grid)
-    step = 2.0 * math.pi / M
-    expected = step * np.arange(M)
-    if not np.allclose(grid, expected, rtol=0.0, atol=1e-12):
+    M = uniform_grid_size(grid)
+    if not M:
         raise QuadratureError("norms need the uniform periodic grid [0, 2pi)")
-    return step
+    return 2.0 * math.pi / M
 
 
 def _pole_distances(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -253,10 +260,10 @@ def lp_norm(field, p: float, region: Region | None = None) -> float:
     return power ** (1.0 / p)
 
 
-def _refine_factor_sup(
-    field, j: int, grid: np.ndarray, mask: np.ndarray, keep: Callable[[np.ndarray], np.ndarray]
-) -> float:
-    """Grid max over a masked factor, then local doubling around the argmax."""
+def _refine_factor_sup(field, j: int, keep: Callable[[np.ndarray], np.ndarray]) -> float:
+    """Grid max over the nodes keep admits, then local doubling around the argmax."""
+    grid = np.asarray(field.grids[j], dtype=float)
+    mask = keep(grid)
     vals = np.abs(np.asarray(field.factor_values[j]))
     if not mask.any():
         return 0.0
@@ -290,60 +297,33 @@ def _refine_factor_sup(
     return best
 
 
-def _region_keepers(radius: float | None):
-    def keep_pole(pole: int):
-        def keep(th: np.ndarray) -> np.ndarray:
-            d0, d1 = _pole_distances(th)
-            return (d0 if pole == 0 else d1) <= radius
-
-        return keep
-
-    def keep_away(th: np.ndarray) -> np.ndarray:
-        d0, d1 = _pole_distances(th)
-        return (d0 > radius) & (d1 > radius)
-
-    def keep_all(th: np.ndarray) -> np.ndarray:
-        return np.ones(th.shape, dtype=bool)
-
-    return keep_pole, keep_away, keep_all
-
-
 def sup_norm(field, region: Region | None = None) -> float:
     """Sup of |field| over the region: grid max plus local refinement.
 
     Factored structure: full and corner-box sups multiply across factors;
     the away sup is the best single factor away from its poles times the
-    full sups of the others.
+    full sups of the others.  Only the per-factor pieces the region
+    combines are refined.
     """
     region = region or Region.full()
     space = field.space
-    keep_pole, keep_away, keep_all = _region_keepers(region.radius)
-    per_factor: list[dict[str, float]] = []
-    for j in range(space.r):
-        grid = np.asarray(field.grids[j], dtype=float)
-        entry = {"full": _refine_factor_sup(field, j, grid, np.ones(len(grid), bool), keep_all)}
-        if region.radius is not None:
-            masks = _factor_masks(grid, region.radius)
-            entry["pole0"] = _refine_factor_sup(field, j, grid, masks["pole0"], keep_pole(0))
-            entry["pole1"] = _refine_factor_sup(field, j, grid, masks["pole1"], keep_pole(1))
-            entry["away"] = _refine_factor_sup(field, j, grid, masks["away"], keep_away)
-        per_factor.append(entry)
+
+    def piece(j: int, key: str) -> float:
+        if key == "full":
+            return _refine_factor_sup(field, j, lambda th: np.ones(th.shape, dtype=bool))
+        return _refine_factor_sup(field, j, lambda th: _factor_masks(th, region.radius)[key])
+
     if region.kind == "full":
-        out = 1.0
-        for entry in per_factor:
-            out *= entry["full"]
-        return out
+        return math.prod(piece(j, "full") for j in range(space.r))
     if region.kind == "corner":
-        out = 1.0
-        for entry, pole in zip(per_factor, region.poles):
-            out *= entry[f"pole{pole}"]
-        return out
+        return math.prod(piece(j, f"pole{p}") for j, p in zip(range(space.r), region.poles))
+    full = [piece(j, "full") for j in range(space.r)]
     best = 0.0
     for j in range(space.r):
-        val = per_factor[j]["away"]
+        val = piece(j, "away")
         for l in range(space.r):
             if l != j:
-                val *= per_factor[l]["full"]
+                val *= full[l]
         best = max(best, val)
     return best
 

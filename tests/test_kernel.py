@@ -98,6 +98,39 @@ def test_kernel_1d_equals_recurrence_route_everywhere():
         assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-9
 
 
+@pytest.mark.parametrize("lam", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("N", [16, 128, 1024])
+def test_grid_route_matches_recurrence_oracle(lam, N):
+    # the full quadrature grid takes the FFT route, corners included
+    M = math.ceil(16 * (2.0 * N + lam))
+    theta = 2 * math.pi * np.arange(M) / M
+    t = 0.37 * S3.period_seconds
+    got = kernel_1d(lam, 1, N, t, theta, Bump())
+    want = recurrence_route_kernel(lam, 1, N, t, theta, Bump())
+    assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-10
+
+
+def test_kernel_1d_near_guard_band_on_s9():
+    # just outside |sin theta| = 1e-3 the nu-terms cancel deeply; S^9
+    # exposed it at N = 16
+    theta = np.array([1.0001 * math.asin(1e-3)])
+    got = kernel_1d(4, 1, 16, 0.0, theta, Bump())
+    want = recurrence_route_kernel(4, 1, 16, 0.0, theta, Bump())
+    assert abs(got[0] - want[0]) <= 1e-12 * abs(want[0])
+
+
+@pytest.mark.parametrize("lam", [2, 4])
+def test_kappa_nu_grid_and_direct_routes_agree(lam):
+    # the full grid is summed by FFT, any other angle set directly
+    N, t = 64, 0.53
+    M = math.ceil(16 * (2.0 * N + lam))
+    theta = 2 * math.pi * np.arange(M) / M
+    for nu in range(lam):
+        on_grid = kappa_nu(lam, N, nu, t, theta, Bump())
+        direct = kappa_nu(lam, N, nu, t, theta[1:], Bump())
+        assert np.max(np.abs(on_grid[1:] - direct)) / np.max(np.abs(on_grid)) < 1e-12
+
+
 def test_kernel_nu_corner_guard():
     with pytest.raises(CornerGuardError):
         kernel_nu(2, 16, 0, 0.0, np.array([1e-5]), Bump())

@@ -188,6 +188,21 @@ def test_sup_refinement_converges():
     assert abs(refined - refined2) / refined2 < 2e-4
 
 
+def test_sup_refines_only_the_pieces_the_region_uses():
+    N, radius = 16, 1 / 16
+    quad = TorusQuadrature.for_kernel(S3, N)
+    kern = kernel_product(S3, N, 0.37, quad.grids(), Bump())
+    probed = []
+
+    def evaluate(theta):
+        probed.extend(theta)
+        return kern.evaluate_factor(0, theta)
+
+    fld = FieldSample(S3, kern.grids, kern.factor_values, evaluators=(evaluate,))
+    assert sup_norm(fld, Region.corner(1, radius)) == sup_norm(kern, Region.corner(1, radius))
+    assert probed and all(abs(th - math.pi) <= radius for th in probed)
+
+
 def _resolution_passes(N, p, oversample):
     quad = TorusQuadrature.for_kernel(S3, N, oversample)
     fld = kernel_product(S3, N, 0.618, quad.grids(), Bump())

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oddsphere import space
-from oddsphere.kernel import ZonalState, evaluate_zonal, evolve_zonal
+from oddsphere.kernel import Bump, ZonalState, evaluate_zonal, evolve_zonal, mode_weights
 from oddsphere.measure import FieldSample, TorusQuadrature, lp_norm
 from oddsphere.verify import (
     ScanPlan,
@@ -106,6 +106,16 @@ def test_corner_scan_covers_all_corners():
     assert len(report.records) == len(SMALL_NS) * per_N
     labels = {rec.region.split("@")[0] for rec in report.records}
     assert labels == {"corner00", "corner01", "corner10", "corner11"}
+
+
+def test_corner_sups_on_s9_respect_the_mode_bound():
+    # |phi_n| <= 1 caps every kernel value by sum_n bump(x_n) d_n
+    s9 = space.build_space([9])
+    report = corner_scan(s9, math.inf, (16, 32, 64))
+    lam = s9.factors[0].lam
+    for rec in report.records:
+        _, w = mode_weights(lam, 1, rec.N, 0.0, Bump())
+        assert rec.norm <= np.sum(np.abs(w)) * (1 + 1e-9), rec.row()
 
 
 def test_kappa_scan_preconditions():
