@@ -1,4 +1,4 @@
-"""Scaling-exponent scans at reduced desk scale (~1 minute).
+"""Scaling-exponent scans at reduced desk scale (about a second).
 
 Each scan measures regional kernel norms along a ladder of scales N,
 divides by the predicted envelope, and fits the log-log slope of the

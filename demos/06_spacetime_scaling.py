@@ -1,4 +1,4 @@
-"""Space-time norm growth of random frequency-shell data (~1 minute).
+"""Space-time norm growth of random frequency-shell data (under a second).
 
 Random zonal states with unit L2 norm, frequency-localized at scale N, are
 flowed over one period; the worst space-time L^p norm over trials is fitted

@@ -203,15 +203,6 @@ def harmonic_dim(dim: int, n: int) -> int:
     return comb(n + dim, dim) - comb(n + dim - 2, dim)
 
 
-def product_harmonic_dim(space: ProductSpace, idx: Sequence[int]) -> int:
-    """Dimension of the joint harmonic space: product over factors."""
-    idx = check_multi_index(space, idx)
-    out = 1
-    for n, f in zip(idx, space.factors):
-        out *= harmonic_dim(f.dim, n)
-    return out
-
-
 def flow_period(space: ProductSpace) -> Fraction:
     """Period T of exp(it*Lap), returned as T / (2*pi), exact.
 

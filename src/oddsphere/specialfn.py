@@ -76,15 +76,12 @@ def _cnv_exact(lam: int, n: int, nu: int) -> Fraction:
 class UltrasphericalCoeffs:
     """Coefficient tables for the explicit finite-sum route on S^{2*lam+1}.
 
-    alpha[n] = binom(n + lam - 1, n) for n = 0..nmax+1 (float; the values
-    stay in float range for every n used at desk scale), and cnv[n, nu] is
-    the exact C_{n,nu} rounded once to float.  cnv_exact keeps the rational
-    values for audit dumps.
+    cnv[n, nu] is the exact C_{n,nu} rounded once to float.  cnv_exact keeps
+    the rational values for audit dumps.
     """
 
     lam: int
     nmax: int
-    alpha: np.ndarray
     cnv: np.ndarray
     cnv_exact: tuple[tuple[Fraction, ...], ...]
 
@@ -94,12 +91,11 @@ def _build_coeffs(lam: int, nmax: int) -> UltrasphericalCoeffs:
         raise ValueError(f"need lam >= 1, got {lam}")
     if nmax < 0:
         raise ValueError(f"need nmax >= 0, got {nmax}")
-    alpha = np.array([float(comb(n + lam - 1, n)) for n in range(nmax + 2)])
     exact = tuple(
         tuple(_cnv_exact(lam, n, nu) for nu in range(lam)) for n in range(nmax + 1)
     )
     cnv = np.array([[float(c) for c in row] for row in exact])
-    return UltrasphericalCoeffs(lam, nmax, alpha, cnv, exact)
+    return UltrasphericalCoeffs(lam, nmax, cnv, exact)
 
 
 _COEFF_CACHE: dict[int, UltrasphericalCoeffs] = {}

@@ -84,6 +84,23 @@ def test_classify_exact_fraction_path():
     assert (hit.a, hit.q) == (1, 3)
 
 
+def test_exact_major_arcs_cover_the_circle_but_window_edges():
+    N = 64
+    # a reduced c/N is at least 1/(qN) from every a/q with q < N
+    for c in range(N):
+        if math.gcd(c, N) == 1:
+            assert not classify_fraction(Fraction(c, N), N).is_major
+    # every point strictly inside a window is major; 100 draws, since each
+    # exact classification at N = 64 costs about 24 ms
+    rng = np.random.default_rng(5)
+    pairs = farey(N - 1)
+    for _ in range(100):
+        a, q = pairs[rng.integers(len(pairs))]
+        f = Fraction(int(rng.integers(-999_999, 1_000_000)), 1_000_000)
+        hit = classify_fraction(Fraction(a, q) + f / (q * N), N)
+        assert hit.is_major and hit.q <= q
+
+
 def test_classify_prefers_smallest_q():
     # tau very close to 0 sits inside many windows; 0/1 must win
     hit = classify_fraction(1e-4, 64)

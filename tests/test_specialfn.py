@@ -148,7 +148,6 @@ def test_phi_matrix_hybrid_agrees_with_recurrence():
 def test_coeff_table_invariants():
     for lam in (1, 2, 3, 4):
         coeffs = get_coeffs(lam, 50)
-        assert coeffs.alpha[0] == 1.0
         assert np.all(np.isfinite(coeffs.cnv))
         # lam = 1 collapses to the single Dirichlet-type term 1/(n+1)
         if lam == 1:

@@ -7,9 +7,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oddsphere import space
-from oddsphere.kernel import Bump, ZonalState, evaluate_zonal, evolve_zonal, mode_weights
-from oddsphere.measure import FieldSample, TorusQuadrature, lp_norm
+from oddsphere import space, verify
+from oddsphere.kernel import (
+    Bump,
+    ZonalState,
+    dim_vector,
+    evaluate_zonal,
+    evolve_zonal,
+    mode_weights,
+)
+from oddsphere.measure import FieldSample, TorusQuadrature, density_normalizer, lp_norm
+from oddsphere.specialfn import phi_matrix
 from oddsphere.verify import (
     ScanPlan,
     bound_denominator,
@@ -24,6 +32,7 @@ from oddsphere.verify import (
 
 S3 = space.build_space([3], [1])
 S5 = space.build_space([5], [1])
+S7 = space.build_space([7], [1])
 S3S3 = space.build_space([3, 3], [1, 1])
 
 SMALL_NS = (8, 16, 32)
@@ -152,6 +161,71 @@ def test_strichartz_deterministic_given_seed():
     a = strichartz_zonal_scan(S3, 8.0, SMALL_NS, **kwargs)
     b = strichartz_zonal_scan(S3, 8.0, SMALL_NS, **kwargs)
     assert a.to_json() == b.to_json()
+
+
+def dense_strichartz_norms(sp, p, N_list, trials, seed, time_samples, oversample=16):
+    """Worst-trial norms from the dense formula: phi_matrix on all M nodes."""
+    rng = np.random.default_rng(seed)
+    f = sp.factors[0]
+    lam, beta = f.lam, float(f.beta)
+    norms = []
+    for N in N_list:
+        n_shell, _ = mode_weights(lam, beta, N, 0.0, Bump())
+        dims = dim_vector(lam, n_shell)
+        mu = n_shell * (n_shell + 2 * lam) / beta
+        grid = TorusQuadrature.for_kernel(sp, N, oversample).nodes(0)
+        weights = (
+            density_normalizer(f.dim) * (2.0 * math.pi / grid.size)
+            * np.abs(np.sin(grid)) ** (f.dim - 1)
+        )
+        rows = phi_matrix(lam, n_shell, grid)
+        t_frac = (np.arange(time_samples) + rng.random(time_samples)) / time_samples
+        phase = np.exp(-1j * np.outer(t_frac * sp.period_seconds, mu))
+        worst = 0.0
+        for _ in range(trials):
+            c = rng.standard_normal(n_shell.size) + 1j * rng.standard_normal(n_shell.size)
+            c /= math.sqrt(float(np.sum(np.abs(c) ** 2 * dims)))
+            u = (phase * (c * dims)[None, :]) @ rows
+            worst = max(worst, float(np.mean((np.abs(u) ** p) @ weights)) ** (1.0 / p))
+        norms.append(worst)
+    return norms
+
+
+@pytest.mark.parametrize(
+    "sp, p, oversample",
+    [(sp, p, 16) for sp in (S3, S5, S7) for p in (2.0, 7.5, 8.0)]
+    # oversample 3 on S^3 gives odd M = 3 (2N + 1): no node at pi to drop
+    + [(S3, 8.0, 3)],
+)
+def test_strichartz_matches_dense_formula(sp, p, oversample):
+    kwargs = dict(trials=3, seed=11, time_samples=24, oversample=oversample)
+    report = strichartz_zonal_scan(sp, p, (16, 32, 64), **kwargs)
+    ref = dense_strichartz_norms(sp, p, (16, 32, 64), **kwargs)
+    assert [rec.norm for rec in report.records] == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+def test_strichartz_evaluates_each_half_grid_node_once(monkeypatch):
+    calls = []
+
+    def recording_phi_matrix(lam, n_values, theta, **kwargs):
+        calls.append((len(n_values), np.array(theta)))
+        return phi_matrix(lam, n_values, theta, **kwargs)
+
+    monkeypatch.setattr(verify, "phi_matrix", recording_phi_matrix)
+    N_list = (16, 32, 64)
+    strichartz_zonal_scan(S3, 8.0, N_list, trials=2, seed=3, time_samples=8)
+    assert all(th.size <= verify.SPACETIME_BLOCK for _, th in calls)
+    assert all(np.all((th > 0.0) & (th < math.pi)) for _, th in calls)
+    for N in N_list:
+        modes = mode_weights(1, 1.0, N, 0.0, Bump())[0].size
+        M = TorusQuadrature.for_kernel(S3, N).sizes[0]
+        theta = np.concatenate([th for n, th in calls if n == modes])
+        k = theta * M / (2.0 * math.pi)
+        assert np.allclose(k, np.round(k), rtol=0.0, atol=1e-9)
+        assert sorted(np.round(k).astype(int)) == list(range(1, M // 2))
+    assert sum(th.size for _, th in calls) == sum(
+        TorusQuadrature.for_kernel(S3, N).sizes[0] // 2 - 1 for N in N_list
+    )
 
 
 def test_single_mode_flow_has_constant_lp_profile():
