@@ -28,10 +28,10 @@ from .kernel import Bump, kernel_product, write_field
 from .measure import TorusQuadrature
 from .space import (
     ProductSpace,
-    build_space,
     format_rational,
-    parse_rational,
     parse_space_config,
+    space_from_config,
+    split_csv,
 )
 
 KNOWN_KEYS = {
@@ -62,23 +62,6 @@ def load_config(path: str | None, overrides: dict) -> dict:
     return cfg
 
 
-def _get_space(cfg: dict) -> ProductSpace:
-    if "dims" not in cfg:
-        raise ConfigError("missing required key 'dims'")
-    dims = [int(v) for v in _csv(cfg["dims"])]
-    betas = None
-    if "betas" in cfg:
-        betas = [parse_rational(v) for v in _csv(cfg["betas"])]
-    return build_space(dims, betas)
-
-
-def _csv(value: str) -> list[str]:
-    items = [v.strip() for v in value.split(",")]
-    if any(not v for v in items):
-        raise ConfigError(f"malformed comma list: {value!r}")
-    return items
-
-
 def _parse_time(value: str, space: ProductSpace) -> tuple[float, str]:
     """Seconds, or a fraction of the flow period written 'T/3' or 'T*2/5'."""
     value = value.strip()
@@ -98,7 +81,7 @@ def _parse_time(value: str, space: ProductSpace) -> tuple[float, str]:
 
 def _parse_arcs(value: str) -> tuple[tuple[int, int], ...]:
     out = []
-    for item in _csv(value):
+    for item in split_csv(value):
         num, _, den = item.partition("/")
         if not den:
             raise ConfigError(f"arc must be written a/q, got {item!r}")
@@ -111,7 +94,7 @@ def _out_base(cfg: dict, default: str) -> Path:
 
 
 def cmd_kernel(cfg: dict) -> int:
-    space = _get_space(cfg)
+    space = space_from_config(cfg)
     N = float(cfg.get("n", 64))
     t, t_label = _parse_time(cfg.get("t", "0"), space)
     bump = Bump(cfg.get("bump", "smooth"))
@@ -125,14 +108,14 @@ def cmd_kernel(cfg: dict) -> int:
 
 
 def cmd_scan(cfg: dict) -> int:
-    space = _get_space(cfg)
+    space = space_from_config(cfg)
     mode = cfg.get("mode")
     if mode not in SCAN_MODES:
         raise ConfigError(f"mode must be one of {SCAN_MODES}, got {mode!r}")
-    N_list = tuple(int(v) for v in _csv(cfg["nlist"])) if "nlist" in cfg else verify.DEFAULT_N_LIST
+    N_list = tuple(int(v) for v in split_csv(cfg["nlist"])) if "nlist" in cfg else verify.DEFAULT_N_LIST
     arcs = _parse_arcs(cfg["arcs"]) if "arcs" in cfg else verify.DEFAULT_ARCS
     offsets = (
-        tuple(Fraction(v) for v in _csv(cfg["offsets"]))
+        tuple(Fraction(v) for v in split_csv(cfg["offsets"]))
         if "offsets" in cfg
         else verify.DEFAULT_OFFSETS
     )
@@ -208,7 +191,7 @@ def cmd_arcs(cfg: dict) -> int:
 
 
 def cmd_space_info(cfg: dict) -> int:
-    space = _get_space(cfg)
+    space = space_from_config(cfg)
     info = space.describe()
     info["schema"] = 1
     info["period"] = f"2*pi * {info['period_over_2pi']}"

@@ -36,6 +36,7 @@ __all__ = [
     "format_rational",
     "parse_space_config",
     "space_from_config",
+    "split_csv",
 ]
 
 # Exact rational scalar used throughout: always lowest terms, positive
@@ -241,7 +242,8 @@ def parse_space_config(text: str) -> dict:
     return out
 
 
-def _split_csv(value: str) -> list[str]:
+def split_csv(value: str) -> list[str]:
+    """Split a comma list into stripped items; an empty item is an error."""
     items = [item.strip() for item in value.split(",")]
     if any(not item for item in items):
         raise ValueError(f"malformed comma list: {value!r}")
@@ -252,10 +254,10 @@ def space_from_config(cfg: dict, *, allow_extra: bool = True) -> ProductSpace:
     """Build a space from a parsed config dict (keys 'dims', 'betas')."""
     if "dims" not in cfg:
         raise ValueError("config is missing required key 'dims'")
-    dims = [int(v) for v in _split_csv(cfg["dims"])]
+    dims = [int(v) for v in split_csv(cfg["dims"])]
     betas: Iterable[Fraction] | None = None
     if "betas" in cfg:
-        betas = [parse_rational(v) for v in _split_csv(cfg["betas"])]
+        betas = [parse_rational(v) for v in split_csv(cfg["betas"])]
     if not allow_extra:
         extra = set(cfg) - {"dims", "betas"}
         if extra:

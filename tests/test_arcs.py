@@ -14,6 +14,7 @@ from oddsphere.arcs import (
     denominator_sum,
     farey,
 )
+from oddsphere.space import format_rational
 from oddsphere.verify import fit_loglog
 
 
@@ -30,14 +31,75 @@ def euler_phi(q):
     return sum(1 for a in range(1, q + 1) if math.gcd(a, q) == 1)
 
 
+def walk_classify_exact(tau, N, pairs):
+    """Reference: exact (q, distance)-minimum over every window holding tau.
+
+    An exhaustive Fraction walk over all reduced a/q with q < N, the
+    definition classify_fraction's nearest-numerator sweep must reproduce;
+    returns (a, q, distance) or None for a minor-arc time.
+    """
+    N = Fraction(N)
+    best = None
+    for a, q in pairs:
+        d = tau - Fraction(a, q)
+        d -= math.floor(d)
+        d = min(d, 1 - d)
+        if d * q * N < 1 and (best is None or (q, d) < best[1:]):
+            best = (a, q, d)
+    return best
+
+
+def farey_arrays(N):
+    """Every reduced a/q with q < N as float arrays, in no particular order."""
+    a_parts, q_parts = [], []
+    for q in range(1, math.ceil(N)):
+        a = np.arange(q)
+        a = a[np.gcd(a, q) == 1]
+        a_parts.append(a)
+        q_parts.append(np.full(a.size, q))
+    return np.concatenate(a_parts).astype(float), np.concatenate(q_parts).astype(float)
+
+
+def walk_classify_float(tau, N, a_arr, q_arr):
+    """Reference: the float (q, distance)-minimum over every window.
+
+    An exhaustive vectorised walk over the whole Farey list, the definition
+    the float path of classify_fraction must reproduce bit for bit.
+    """
+    frac = float(tau) % 1.0
+    d_arr = np.abs(frac - a_arr / q_arr)
+    d_arr = np.minimum(d_arr, 1.0 - d_arr)
+    hit = (d_arr * q_arr * N < 1.0) & (q_arr < N)
+    if not hit.any():
+        return None
+    cand = np.flatnonzero(hit)
+    cand = cand[q_arr[cand] == q_arr[cand].min()]
+    k = cand[np.argmin(d_arr[cand])]
+    return int(a_arr[k]), int(q_arr[k]), float(d_arr[k])
+
+
+def as_triple(result):
+    return (result.a, result.q, result.distance) if result.is_major else None
+
+
 def test_farey_examples():
     assert farey(1) == [(0, 1)]
     assert farey(3) == [(0, 1), (1, 3), (1, 2), (2, 3)]
 
 
-@pytest.mark.parametrize("Q", [1, 2, 5, 12, 40])
+@pytest.mark.parametrize("Q", [1, 2, 5, 12, 40, 200])
 def test_farey_against_double_loop_oracle(Q):
     assert farey(Q) == brute_force_farey(Q)
+
+
+def test_farey_at_listing_size():
+    # Q = 511 is the order `oddsphere arcs --n 512` lists
+    Q = 511
+    pairs = farey(Q)
+    assert all(b * c - a * d == 1 for (a, b), (c, d) in zip(pairs, pairs[1:]))
+    values = [Fraction(a, q) for a, q in pairs]
+    assert all(x < y for x, y in zip(values, values[1:]))
+    assert len(pairs) == 1 + sum(euler_phi(q) for q in range(2, Q + 1)) == 79_596
 
 
 def test_farey_count_is_totient_sum():
@@ -67,6 +129,17 @@ def test_major_arc_geometry():
         MajorArc(1, 12, 10)  # q < N required
 
 
+@pytest.mark.parametrize("N", [64, 64.5, 100])
+def test_major_arc_json_is_exact(N):
+    for a, q in farey(40):
+        payload = MajorArc(a, q, N).to_json()
+        center, halfwidth = Fraction(a, q), 1 / (q * Fraction(N))
+        assert Fraction(payload["center"]) == center
+        assert Fraction(payload["halfwidth"]) == halfwidth
+        assert payload["center"] == format_rational(center)
+        assert payload["halfwidth"] == format_rational(halfwidth)
+
+
 def test_classify_center_and_near_center():
     hit = classify(1.0 / 3.0, 1.0, 10)
     assert hit.is_major and (hit.a, hit.q) == (1, 3)
@@ -90,15 +163,51 @@ def test_exact_major_arcs_cover_the_circle_but_window_edges():
     for c in range(N):
         if math.gcd(c, N) == 1:
             assert not classify_fraction(Fraction(c, N), N).is_major
-    # every point strictly inside a window is major; 100 draws, since each
-    # exact classification at N = 64 costs about 24 ms
+    # every point strictly inside a window is major
     rng = np.random.default_rng(5)
     pairs = farey(N - 1)
-    for _ in range(100):
+    for _ in range(1000):
         a, q = pairs[rng.integers(len(pairs))]
         f = Fraction(int(rng.integers(-999_999, 1_000_000)), 1_000_000)
         hit = classify_fraction(Fraction(a, q) + f / (q * N), N)
         assert hit.is_major and hit.q <= q
+
+
+@pytest.mark.parametrize("N", [3, 5, 16, 64, 100.5])
+def test_exact_classification_matches_the_fraction_walk(N):
+    # times c/N (minor when reduced), times on both edges of and inside a
+    # window a/q, the same shifted by whole turns, and arbitrary fractions
+    pairs = brute_force_farey(math.ceil(N) - 1)
+    rng = np.random.default_rng(11)
+    edges = [Fraction(c) / Fraction(N) for c in range(math.ceil(N))]
+    taus = [edges[k] for k in rng.choice(len(edges), size=min(len(edges), 12), replace=False)]
+    for k in rng.choice(len(pairs), size=min(len(pairs), 6), replace=False):
+        a, q = pairs[k]
+        w = 1 / (q * Fraction(N))
+        inside = Fraction(int(rng.integers(-999, 1000)), 1000) * w
+        for turns in (0, int(rng.choice([-3, -1, 1, 2]))):
+            taus += [Fraction(a, q) + turns + x for x in (w, -w, inside)]
+    taus += [Fraction(int(rng.integers(-10**6, 10**6)), int(rng.integers(1, 10**6)))
+             for _ in range(6)]
+    for tau in taus:
+        assert as_triple(classify_fraction(tau, N)) == walk_classify_exact(tau, N, pairs), tau
+
+
+@pytest.mark.parametrize("N", [3, 5, 16, 64, 100.5, 1000])
+def test_float_classification_matches_the_farey_walk(N):
+    # float times c/N and a/q +- 1/(qN) land on either side of a window
+    # edge by rounding; both paths must round them alike
+    a_arr, q_arr = farey_arrays(N)
+    rng = np.random.default_rng(12)
+    edges = np.arange(math.ceil(N)) / N
+    taus = list(rng.uniform(-3.0, 4.0, 60)) + list(rng.choice(edges, size=min(edges.size, 60)))
+    for k in rng.choice(a_arr.size, size=min(a_arr.size, 40), replace=False):
+        a, q = a_arr[k], q_arr[k]
+        w = 1.0 / (q * N)
+        taus += [a / q + w, a / q - w, a / q + rng.uniform(-1.0, 1.0) * w]
+    for tau in taus:
+        want = walk_classify_float(tau, N, a_arr, q_arr)
+        assert as_triple(classify_fraction(tau, N)) == want, tau
 
 
 def test_classify_prefers_smallest_q():
