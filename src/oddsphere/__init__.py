@@ -4,7 +4,7 @@ Layers, bottom up:
 
     space      exact geometry/spectrum: dimensions, eigenvalues, periods
     specialfn  zonal spherical functions (recurrence oracle + closed sum)
-    kernel     mollified propagator kernels, nu-decomposition, zonal flow
+    kernel     mollified propagator kernels, nu-decomposition
     arcs       Farey fractions, major-arc classification, denominator sums
     measure    weighted torus quadrature, regional L^p and sup norms
     verify     exponent scans with log-log fits and pass/fail budgets
@@ -24,15 +24,11 @@ from .specialfn import phi, phi_explicit, phi_recurrence
 from .kernel import (
     Bump,
     KernelField,
-    ZonalState,
-    evaluate_zonal,
-    evolve_zonal,
     kappa_nu,
     kernel_1d,
     kernel_direct_multi,
     kernel_nu,
     kernel_product,
-    sobolev_norm,
 )
 from .arcs import MajorArc, MinorArcReport, classify, denominator_sum, farey
 from .measure import Region, TorusQuadrature, lp_norm, resolution_check, sup_norm
@@ -53,9 +49,8 @@ __all__ = [
     "ProductSpace", "Rational", "SphereFactor", "build_space", "eigenvalue",
     "flow_period", "harmonic_dim",
     "phi", "phi_explicit", "phi_recurrence",
-    "Bump", "KernelField", "ZonalState", "evaluate_zonal", "evolve_zonal",
-    "kappa_nu", "kernel_1d", "kernel_direct_multi", "kernel_nu",
-    "kernel_product", "sobolev_norm",
+    "Bump", "KernelField", "kappa_nu", "kernel_1d", "kernel_direct_multi",
+    "kernel_nu", "kernel_product",
     "MajorArc", "MinorArcReport", "classify", "denominator_sum", "farey",
     "Region", "TorusQuadrature", "lp_norm", "resolution_check", "sup_norm",
     "ScalingReport", "ScanPlan", "corner_scan", "decay_scan", "fit_loglog",

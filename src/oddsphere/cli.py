@@ -119,48 +119,33 @@ def cmd_scan(cfg: dict) -> int:
         if "offsets" in cfg
         else verify.DEFAULT_OFFSETS
     )
-    bump = Bump(cfg.get("bump", "smooth"))
-    oversample = int(cfg.get("oversample", 16))
-    tolerance = float(cfg.get("tolerance", verify.DEFAULT_TOLERANCE))
+    common = dict(
+        bump=Bump(cfg.get("bump", "smooth")),
+        oversample=int(cfg.get("oversample", 16)),
+        tolerance=float(cfg.get("tolerance", verify.DEFAULT_TOLERANCE)),
+    )
     p = float(cfg["p"]) if "p" in cfg else None
+    if p is None and mode != "kappa":
+        raise ConfigError(f"{mode} scan needs p")
     if mode == "decay":
-        if p is None:
-            raise ConfigError("decay scan needs p")
-        plan = verify.ScanPlan(
-            space, p, N_list, arcs, offsets, bump=bump,
-            oversample=oversample, tolerance=tolerance,
-        )
-        report = verify.decay_scan(plan)
+        report = verify.decay_scan(verify.ScanPlan(space, p, N_list, arcs, offsets, **common))
     elif mode == "corner":
-        if p is None:
-            raise ConfigError("corner scan needs p")
-        report = verify.corner_scan(
-            space, p, N_list, arcs, offsets=offsets, bump=bump,
-            oversample=oversample, tolerance=tolerance,
-        )
+        report = verify.corner_scan(space, p, N_list, arcs, offsets=offsets, **common)
     elif mode == "kappa":
         if "nu" not in cfg:
             raise ConfigError("kappa scan needs nu")
         report = verify.kappa_scan(
-            space, int(cfg["nu"]), N_list, arcs, offsets=offsets, bump=bump,
-            oversample=oversample, tolerance=tolerance,
+            space, int(cfg["nu"]), N_list, arcs, offsets=offsets, **common
         )
     elif mode == "threshold":
-        if p is None:
-            raise ConfigError("threshold scan needs p")
-        report = verify.threshold_check(
-            space, p, N_list, arcs, offsets=offsets, bump=bump,
-            oversample=oversample, tolerance=tolerance,
-        )
+        report = verify.threshold_check(space, p, N_list, arcs, offsets=offsets, **common)
     else:  # strichartz
-        if p is None:
-            raise ConfigError("strichartz scan needs p")
         report = verify.strichartz_zonal_scan(
             space, p, N_list,
             trials=int(cfg.get("trials", 20)),
             seed=int(cfg.get("seed", 0)),
             time_samples=int(cfg.get("time_samples", 192)),
-            bump=bump, oversample=oversample, tolerance=tolerance,
+            **common,
         )
     base = _out_base(cfg, f"scan_{mode}")
     verify.write_report(report, base.with_suffix(".json"), base.with_suffix(".csv"))

@@ -34,12 +34,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .measure import uniform_grid_size
-from .space import ProductSpace, check_multi_index, eigenvalue, harmonic_dim
+from .space import ProductSpace, harmonic_dim
 from .specialfn import (
     COND_LIMIT,
     DEFAULT_GUARD,
@@ -52,15 +52,11 @@ from .specialfn import (
 __all__ = [
     "Bump",
     "KernelField",
-    "ZonalState",
     "kernel_1d",
     "kernel_nu",
     "kappa_nu",
     "kernel_product",
     "kernel_direct_multi",
-    "evolve_zonal",
-    "evaluate_zonal",
-    "sobolev_norm",
     "spectral_l2_norm",
     "write_field",
 ]
@@ -380,85 +376,6 @@ def kernel_direct_multi(
             sl[axis] = slice(None)
             cut = cut * bump(x)[tuple(sl)]
     return complex(np.sum(cut * np.exp(-1j * t * mu_joint) * prod))
-
-
-# ---------------------------------------------------------------------------
-# zonal states under the flow
-
-
-@dataclass
-class ZonalState:
-    """Finitely supported zonal spectral data f = sum_n c_n (prod_j d_{n_j} phi_{n_j})."""
-
-    space: ProductSpace
-    coeffs: Mapping[tuple[int, ...], complex]
-
-    def __post_init__(self) -> None:
-        clean = {}
-        for idx, c in dict(self.coeffs).items():
-            clean[check_multi_index(self.space, idx)] = complex(c)
-        self.coeffs = clean
-
-
-def evolve_zonal(state: ZonalState, t: float) -> ZonalState:
-    """Apply exp(it*Lap): multiply each coefficient by its eigenvalue phase."""
-    out = {
-        idx: c * np.exp(1j * t * float(eigenvalue(state.space, idx)))
-        for idx, c in state.coeffs.items()
-    }
-    return ZonalState(state.space, out)
-
-
-def evaluate_zonal(state: ZonalState, grids: Sequence[np.ndarray]) -> np.ndarray:
-    """Sample the state on a product of per-factor angle grids.
-
-    Returns a complex array of shape (len(grid_1), ..., len(grid_r)).
-    Cost is #coeffs times the product grid size; fine for the finitely
-    supported states this type is for.
-    """
-    space = state.space
-    if len(grids) != space.r:
-        raise ValueError(f"got {len(grids)} grids for rank {space.r}")
-    grids = [np.atleast_1d(np.asarray(g, dtype=float)) for g in grids]
-    idxs = list(state.coeffs)
-    if not idxs:
-        return np.zeros(tuple(len(g) for g in grids), dtype=complex)
-    shape = tuple(len(g) for g in grids)
-    total = len(idxs) * int(np.prod(shape))
-    if total > 2 * 10**8:
-        raise ValueError(f"evaluation cost {total} exceeds guard; thin the grid")
-    # per-factor value rows for the degrees that actually occur
-    rows: list[dict[int, np.ndarray]] = []
-    for j, f in enumerate(space.factors):
-        used = sorted({idx[j] for idx in idxs})
-        mat = phi_matrix(f.lam, used, grids[j])
-        dvec = dim_vector(f.lam, np.array(used))
-        rows.append({n: dvec[i] * mat[i] for i, n in enumerate(used)})
-    out = np.zeros(shape, dtype=complex)
-    for idx in idxs:
-        term = np.asarray(state.coeffs[idx], dtype=complex)
-        piece = rows[0][idx[0]]
-        for j in range(1, space.r):
-            piece = np.multiply.outer(piece, rows[j][idx[j]])
-        out += term * piece
-    return out
-
-
-def sobolev_norm(state: ZonalState, s: float) -> float:
-    """Spectral Sobolev norm with weights (lambda^s + 1), pure L2 at s = 0.
-
-    The squared norm is sum |c_n|^2 (prod_j d_{n_j}) w(lambda_n) because the
-    L2 norm of prod_j d phi is the square root of the joint dimension.
-    """
-    total = 0.0
-    for idx, c in state.coeffs.items():
-        lam_n = -float(eigenvalue(state.space, idx))
-        weight = 1.0 if s == 0 else lam_n**s + 1.0
-        dprod = 1.0
-        for n, f in zip(idx, state.space.factors):
-            dprod *= harmonic_dim(f.dim, n)
-        total += abs(c) ** 2 * dprod * weight
-    return math.sqrt(total)
 
 
 def spectral_l2_norm(lam: int, beta, N: float, t: float, bump: Bump) -> float:

@@ -35,7 +35,7 @@ import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, pi
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -112,32 +112,36 @@ def get_coeffs(lam: int, nmax: int) -> UltrasphericalCoeffs:
     return cached
 
 
-def phi_recurrence(lam: int, n: int, theta):
-    """Oracle route: normalized Gegenbauer value by three-term recurrence.
-
-    The recurrence is run on the normalized functions directly,
+def _sweep(lam: int, x: np.ndarray, nmax: int) -> Iterator[np.ndarray]:
+    """Yield p_0..p_nmax at x = cos theta by the normalized recurrence
 
         p_0 = 1,  p_1 = x,
         p_k = [2 (k + lam - 1) x p_{k-1} - (k - 1) p_{k-2}] / (k + 2 lam - 1),
 
-    with x = cos theta, so every iterate stays in [-1, 1].  Valid at all
-    angles including the corners.
+    so every iterate stays in [-1, 1].  Valid at all angles including the
+    corners.  Each yielded array is fresh and never written again.
     """
+    prev = np.ones_like(x)
+    yield prev
+    if nmax == 0:
+        return
+    cur = x.copy()
+    yield cur
+    for k in range(2, nmax + 1):
+        prev, cur = cur, (2.0 * (k + lam - 1) * x * cur - (k - 1) * prev) / (
+            k + 2 * lam - 1
+        )
+        yield cur
+
+
+def phi_recurrence(lam: int, n: int, theta):
+    """Oracle route: normalized Gegenbauer value by three-term recurrence."""
     if lam < 1:
         raise ValueError(f"need lam >= 1, got {lam}")
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    theta = np.asarray(theta, dtype=float)
-    x = np.cos(theta)
-    if n == 0:
-        out = np.ones_like(x)
-        return out if out.ndim else float(out)
-    prev = np.ones_like(x)
-    cur = x.copy()
-    for k in range(2, n + 1):
-        prev, cur = cur, (2.0 * (k + lam - 1) * x * cur - (k - 1) * prev) / (
-            k + 2 * lam - 1
-        )
+    for cur in _sweep(lam, np.cos(np.asarray(theta, dtype=float)), n):
+        pass
     return cur if cur.ndim else float(cur)
 
 
@@ -239,23 +243,11 @@ def phi_series(lam: int, weights: Sequence[complex], theta) -> np.ndarray:
     """
     weights = np.asarray(weights)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    x = np.cos(theta)
     acc = np.zeros(theta.shape, dtype=complex)
-    nmax = len(weights) - 1
-    if nmax < 0:
-        return acc
-    prev = np.ones_like(x)
-    acc += weights[0] * prev
-    if nmax == 0:
-        return acc
-    cur = x.copy()
-    acc += weights[1] * cur
-    for k in range(2, nmax + 1):
-        prev, cur = cur, (2.0 * (k + lam - 1) * x * cur - (k - 1) * prev) / (
-            k + 2 * lam - 1
-        )
-        if weights[k] != 0:
-            acc += weights[k] * cur
+    # zip stops on the weights first, so no weights means no sweep
+    for w, cur in zip(weights, _sweep(lam, np.cos(theta), len(weights) - 1)):
+        if w != 0:
+            acc += w * cur
     return acc
 
 
@@ -287,20 +279,12 @@ def phi_matrix(
     if far.any():
         out[:, far] = _explicit_block(lam, n_values, theta[far], coeffs)
     if near.any():
-        xn = np.cos(theta[near])
-        rows = {int(n): None for n in n_values}
-        prev = np.ones_like(xn)
-        cur = xn.copy()
-        if 0 in rows:
-            rows[0] = prev.copy()
-        if nmax >= 1 and 1 in rows:
-            rows[1] = cur.copy()
-        for k in range(2, nmax + 1):
-            prev, cur = cur, (2.0 * (k + lam - 1) * xn * cur - (k - 1) * prev) / (
-                k + 2 * lam - 1
-            )
-            if k in rows:
-                rows[k] = cur.copy()
+        wanted = set(n_values.tolist())
+        rows = {
+            k: cur
+            for k, cur in enumerate(_sweep(lam, np.cos(theta[near]), nmax))
+            if k in wanted
+        }
         for i, n in enumerate(n_values):
             out[i, near] = rows[int(n)]
     return out

@@ -13,6 +13,9 @@ ratio is bounded; at desk scale the epsilon factors and powers of log N in
 the envelope show up as a small positive fitted slope, so each scan carries
 an explicit slope budget (default 0.30) instead of a free epsilon.
 
+One private engine (_scan) does the folding, fitting and judging for every
+mode; a mode only says how to measure the records of one N.
+
 Minor-arc times prove nothing and never enter verdicts: scan times are
 constructed inside chosen windows (center plus exact rational offsets), so
 every measured time is major by construction.  Arbitrary times can be
@@ -26,7 +29,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -92,12 +95,13 @@ class ScanPlan:
     N_list: tuple[int, ...] = DEFAULT_N_LIST
     arcs: tuple[tuple[int, int], ...] = DEFAULT_ARCS
     offsets: tuple[Fraction, ...] = DEFAULT_OFFSETS  # as fractions of the half-width
-    region: Region = field(default_factory=Region.full)
     bump: Bump = field(default_factory=Bump)
     oversample: int = 16
     tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self) -> None:
+        if not self.p > 0:
+            raise ValueError(f"need p > 0, got {self.p}")
         if not self.N_list:
             raise ValueError("empty N list")
         n_min = min(self.N_list)
@@ -235,79 +239,97 @@ def _tau_label(a: int, q: int, tau: Fraction) -> str:
     return f"{a}/{q}+{format_rational(delta)}"
 
 
-def _ratio_scan(
-    plan: ScanPlan,
-    *,
+def _scan(
     mode: str,
+    space: ProductSpace,
+    p: float,
     target: float,
-    regions: Sequence[Region] | None = None,
-    region_for_N=None,
-    use_sup: bool = False,
+    tolerance: float,
+    N_list: Sequence[int],
+    measure_N: Callable[[int], Iterable[ScanRecord]],
+    params: dict,
 ) -> ScalingReport:
-    """Shared engine: measure norms over (N, arc, offset, region), fit worst ratios."""
-    space = plan.space
-    r = space.r
-    exponent = target
+    """The one scan engine: per-N records, worst ratio per N, one fit, one verdict."""
     records: list[ScanRecord] = []
     worst: list[tuple[int, float]] = []
-    T_sec = space.period_seconds
-    for N in plan.N_list:
-        quad = TorusQuadrature.for_kernel(space, N, plan.oversample)
-        grids = quad.grids()
-        if region_for_N is not None:
-            region_list = region_for_N(N)
-        else:
-            region_list = regions or [plan.region]
+    for N in N_list:
         worst_ratio = 0.0
-        for a, q, tau, dist in _arc_time_points(plan.arcs, plan.offsets, N):
-            t_sec = float(tau) * T_sec
-            fld = kernel_product(space, N, t_sec, grids, plan.bump)
-            denom = bound_denominator(q, N, dist, r)
-            for region in region_list:
-                if use_sup:
-                    norm = measure.sup_norm(fld, region)
-                else:
-                    norm = measure.lp_norm(fld, plan.p, region)
-                ratio = norm * denom / N**exponent
-                records.append(
-                    ScanRecord(
-                        N=N,
-                        tau=_tau_label(a, q, tau),
-                        a=a,
-                        q=q,
-                        dist=dist,
-                        p=plan.p,
-                        region=region.label(),
-                        norm=norm,
-                        bound_denominator=denom,
-                        ratio=ratio,
-                    )
-                )
-                worst_ratio = max(worst_ratio, ratio)
+        for rec in measure_N(N):
+            records.append(rec)
+            worst_ratio = max(worst_ratio, rec.ratio)
         worst.append((N, worst_ratio))
     slope, intercept, resid = fit_loglog(worst)
-    stderr = _slope_stderr(worst, slope, intercept)
-    verdict = "pass" if slope <= plan.tolerance else "fail"
     return ScalingReport(
         mode=mode,
         space=space.describe(),
-        p=plan.p,
-        target_exponent=exponent,
-        tolerance=plan.tolerance,
+        p=p,
+        target_exponent=target,
+        tolerance=tolerance,
         records=records,
         worst_per_N=worst,
         fitted_slope=slope,
-        slope_CI=stderr,
+        slope_CI=_slope_stderr(worst, slope, intercept),
         residual=resid,
-        verdict=verdict,
-        params={
-            "N_list": list(plan.N_list),
-            "arcs": [f"{a}/{q}" for a, q in plan.arcs],
-            "offsets": [format_rational(o) for o in plan.offsets],
-            "bump": plan.bump.kind,
-            "oversample": plan.oversample,
-        },
+        verdict="pass" if slope <= tolerance else "fail",
+        params=params,
     )
+
+
+def _arc_scan(
+    plan: ScanPlan,
+    mode: str,
+    target: float,
+    regions_for_N: Callable[[int], Sequence[Region]],
+    field_at=None,
+    extra: dict | None = None,
+) -> ScalingReport:
+    """Regional L^p norms over (N, arc, offset, region) against the arc envelope.
+
+    field_at(N, grids, t_sec) samples the field; the default is the kernel.
+    """
+    space = plan.space
+    if field_at is None:
+        def field_at(N, grids, t_sec):
+            return kernel_product(space, N, t_sec, grids, plan.bump)
+
+    def measure_N(N: int):
+        grids = TorusQuadrature.for_kernel(space, N, plan.oversample).grids()
+        regions = regions_for_N(N)
+        for a, q, tau, dist in _arc_time_points(plan.arcs, plan.offsets, N):
+            fld = field_at(N, grids, float(tau) * space.period_seconds)
+            denom = bound_denominator(q, N, dist, space.r)
+            for region in regions:
+                norm = measure.lp_norm(fld, plan.p, region)
+                yield ScanRecord(
+                    N=N,
+                    tau=_tau_label(a, q, tau),
+                    a=a,
+                    q=q,
+                    dist=dist,
+                    p=plan.p,
+                    region=region.label(),
+                    norm=norm,
+                    bound_denominator=denom,
+                    ratio=norm * denom / N**target,
+                    extra=dict(extra or {}),
+                )
+
+    params = {
+        **(extra or {}),
+        "N_list": list(plan.N_list),
+        "arcs": [f"{a}/{q}" for a, q in plan.arcs],
+        "offsets": [format_rational(o) for o in plan.offsets],
+        "bump": plan.bump.kind,
+        "oversample": plan.oversample,
+    }
+    return _scan(
+        mode, space, plan.p, target, plan.tolerance, plan.N_list, measure_N, params
+    )
+
+
+def _lp_target(space: ProductSpace, p: float) -> float:
+    """Envelope exponent d - d/p; d at p = inf."""
+    return space.d - space.d / p
 
 
 def decay_scan(plan: ScanPlan) -> ScalingReport:
@@ -317,10 +339,9 @@ def decay_scan(plan: ScanPlan) -> ScalingReport:
     exploratory.  p = inf uses the sup norm against N^d.
     """
     space = plan.space
-    d = space.d
-    target = float(d) if plan.p == math.inf else d - d / plan.p
-    report = _ratio_scan(plan, mode="decay", target=target, use_sup=plan.p == math.inf)
-    if plan.p != math.inf and plan.p < float(space.s):
+    target = _lp_target(space, plan.p)
+    report = _arc_scan(plan, "decay", target, lambda N: [Region.full()])
+    if plan.p < float(space.s):
         report.warnings.append(
             f"exploratory: p={plan.p} is below the validity floor s={format_rational(space.s)}"
         )
@@ -344,25 +365,14 @@ def corner_scan(
     the per-N worst ratio over corners, arcs, and offsets.
     """
     plan = ScanPlan(
-        space,
-        p,
-        tuple(N_list),
-        tuple(arcs),
-        tuple(offsets),
-        bump=bump or Bump(),
-        oversample=oversample,
-        tolerance=tolerance,
+        space, p, tuple(N_list), tuple(arcs), tuple(offsets),
+        bump=bump or Bump(), oversample=oversample, tolerance=tolerance,
     )
-    d = space.d
-    target = float(d) if p == math.inf else d - d / p
 
-    def region_for_N(N: int):
-        radius = 1.0 / N
-        poles_list = np.ndindex(*(2 for _ in range(space.r)))
-        return [Region.corner(tuple(poles), radius) for poles in poles_list]
+    def corners(N: int) -> list[Region]:
+        return [Region.corner(poles, 1.0 / N) for poles in np.ndindex(*(2,) * space.r)]
 
-    report = _ratio_scan(plan, mode="corner", target=target, region_for_N=region_for_N)
-    return report
+    return _arc_scan(plan, "corner", _lp_target(space, p), corners)
 
 
 def kappa_scan(
@@ -383,66 +393,20 @@ def kappa_scan(
     lam = f.lam
     if not 0 <= nu <= lam - 1:
         raise ValueError(f"need 0 <= nu <= lam-1 = {lam - 1}, got {nu}")
-    bump = bump or Bump()
-    target = lam - nu + 1.0
-    records: list[ScanRecord] = []
-    worst: list[tuple[int, float]] = []
-    T_sec = space.period_seconds
-    for N in N_list:
-        quad = TorusQuadrature.for_kernel(space, N, oversample)
-        grid = quad.nodes(0)
-        worst_ratio = 0.0
-        for a, q, tau, dist in _arc_time_points(arcs, offsets, N):
-            t_sec = float(tau) * T_sec
+    plan = ScanPlan(
+        space, math.inf, tuple(N_list), tuple(arcs), tuple(offsets),
+        bump=bump or Bump(), oversample=oversample, tolerance=tolerance,
+    )
 
-            def evaluator(th, t_sec=t_sec):
-                return kappa_nu(lam, N, nu, t_sec, th, bump, beta=f.beta)
+    def field_at(N, grids, t_sec):
+        def evaluator(th):
+            return kappa_nu(lam, N, nu, t_sec, th, plan.bump, beta=f.beta)
 
-            fld = FieldSample(
-                space, (grid,), (evaluator(grid),), evaluators=(evaluator,)
-            )
-            sup = measure.sup_norm(fld, Region.full())
-            denom = bound_denominator(q, N, dist, 1)
-            ratio = sup * denom / N**target
-            records.append(
-                ScanRecord(
-                    N=N,
-                    tau=_tau_label(a, q, tau),
-                    a=a,
-                    q=q,
-                    dist=dist,
-                    p=math.inf,
-                    region="full",
-                    norm=sup,
-                    bound_denominator=denom,
-                    ratio=ratio,
-                    extra={"nu": nu},
-                )
-            )
-            worst_ratio = max(worst_ratio, ratio)
-        worst.append((N, worst_ratio))
-    slope, intercept, resid = fit_loglog(worst)
-    stderr = _slope_stderr(worst, slope, intercept)
-    return ScalingReport(
-        mode="kappa",
-        space=space.describe(),
-        p=math.inf,
-        target_exponent=target,
-        tolerance=tolerance,
-        records=records,
-        worst_per_N=worst,
-        fitted_slope=slope,
-        slope_CI=stderr,
-        residual=resid,
-        verdict="pass" if slope <= tolerance else "fail",
-        params={
-            "nu": nu,
-            "N_list": list(N_list),
-            "arcs": [f"{a}/{q}" for a, q in arcs],
-            "offsets": [format_rational(o) for o in offsets],
-            "bump": bump.kind,
-            "oversample": oversample,
-        },
+        return FieldSample(space, grids, (evaluator(grids[0]),), evaluators=(evaluator,))
+
+    return _arc_scan(
+        plan, "kappa", lam - nu + 1.0, lambda N: [Region.full()],
+        field_at=field_at, extra={"nu": nu},
     )
 
 
@@ -466,22 +430,13 @@ def threshold_check(
     if space.r != 1:
         raise ValueError("the threshold probe is a single-sphere statement")
     plan = ScanPlan(
-        space,
-        p,
-        tuple(N_list),
-        tuple(arcs),
-        tuple(offsets),
-        bump=bump or Bump(),
-        oversample=oversample,
-        tolerance=tolerance,
+        space, p, tuple(N_list), tuple(arcs), tuple(offsets),
+        bump=bump or Bump(), oversample=oversample, tolerance=tolerance,
+    )
+    report = _arc_scan(
+        plan, "threshold", _lp_target(space, p), lambda N: [Region.away(1.0 / N)]
     )
     d = space.d
-    target = d - d / p
-
-    def region_for_N(N: int):
-        return [Region.away(1.0 / N)]
-
-    report = _ratio_scan(plan, mode="threshold", target=target, region_for_N=region_for_N)
     p_floor = 2.0 * d / (d - 1.0)
     report.params["p_floor"] = p_floor
     if p < p_floor:
@@ -527,6 +482,10 @@ def strichartz_zonal_scan(
     """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
+    if not 0 < p < math.inf:
+        raise ValueError(f"need 0 < p < inf, got {p}")
+    if time_samples < 1:
+        raise ValueError(f"need time_samples >= 1, got {time_samples}")
     if space.r != 1:
         raise ValueError("random-data scans are implemented for rank-one spaces")
     bump = bump or Bump()
@@ -536,9 +495,8 @@ def strichartz_zonal_scan(
     d = space.d
     target = d / 2.0 - (d + 2.0) / p
     T_sec = space.period_seconds
-    records: list[ScanRecord] = []
-    worst: list[tuple[int, float]] = []
-    for N in N_list:
+
+    def measure_N(N: int):
         n_shell, _ = mode_weights(lam, beta, N, 0.0, bump)
         dims = dim_vector(lam, n_shell)
         mu = n_shell * (n_shell + 2 * lam) / beta
@@ -564,44 +522,28 @@ def strichartz_zonal_scan(
                 re, im = u[:time_samples], u[time_samples:]
                 acc += ((re * re + im * im) ** (p / 2.0)) @ weights[block]
         worst_norm = max(float(np.mean(f_t)) ** (1.0 / p) for f_t in power)
-        records.append(
-            ScanRecord(
-                N=N,
-                tau="[0,1)",
-                a=0,
-                q=1,
-                dist=0.0,
-                p=p,
-                region="spacetime",
-                norm=worst_norm,
-                bound_denominator=1.0,
-                ratio=worst_norm / N**target,
-            )
+        yield ScanRecord(
+            N=N,
+            tau="[0,1)",
+            a=0,
+            q=1,
+            dist=0.0,
+            p=p,
+            region="spacetime",
+            norm=worst_norm,
+            bound_denominator=1.0,
+            ratio=worst_norm / N**target,
         )
-        worst.append((N, worst_norm / N**target))
-    slope, intercept, resid = fit_loglog(worst)
-    stderr = _slope_stderr(worst, slope, intercept)
-    report = ScalingReport(
-        mode="strichartz",
-        space=space.describe(),
-        p=p,
-        target_exponent=target,
-        tolerance=tolerance,
-        records=records,
-        worst_per_N=worst,
-        fitted_slope=slope,
-        slope_CI=stderr,
-        residual=resid,
-        verdict="pass" if slope <= tolerance else "fail",
-        params={
-            "trials": trials,
-            "seed": seed,
-            "time_samples": time_samples,
-            "N_list": list(N_list),
-            "bump": bump.kind,
-            "oversample": oversample,
-        },
-    )
+
+    params = {
+        "trials": trials,
+        "seed": seed,
+        "time_samples": time_samples,
+        "N_list": list(N_list),
+        "bump": bump.kind,
+        "oversample": oversample,
+    }
+    report = _scan("strichartz", space, p, target, tolerance, N_list, measure_N, params)
     if p < float(space.p0):
         report.warnings.append(
             f"exploratory: p={p} is below the space-time threshold "

@@ -108,6 +108,25 @@ def test_scan_modes_validate(tmp_path, capsys):
     ) == 2
     assert "nu" in capsys.readouterr().err
     assert run(["scan", "--dims", "3", "--mode", "decay"]) == 2  # missing p
+    assert "decay scan needs p" in capsys.readouterr().err
+    kappa = ["scan", "--dims", "5", "--mode", "kappa", "--nu", 0,
+             "--nlist", "16,32,64", "--out", tmp_path / "k0"]
+    for bad in (["--arcs", "2/4"], ["--arcs", "1/20"], ["--offsets", "3/2"]):
+        assert run(kappa + bad) == 2, bad
+        assert "error:" in capsys.readouterr().err
+    for mode in ("decay", "corner", "threshold", "strichartz"):
+        assert run(
+            ["scan", "--dims", "3", "--mode", mode, "--p", 0,
+             "--nlist", "16,32,64", "--out", tmp_path / mode]
+        ) == 2, mode
+        assert "got 0.0" in capsys.readouterr().err
+    strichartz = ["scan", "--dims", "3", "--mode", "strichartz",
+                  "--nlist", "8,16,32", "--trials", 2, "--out", tmp_path / "s"]
+    assert run(strichartz + ["--p", -2]) == 2
+    assert "got -2.0" in capsys.readouterr().err
+    assert run(strichartz + ["--p", 8, "--time-samples", 0]) == 2
+    assert "time_samples" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.json"))
 
 
 def test_scan_threshold_passes_at_the_floor(tmp_path):

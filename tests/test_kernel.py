@@ -11,16 +11,12 @@ from numpy.testing import assert_allclose
 from oddsphere import space
 from oddsphere.kernel import (
     Bump,
-    ZonalState,
-    evaluate_zonal,
-    evolve_zonal,
     kappa_nu,
     kernel_1d,
     kernel_direct_multi,
     kernel_nu,
     kernel_product,
     mode_weights,
-    sobolev_norm,
     spectral_l2_norm,
     write_field,
 )
@@ -255,49 +251,6 @@ def test_parseval_oracle():
         assert oracle == pytest.approx(direct, rel=1e-12)
 
 
-def test_zonal_evolution():
-    st = ZonalState(S3, {(1,): 1.0, (4,): 0.5 - 0.25j})
-    # t = 0 is the identity
-    same = evolve_zonal(st, 0.0)
-    assert same.coeffs == st.coeffs
-    # one full period returns every coefficient
-    moved = evolve_zonal(st, S3.period_seconds)
-    for idx, c in st.coeffs.items():
-        assert abs(moved.coeffs[idx] - c) < 1e-12
-    # N distinct modes rotate at distinct speeds
-    quarter = evolve_zonal(st, 0.25)
-    assert abs(quarter.coeffs[(1,)] - np.exp(-3j * 0.25)) < 1e-14
-
-
-def test_sobolev_norm_examples():
-    st = ZonalState(S3, {(1,): 1.0})
-    assert sobolev_norm(st, 0) == pytest.approx(2.0, rel=1e-14)  # sqrt(d_1)
-    # positive smoothness weights (lambda^s + 1)
-    assert sobolev_norm(st, 1) == pytest.approx(2.0 * math.sqrt(4.0), rel=1e-14)
-
-
-def test_sobolev_norm_matches_quadrature():
-    # || d_n phi_n ||_2 = sqrt(d_n) under the probability measure
-    from oddsphere.measure import FieldSample, TorusQuadrature, lp_norm
-
-    st = ZonalState(S3, {(6,): 1.0})
-    quad = TorusQuadrature.for_kernel(S3, 8)
-    vals = evaluate_zonal(st, quad.grids())
-    fld = FieldSample(S3, quad.grids(), (vals,))
-    assert lp_norm(fld, 2) == pytest.approx(sobolev_norm(st, 0), rel=1e-9)
-
-
-def test_evaluate_zonal_product():
-    st = ZonalState(S3S3, {(1, 2): 2.0})
-    g1 = np.array([0.3])
-    g2 = np.array([1.4])
-    val = evaluate_zonal(st, [g1, g2])[0, 0]
-    want = (
-        2.0
-        * 4.0 * phi_recurrence(1, 1, 0.3)
-        * 9.0 * phi_recurrence(1, 2, 1.4)
-    )
-    assert val == pytest.approx(want, rel=1e-12)
 
 
 def test_field_serialization(tmp_path):
