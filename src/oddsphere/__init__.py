@@ -3,7 +3,7 @@
 Layers, bottom up:
 
     space      exact geometry/spectrum: dimensions, eigenvalues, periods
-    specialfn  zonal spherical functions (recurrence oracle + closed sum)
+    specialfn  zonal spherical functions (recurrence sweep + closed-sum oracle)
     kernel     mollified propagator kernels, nu-decomposition
     arcs       Farey fractions, major-arc classification, denominator sums
     measure    weighted torus quadrature, regional L^p and sup norms

@@ -25,7 +25,7 @@ from pathlib import Path
 from . import verify
 from .arcs import MajorArc, farey
 from .kernel import Bump, kernel_product, write_field
-from .measure import TorusQuadrature
+from .measure import QuadratureError, TorusQuadrature
 from .space import (
     ProductSpace,
     format_rational,
@@ -230,7 +230,7 @@ def main(argv=None) -> int:
             "space-info": cmd_space_info,
         }[command]
         return handler(cfg)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

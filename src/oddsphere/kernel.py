@@ -324,7 +324,6 @@ def kernel_direct_multi(
     bump: Bump,
     *,
     radial: bool = True,
-    guard: float = DEFAULT_GUARD,
 ) -> complex:
     """Brute-force lattice sum at one point of the torus.
 
@@ -354,7 +353,7 @@ def kernel_direct_multi(
         m = n * (n + 2 * f.lam)
         xs.append(m / (float(f.beta) * N * N))
         mus.append(m / float(f.beta))
-        rows = phi_matrix(f.lam, n, np.array([th]), guard=guard)[:, 0]
+        rows = phi_matrix(f.lam, n, np.array([th]))[:, 0]
         dphis.append(dim_vector(f.lam, n) * rows)
     shape = [len(x) for x in xs]
     x_joint = np.zeros(shape)

@@ -250,7 +250,7 @@ def split_csv(value: str) -> list[str]:
     return items
 
 
-def space_from_config(cfg: dict, *, allow_extra: bool = True) -> ProductSpace:
+def space_from_config(cfg: dict) -> ProductSpace:
     """Build a space from a parsed config dict (keys 'dims', 'betas')."""
     if "dims" not in cfg:
         raise ValueError("config is missing required key 'dims'")
@@ -258,8 +258,4 @@ def space_from_config(cfg: dict, *, allow_extra: bool = True) -> ProductSpace:
     betas: Iterable[Fraction] | None = None
     if "betas" in cfg:
         betas = [parse_rational(v) for v in split_csv(cfg["betas"])]
-    if not allow_extra:
-        extra = set(cfg) - {"dims", "betas"}
-        if extra:
-            raise ValueError(f"unknown config keys: {sorted(extra)}")
     return build_space(dims, betas)

@@ -3,10 +3,13 @@
 On S^{2*lam+1} the degree-n zonal spherical function is the normalized
 ultraspherical (Gegenbauer) polynomial
 
-    phi_n(theta) = C_n^{(lam)}(cos theta) / C_n^{(lam)}(1),
+    phi_n(theta) = C_n^{(lam)}(cos theta) / C_n^{(lam)}(1).
 
-computed here by the stable three-term recurrence in n (the oracle route,
-valid at every angle).  The second route is the closed finite sum
+Every evaluation on the scan path (phi_recurrence, phi_series, phi_matrix)
+comes from one sweep of the three-term recurrence in n, run in Reinsch's
+difference form on y = 2 sin^2(theta/2) after folding theta into
+[0, pi/2], so it stays accurate next to both poles.  The second route is
+the closed finite sum
 
     phi_n(theta) = sum_{nu=0}^{lam-1} 2 C_{n,nu}
                    cos((n - nu + lam) theta - (nu + lam) pi/2)
@@ -18,20 +21,19 @@ whose coefficients
                * (1-lam)(2-lam)...(nu-lam) / [(n+lam-1)(n+lam-2)...(n+lam-nu)]
 
 are assembled in exact rational arithmetic and converted to float once.
-The sum degenerates at the torus corners (sin theta -> 0), so callers keep
-a guard band there and the recurrence owns the corners.
-
-Even outside the guard band the closed sum is ill-conditioned where
-2 n sin(theta) is small: the nu-terms grow like (2 sin theta)^{-(nu+lam)}
-and cancel down to a value of modulus at most one.  Cells whose largest
-term exceeds a condition limit are therefore re-evaluated with the same
-formula in multiprecision, so the route stays independent of the
-recurrence at full accuracy.
+kernel.py sums the kernel through these coefficients by FFT; as a pointwise
+route (phi_explicit, phi) the sum is the independent oracle the recurrence
+is checked against.  It degenerates at the torus corners (sin theta -> 0),
+so the oracle keeps a guard band there, and even outside the band it is
+ill-conditioned where 2 n sin(theta) is small: the nu-terms grow like
+(2 sin theta)^{-(nu+lam)} and cancel down to a value of modulus at most
+one.  The oracle therefore re-evaluates cells whose largest term exceeds a
+condition limit with the same formula in multiprecision, so it stays
+independent of the recurrence at full accuracy.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, pi
@@ -48,7 +50,6 @@ __all__ = [
     "phi",
     "phi_series",
     "phi_matrix",
-    "coeffs_to_csv",
 ]
 
 DEFAULT_GUARD = 1e-3
@@ -77,7 +78,7 @@ class UltrasphericalCoeffs:
     """Coefficient tables for the explicit finite-sum route on S^{2*lam+1}.
 
     cnv[n, nu] is the exact C_{n,nu} rounded once to float.  cnv_exact keeps
-    the rational values for audit dumps.
+    the rational values for the multiprecision repair.
     """
 
     lam: int
@@ -112,35 +113,44 @@ def get_coeffs(lam: int, nmax: int) -> UltrasphericalCoeffs:
     return cached
 
 
-def _sweep(lam: int, x: np.ndarray, nmax: int) -> Iterator[np.ndarray]:
-    """Yield p_0..p_nmax at x = cos theta by the normalized recurrence
+def _sweep(lam: int, theta: np.ndarray, nmax: int) -> Iterator[np.ndarray]:
+    """Yield phi_0..phi_nmax at the angles theta by one recurrence sweep.
 
-        p_0 = 1,  p_1 = x,
-        p_k = [2 (k + lam - 1) x p_{k-1} - (k - 1) p_{k-2}] / (k + 2 lam - 1),
+    Each angle is folded with exact float steps: t = |theta| mod 2 pi,
+    t = min(t, 2 pi - t), and t > pi/2 goes to pi - t with the sign (-1)^n
+    (pi - t and 2 pi - t are exact by Sterbenz's lemma).  On y = 2 sin^2(t/2)
+    the normalized recurrence runs in Reinsch's difference form
 
-    so every iterate stays in [-1, 1].  Valid at all angles including the
-    corners.  Each yielded array is fresh and never written again.
+        p_0 = 1,  e_0 = 0,  p_k = p_{k-1} + e_k,
+        e_k = [(k - 1) e_{k-1} - 2 (k + lam - 1) y p_{k-1}] / (k + 2 lam - 1),
+
+    which never forms x = cos t, whose rounding next to the poles would
+    cost about n^2 * 1e-16.  Every iterate stays in [-1, 1]; phi_n is exact
+    at theta = 0 and pi.  Each yielded array is fresh and never written again.
     """
-    prev = np.ones_like(x)
-    yield prev
-    if nmax == 0:
-        return
-    cur = x.copy()
-    yield cur
-    for k in range(2, nmax + 1):
-        prev, cur = cur, (2.0 * (k + lam - 1) * x * cur - (k - 1) * prev) / (
-            k + 2 * lam - 1
-        )
-        yield cur
+    if lam < 1:
+        raise ValueError(f"need lam >= 1, got {lam}")
+    t = np.abs(theta) % (2.0 * pi)
+    t = np.minimum(t, 2.0 * pi - t)
+    flip = t > pi / 2.0
+    sign = np.where(flip, -1.0, 1.0)
+    y = 2.0 * np.sin(0.5 * np.where(flip, pi - t, t)) ** 2
+    p = np.ones_like(y)
+    yield p
+    e = np.zeros_like(y)
+    for k in range(1, nmax + 1):
+        # dividing the scalar factors, not the array, saves one array pass
+        den = k + 2 * lam - 1
+        e = (k - 1) / den * e - 2.0 * (k + lam - 1) / den * y * p
+        p = p + e
+        yield p * sign if k % 2 else p
 
 
 def phi_recurrence(lam: int, n: int, theta):
-    """Oracle route: normalized Gegenbauer value by three-term recurrence."""
-    if lam < 1:
-        raise ValueError(f"need lam >= 1, got {lam}")
+    """Normalized Gegenbauer value phi_n(theta) by the recurrence sweep."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    for cur in _sweep(lam, np.cos(np.asarray(theta, dtype=float)), n):
+    for cur in _sweep(lam, np.asarray(theta, dtype=float), n):
         pass
     return cur if cur.ndim else float(cur)
 
@@ -161,32 +171,6 @@ def _explicit_cell_mp(lam: int, n: int, theta: float, coeffs: UltrasphericalCoef
         return float(total)
 
 
-def _explicit_block(
-    lam: int,
-    n_values: np.ndarray,
-    theta: np.ndarray,
-    coeffs: UltrasphericalCoeffs,
-) -> np.ndarray:
-    """Vectorized closed sum over an (n, theta) block with conditioned repair.
-
-    Cells whose largest nu-term magnitude exceeds COND_LIMIT are redone in
-    multiprecision; everything else is plain float64.
-    """
-    sin_t = np.sin(theta)
-    acc = np.zeros((n_values.size, theta.size))
-    worst = np.zeros_like(acc)
-    for nu in range(lam):
-        freq = (n_values[:, None] - nu + lam).astype(float)
-        phase = freq * theta[None, :] - (nu + lam) * pi / 2.0
-        weight = coeffs.cnv[n_values, nu][:, None] / (2.0 * sin_t[None, :]) ** (nu + lam)
-        acc += 2.0 * weight * np.cos(phase)
-        np.maximum(worst, np.abs(weight), out=worst)
-    bad = np.argwhere(worst > COND_LIMIT)
-    for i, g in bad:
-        acc[i, g] = _explicit_cell_mp(lam, int(n_values[i]), float(theta[g]), coeffs)
-    return acc
-
-
 def phi_explicit(
     lam: int,
     n: int,
@@ -195,20 +179,32 @@ def phi_explicit(
     coeffs: UltrasphericalCoeffs | None = None,
     guard: float = DEFAULT_GUARD,
 ):
-    """Closed finite-sum route; raises CornerGuardError within the guard band."""
+    """Closed finite-sum oracle; raises CornerGuardError within the guard band.
+
+    Cells whose largest nu-term magnitude exceeds COND_LIMIT are redone in
+    multiprecision; everything else is plain float64.
+    """
     if lam < 1:
         raise ValueError(f"need lam >= 1, got {lam}")
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     theta = np.asarray(theta, dtype=float)
-    sin_t = np.sin(theta)
+    th = np.atleast_1d(theta)
+    sin_t = np.sin(th)
     if np.any(np.abs(sin_t) < guard):
         raise CornerGuardError(
             f"explicit route needs |sin theta| >= {guard}; use the recurrence"
         )
     if coeffs is None or coeffs.nmax < n:
         coeffs = get_coeffs(lam, n)
-    acc = _explicit_block(lam, np.array([n]), np.atleast_1d(theta), coeffs)[0]
+    acc = np.zeros(th.shape)
+    worst = np.zeros(th.shape)
+    for nu in range(lam):
+        weight = coeffs.cnv[n, nu] / (2.0 * sin_t) ** (nu + lam)
+        acc += 2.0 * weight * np.cos((n - nu + lam) * th - (nu + lam) * pi / 2.0)
+        np.maximum(worst, np.abs(weight), out=worst)
+    for g in np.flatnonzero(worst > COND_LIMIT):
+        acc[g] = _explicit_cell_mp(lam, n, float(th[g]), coeffs)
     return acc if theta.ndim else float(acc[0])
 
 
@@ -245,58 +241,28 @@ def phi_series(lam: int, weights: Sequence[complex], theta) -> np.ndarray:
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     acc = np.zeros(theta.shape, dtype=complex)
     # zip stops on the weights first, so no weights means no sweep
-    for w, cur in zip(weights, _sweep(lam, np.cos(theta), len(weights) - 1)):
+    for w, cur in zip(weights, _sweep(lam, theta, len(weights) - 1)):
         if w != 0:
             acc += w * cur
     return acc
 
 
-def phi_matrix(
-    lam: int,
-    n_values: Sequence[int],
-    theta,
-    *,
-    coeffs: UltrasphericalCoeffs | None = None,
-    guard: float = DEFAULT_GUARD,
-) -> np.ndarray:
+def phi_matrix(lam: int, n_values: Sequence[int], theta) -> np.ndarray:
     """Rows phi_n(theta) for each n in n_values over a theta grid.
 
-    Away from the corners each row comes from the explicit sum (vectorized
-    over the full (n, theta) block); guard-band columns are filled by a
-    single recurrence sweep shared across all rows.
+    Every row comes from one recurrence sweep up to max(n_values).
     """
     n_values = np.asarray(n_values, dtype=int)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if n_values.size == 0:
-        return np.zeros((0, theta.size))
-    nmax = int(n_values.max())
-    if coeffs is None or coeffs.nmax < nmax:
-        coeffs = get_coeffs(lam, nmax)
     out = np.empty((n_values.size, theta.size))
-    sin_t = np.sin(theta)
-    near = np.abs(sin_t) < guard
-    far = ~near
-    if far.any():
-        out[:, far] = _explicit_block(lam, n_values, theta[far], coeffs)
-    if near.any():
-        wanted = set(n_values.tolist())
-        rows = {
-            k: cur
-            for k, cur in enumerate(_sweep(lam, np.cos(theta[near]), nmax))
-            if k in wanted
-        }
-        for i, n in enumerate(n_values):
-            out[i, near] = rows[int(n)]
+    if n_values.size == 0:
+        return out
+    if n_values.min() < 0:
+        raise ValueError(f"need degrees n >= 0, got {int(n_values.min())}")
+    rows: dict[int, list[int]] = {}
+    for i, n in enumerate(n_values.tolist()):
+        rows.setdefault(n, []).append(i)
+    for k, cur in enumerate(_sweep(lam, theta, int(n_values.max()))):
+        if k in rows:
+            out[rows[k]] = cur
     return out
-
-
-def coeffs_to_csv(lam: int, nmax: int, path) -> None:
-    """Audit dump of the exact coefficient table: lam,n,nu,C_num,C_den."""
-    coeffs = get_coeffs(lam, nmax)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["lam", "n", "nu", "C_num", "C_den"])
-        for n in range(nmax + 1):
-            for nu in range(lam):
-                c = coeffs.cnv_exact[n][nu]
-                writer.writerow([lam, n, nu, c.numerator, c.denominator])

@@ -86,6 +86,16 @@ def _slope_stderr(pairs: Sequence[tuple[float, float]], slope: float, intercept:
     return float(math.sqrt(float(np.sum(resid**2)) / dof / sxx))
 
 
+def _check_ladder(N_list: Sequence[int], tolerance: float) -> None:
+    """A scan needs a nonempty ladder of scales N >= 1 and a finite slope budget."""
+    if not N_list:
+        raise ValueError("empty N list")
+    if min(N_list) < 1:
+        raise ValueError(f"need every N >= 1, got {min(N_list)}")
+    if not math.isfinite(tolerance):
+        raise ValueError(f"need a finite tolerance, got {tolerance}")
+
+
 @dataclass(frozen=True)
 class ScanPlan:
     """Work list for a ratio scan."""
@@ -102,8 +112,7 @@ class ScanPlan:
     def __post_init__(self) -> None:
         if not self.p > 0:
             raise ValueError(f"need p > 0, got {self.p}")
-        if not self.N_list:
-            raise ValueError("empty N list")
+        _check_ladder(self.N_list, self.tolerance)
         n_min = min(self.N_list)
         for a, q in self.arcs:
             if math.gcd(a, q) != 1 or not (0 <= a < q or (a, q) == (0, 1)):
@@ -486,6 +495,7 @@ def strichartz_zonal_scan(
         raise ValueError(f"need 0 < p < inf, got {p}")
     if time_samples < 1:
         raise ValueError(f"need time_samples >= 1, got {time_samples}")
+    _check_ladder(N_list, tolerance)
     if space.r != 1:
         raise ValueError("random-data scans are implemented for rank-one spaces")
     bump = bump or Bump()

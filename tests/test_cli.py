@@ -126,6 +126,20 @@ def test_scan_modes_validate(tmp_path, capsys):
     assert "got -2.0" in capsys.readouterr().err
     assert run(strichartz + ["--p", 8, "--time-samples", 0]) == 2
     assert "time_samples" in capsys.readouterr().err
+    for mode in ("decay", "strichartz"):
+        scan = ["scan", "--dims", "3", "--mode", mode, "--p", 4, "--trials", 2,
+                "--out", tmp_path / mode]
+        for bad in ("nan", "inf"):
+            assert run(scan + ["--nlist", "16,32,64", "--tolerance", bad]) == 2
+            assert "finite tolerance" in capsys.readouterr().err
+        assert run(scan + ["--nlist", "0,16,32"]) == 2
+        assert "N >= 1" in capsys.readouterr().err
+    # an oversample below the aliasing floor is a usage error, not a verdict
+    assert run(
+        ["scan", "--dims", "3", "--mode", "corner", "--p", 4, "--oversample", 1,
+         "--nlist", "16,32,64", "--out", tmp_path / "coarse"]
+    ) == 2
+    assert "under-resolves" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.json"))
 
 

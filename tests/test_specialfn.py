@@ -2,13 +2,15 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oddsphere.measure import TorusQuadrature
+from oddsphere.space import build_space
 from oddsphere.specialfn import (
     CornerGuardError,
-    coeffs_to_csv,
     get_coeffs,
     phi,
     phi_explicit,
@@ -44,17 +46,9 @@ def test_recurrence_s3_values():
 
 def test_boundedness_on_grid():
     theta = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
-    x = np.cos(theta)
     for lam in range(1, 7):
-        prev = np.ones_like(x)
-        cur = x.copy()
-        worst = 1.0
-        for k in range(2, 501):
-            prev, cur = cur, (2 * (k + lam - 1) * x * cur - (k - 1) * prev) / (
-                k + 2 * lam - 1
-            )
-            worst = max(worst, float(np.max(np.abs(cur))))
-        assert worst <= 1.0 + 1e-12
+        rows = phi_matrix(lam, np.arange(501), theta)
+        assert np.max(np.abs(rows)) <= 1.0 + 1e-12
 
 
 def test_weyl_symmetry():
@@ -139,10 +133,36 @@ def test_phi_series_matches_direct_sum():
 
 
 def test_phi_matrix_hybrid_agrees_with_recurrence():
-    theta = np.concatenate([[0.0, 1e-5, math.pi], np.linspace(0.01, 6.2, 50)])
-    rows = phi_matrix(3, [0, 2, 5, 33], theta)
-    for i, n in enumerate([0, 2, 5, 33]):
-        assert_allclose(rows[i], phi_recurrence(3, n, theta), atol=1e-10)
+    n_values = [0, 2, 5, 33]
+    theta = np.linspace(0.01, 6.2, 50)
+    rows = phi_matrix(3, n_values, theta)
+    for i, n in enumerate(n_values):
+        assert_allclose(rows[i], phi_explicit(3, n, theta), atol=1e-10)
+    poles = phi_matrix(3, n_values, [0.0, math.pi])
+    for i, n in enumerate(n_values):
+        assert poles[i].tolist() == [1.0, (-1.0) ** n]
+
+
+def _phi_reference(lam, n, theta):
+    """phi_n(theta) from mpmath's Gegenbauer polynomial at 60 digits."""
+    with mp.workdps(60):
+        x = mp.cos(mp.mpf(float(theta)))
+        return float(mp.gegenbauer(n, lam, x) / mp.binomial(n + 2 * lam - 1, n))
+
+
+@pytest.mark.parametrize("lam", [1, 3, 5])
+def test_high_degree_against_multiprecision_next_to_the_poles(lam):
+    # nodes of the N = 1024 quadrature grid next to 0, pi and 2 pi, plus
+    # angles where the closed sum is ill-conditioned (1e-3 <= |sin| <= 1e-1)
+    n = 2047
+    grid = TorusQuadrature.for_kernel(build_space([2 * lam + 1]), 1024).nodes(0)
+    M, half = grid.size, grid.size // 2
+    nodes = np.r_[0:5, half - 5:half + 6, M - 5:M]
+    band = np.arcsin(np.geomspace(1e-3, 1e-1, 5))
+    theta = np.concatenate([grid[nodes], band, math.pi - band, math.pi + band])
+    want = np.array([_phi_reference(lam, n, th) for th in theta])
+    assert np.max(np.abs(phi_recurrence(lam, n, theta) - want)) <= 1e-12
+    assert np.max(np.abs(phi_matrix(lam, [n], theta)[0] - want)) <= 1e-12
 
 
 def test_coeff_table_invariants():
@@ -154,16 +174,6 @@ def test_coeff_table_invariants():
             assert_allclose(coeffs.cnv[:51, 0], 1.0 / (np.arange(51) + 1.0), rtol=1e-15)
 
 
-def test_coeffs_csv_dump(tmp_path):
-    path = tmp_path / "coeffs.csv"
-    coeffs_to_csv(2, 5, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "lam,n,nu,C_num,C_den"
-    assert len(lines) == 1 + 6 * 2  # header + (nmax+1) * lam rows
-    # first data row: lam=2, n=0, nu=0, C = 1/1... C_{0,0} = 1/binom(3,0) = 1
-    assert lines[1] == "2,0,0,1,1"
-
-
 def test_input_validation():
     with pytest.raises(ValueError):
         phi_recurrence(0, 3, 0.5)
@@ -171,3 +181,7 @@ def test_input_validation():
         phi_recurrence(1, -1, 0.5)
     with pytest.raises(ValueError):
         phi_explicit(1, -2, 0.5)
+    with pytest.raises(ValueError):
+        phi_matrix(0, [3], [0.5])
+    with pytest.raises(ValueError):
+        phi_matrix(1, [3, -1], [0.5])

@@ -60,6 +60,12 @@ def test_fit_loglog_rejects_bad_input():
 def test_scan_plan_validation():
     with pytest.raises(ValueError):
         ScanPlan(S3, 4.0, N_list=())
+    for N_list in ((0, 16, 32), (-16, 16, 32)):
+        with pytest.raises(ValueError, match="N >= 1"):
+            ScanPlan(S3, 4.0, N_list=N_list)
+    for tolerance in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite tolerance"):
+            ScanPlan(S3, 4.0, tolerance=tolerance)
     with pytest.raises(ValueError):
         ScanPlan(S3, 4.0, N_list=(8,), arcs=((1, 9),))  # q >= min N
     with pytest.raises(ValueError):
@@ -160,6 +166,13 @@ def test_strichartz_preconditions_and_flags():
             strichartz_zonal_scan(S3, p, SMALL_NS, trials=2, time_samples=16)
     with pytest.raises(ValueError):
         strichartz_zonal_scan(S3, 8.0, SMALL_NS, trials=2, time_samples=0)
+    with pytest.raises(ValueError, match="N >= 1"):
+        strichartz_zonal_scan(S3, 8.0, (0, 16, 32), trials=2, time_samples=16)
+    for tolerance in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite tolerance"):
+            strichartz_zonal_scan(
+                S3, 8.0, SMALL_NS, trials=2, time_samples=16, tolerance=tolerance
+            )
     report = strichartz_zonal_scan(
         S3, 4.0, SMALL_NS, trials=2, seed=9, time_samples=16
     )
