@@ -13,7 +13,6 @@ Layers, bottom up:
 
 from .space import (
     ProductSpace,
-    Rational,
     SphereFactor,
     build_space,
     eigenvalue,
@@ -46,7 +45,7 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ProductSpace", "Rational", "SphereFactor", "build_space", "eigenvalue",
+    "ProductSpace", "SphereFactor", "build_space", "eigenvalue",
     "flow_period", "harmonic_dim",
     "phi", "phi_explicit", "phi_recurrence",
     "Bump", "KernelField", "kappa_nu", "kernel_1d", "kernel_direct_multi",

@@ -89,13 +89,20 @@ def _parse_arcs(value: str) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def _parse_N(cfg: dict) -> float:
+    N = float(cfg.get("n", 64))
+    if not math.isfinite(N):
+        raise ConfigError(f"N must be finite, got {N}")
+    return N
+
+
 def _out_base(cfg: dict, default: str) -> Path:
     return Path(cfg.get("out", default))
 
 
 def cmd_kernel(cfg: dict) -> int:
     space = space_from_config(cfg)
-    N = float(cfg.get("n", 64))
+    N = _parse_N(cfg)
     t, t_label = _parse_time(cfg.get("t", "0"), space)
     bump = Bump(cfg.get("bump", "smooth"))
     oversample = int(cfg.get("oversample", 16))
@@ -160,7 +167,7 @@ def cmd_scan(cfg: dict) -> int:
 
 
 def cmd_arcs(cfg: dict) -> int:
-    N = float(cfg.get("n", 64))
+    N = _parse_N(cfg)
     Q = int(cfg.get("q", math.ceil(N) - 1))
     if not Q < N:
         raise ConfigError(f"arc denominators must stay below N: Q={Q}, N={N}")

@@ -20,13 +20,16 @@ product of spheres the kernel with a per-factor mollifier is the pointwise
 product of the factor kernels; the literal joint-frequency (radial) mollifier
 is kept as a brute-force diagnostic.
 
-On the full uniform grid theta_k = 2 pi k / M (the quadrature grid) each
-kappa is one FFT per exponential half: exp(i f theta_k) depends only on
-f mod M, so placing the weights at frequency (n - nu + lam) mod M is exact,
-and the cost is O(M log M).  Where the division by (2 sin theta)^(nu+lam)
-would amplify rounding past specialfn.COND_LIMIT, and at every angle off
-that grid, the kernel comes from the recurrence sweep phi_series instead,
-at O(#modes * #angles).
+On the full uniform grid theta_k = 2 pi k / M (the quadrature grid) the
+kernel is one FFT per exponential half of its cosine expansion
+sum_f F_f cos(f theta).  Its coefficients come from the Fourier series of
+the Gegenbauer polynomials (Szego, Orthogonal Polynomials, 4.9), in which
+each phi_n is a cosine sum with positive coefficients adding up to one, so
+no cancellation is amplified and the sum is accurate to rounding at every
+node, corners included; it costs O(n_max^2 + M log M).  At every angle off
+that grid the kernel comes from the recurrence sweep phi_series, at
+O(#modes * #angles).  The nu-pieces are kept as the paper's numerator sums
+(kappa_nu, kernel_nu), not as an evaluation route.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ import numpy as np
 from .measure import uniform_grid_size
 from .space import ProductSpace, harmonic_dim
 from .specialfn import (
-    COND_LIMIT,
     DEFAULT_GUARD,
     CornerGuardError,
     get_coeffs,
@@ -102,6 +104,15 @@ class Bump:
         down = _smoothstep((self.hi - x) / (self.hi / 2.0))
         return up * down
 
+    def top_degree(self, lam: int, beta, N: float) -> int:
+        """Degree past which the cutoff vanishes on S^{2 lam + 1}, plus two.
+
+        x_n <= hi means n (n + 2 lam) <= hi beta N^2; the two spare degrees
+        absorb the rounding of the square root.
+        """
+        bN2 = float(beta) * N * N
+        return int(math.floor(math.sqrt(self.hi * bN2 + lam * lam) - lam)) + 2
+
 
 def dim_vector(lam: int, n: np.ndarray) -> np.ndarray:
     dim = 2 * lam + 1
@@ -118,8 +129,7 @@ def mode_weights(
     """
     beta_f = float(beta)
     bN2 = beta_f * N * N
-    n_top = int(math.floor(math.sqrt(bump.hi * bN2 + lam * lam) - lam)) + 2
-    n = np.arange(0, max(n_top, 0) + 1)
+    n = np.arange(0, max(bump.top_degree(lam, beta, N), 0) + 1)
     m = n * (n + 2 * lam)
     cut = bump(m / bN2)
     keep = cut > 0.0
@@ -132,18 +142,6 @@ def mode_weights(
 
 # exp(i psi) for psi = q pi / 2, exact
 _QUARTER_TURNS = (1.0, 1j, -1.0, -1j)
-
-
-def _grid_sin(M: int) -> np.ndarray:
-    """sin(2 pi k / M), k < M, as +-sin(pi u / M) with integer 0 <= u <= M/2.
-
-    np.sin of the rounded node loses up to 1e-12 relative next to pi and
-    2 pi, which the (2 sin theta)^-(nu+lam) factors amplify.
-    """
-    r = 2 * np.arange(M)
-    r = np.where(r > M, r - 2 * M, r)
-    u = np.minimum(np.abs(r), M - np.abs(r))
-    return np.sign(r) * np.sin(math.pi * u / M)
 
 
 def _cos_sum_grid(weights: np.ndarray, freq: np.ndarray, q: int, M: int) -> np.ndarray:
@@ -159,6 +157,27 @@ def _cos_sum_grid(weights: np.ndarray, freq: np.ndarray, q: int, M: int) -> np.n
     return 0.5 * (np.conj(c * np.fft.fft(np.conj(spec))) + c * np.fft.fft(spec))
 
 
+def _cosine_coeffs(lam: int, n: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """F_f with sum_n w_n phi_n(theta) = sum_f F_f cos(f theta), f = 0..n[-1].
+
+    C_n^lam(cos theta) = sum_{k=0}^{n} g_k g_{n-k} cos((n - 2k) theta) with
+    g_j = binom(j + lam - 1, j) > 0, so with v_n = w_n / C_n^lam(1),
+    F_f = (2 - [f = 0]) sum_k g_k g_{k+f} v_{2k+f}.  The g_k g_{n-k} add up
+    to C_n^lam(1), so the |F_f| add up to at most sum_n |w_n|: the cosine
+    sum is well conditioned at every angle, the poles included.
+    """
+    nmax = int(n[-1])
+    v = np.zeros(nmax + 1, dtype=complex)
+    v[n] = w / np.array([float(math.comb(k + 2 * lam - 1, k)) for k in n.tolist()])
+    g = np.array([float(math.comb(j + lam - 1, j)) for j in range(nmax + 1)])
+    F = np.zeros(nmax + 1, dtype=complex)
+    for k in range(nmax // 2 + 1):
+        top = nmax + 1 - 2 * k  # f = 0 .. nmax - 2k
+        F[:top] += g[k] * g[k : k + top] * v[2 * k :]
+    F[1:] *= 2.0
+    return F
+
+
 def kernel_1d(
     lam: int,
     beta,
@@ -169,10 +188,8 @@ def kernel_1d(
 ) -> np.ndarray:
     """Single-factor kernel K_N(t, theta) over an angle grid.
 
-    On the full uniform grid the nu-decomposition is summed by FFT; nodes
-    where a nu-term exceeds COND_LIMIT times sum_n |w_n| (the corners and
-    their neighbourhood), and every angle set other than that grid, use
-    the recurrence sweep.
+    On the full uniform grid the positive cosine expansion is summed by
+    FFT; every other angle set uses the recurrence sweep.
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
@@ -180,27 +197,17 @@ def kernel_1d(
     scalar = theta.ndim == 0
     theta = np.atleast_1d(theta)
     n, w = mode_weights(lam, beta, N, t, bump)
-    out = np.zeros(theta.shape, dtype=complex)
     if n.size == 0:
+        out = np.zeros(theta.shape, dtype=complex)
         return out[0] if scalar else out
     M = uniform_grid_size(theta)
-    slow = np.ones(theta.shape, dtype=bool)
     if M:
-        coeffs = get_coeffs(lam, int(n[-1]))
-        two_sin = 2.0 * _grid_sin(M)
-        worst = np.zeros(M)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for nu in range(lam):
-                a = w * coeffs.cnv[n, nu]
-                sin_pow = two_sin ** (nu + lam)
-                out += 2.0 * _cos_sum_grid(a, n - nu + lam, nu + lam, M) / sin_pow
-                np.maximum(worst, 2.0 * np.sum(np.abs(a)) / np.abs(sin_pow), out=worst)
-        # NaN-safe: a term that is not provably small goes to the recurrence
-        slow = ~(worst <= COND_LIMIT * np.sum(np.abs(w)))
-    if slow.any():
+        F = _cosine_coeffs(lam, n, w)
+        out = _cos_sum_grid(F, np.arange(F.size), 0, M)
+    else:
         wfull = np.zeros(int(n[-1]) + 1, dtype=complex)
         wfull[n] = w
-        out[slow] = phi_series(lam, wfull, theta[slow])
+        out = phi_series(lam, wfull, theta)
     return out[0] if scalar else out
 
 
@@ -287,17 +294,6 @@ class KernelField:
         f = self.space.factors[j]
         return kernel_1d(f.lam, f.beta, self.N, self.t, theta, self.bump)
 
-    def full_values(self) -> np.ndarray:
-        total = 1
-        for g in self.grids:
-            total *= len(g)
-        if total > 2 * 10**7:
-            raise ValueError(f"full product grid has {total} points; keep it factored")
-        out = self.factor_values[0]
-        for vals in self.factor_values[1:]:
-            out = np.multiply.outer(out, vals)
-        return out
-
 
 def kernel_product(
     space: ProductSpace,
@@ -335,10 +331,7 @@ def kernel_direct_multi(
     point = np.asarray(point, dtype=float)
     if point.shape != (space.r,):
         raise ValueError(f"point must have one angle per factor, got {point.shape}")
-    tops = []
-    for f in space.factors:
-        bN2 = float(f.beta) * N * N
-        tops.append(int(math.floor(math.sqrt(bump.hi * bN2 + f.lam**2) - f.lam)) + 2)
+    tops = [bump.top_degree(f.lam, f.beta, N) for f in space.factors]
     total = 1
     for top in tops:
         total *= top + 1

@@ -183,8 +183,10 @@ def _resolution_floor(field, space: ProductSpace) -> None:
     if N is None:
         return
     for j, f in enumerate(space.factors):
-        # |K|^2 has bandwidth 2 (n_max + lam) <= 2 (2N + lam); add the density
-        need = 2 * (math.ceil(2.0 * N) + f.lam) + f.dim
+        # |K|^2 has bandwidth 2 (n_max + lam), n_max ~ 2N sqrt(beta) from the
+        # field's cutoff and never taken below 2N; add the density
+        n_max = max(field.bump.top_degree(f.lam, f.beta, N), math.ceil(2.0 * N))
+        need = 2 * (n_max + f.lam) + f.dim
         if len(field.grids[j]) < need:
             raise QuadratureError(
                 f"factor {j}: grid of {len(field.grids[j])} nodes under-resolves "

@@ -25,7 +25,6 @@ from math import comb
 from typing import Iterable, Sequence
 
 __all__ = [
-    "Rational",
     "SphereFactor",
     "ProductSpace",
     "build_space",
@@ -38,11 +37,6 @@ __all__ = [
     "space_from_config",
     "split_csv",
 ]
-
-# Exact rational scalar used throughout: always lowest terms, positive
-# denominator, exact arithmetic.  The stdlib type guarantees all three.
-Rational = Fraction
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'p/q' or 'p' into an exact rational."""

@@ -21,15 +21,15 @@ whose coefficients
                * (1-lam)(2-lam)...(nu-lam) / [(n+lam-1)(n+lam-2)...(n+lam-nu)]
 
 are assembled in exact rational arithmetic and converted to float once.
-kernel.py sums the kernel through these coefficients by FFT; as a pointwise
-route (phi_explicit, phi) the sum is the independent oracle the recurrence
-is checked against.  It degenerates at the torus corners (sin theta -> 0),
-so the oracle keeps a guard band there, and even outside the band it is
-ill-conditioned where 2 n sin(theta) is small: the nu-terms grow like
-(2 sin theta)^{-(nu+lam)} and cancel down to a value of modulus at most
-one.  The oracle therefore re-evaluates cells whose largest term exceeds a
-condition limit with the same formula in multiprecision, so it stays
-independent of the recurrence at full accuracy.
+kernel.py uses them for the nu-decomposition's numerator sums (kappa_nu);
+as a pointwise route (phi_explicit, phi) the sum is the independent oracle
+the recurrence is checked against.  It degenerates at the torus corners
+(sin theta -> 0), so the oracle keeps a guard band there, and even outside
+the band it is ill-conditioned where 2 n sin(theta) is small: the nu-terms
+grow like (2 sin theta)^{-(nu+lam)} and cancel down to a value of modulus
+at most one.  The oracle therefore re-evaluates cells whose largest term
+exceeds a condition limit with the same formula in multiprecision, so it
+stays independent of the recurrence at full accuracy.
 """
 
 from __future__ import annotations

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from oddsphere.cli import main
 
 
@@ -82,6 +84,13 @@ def test_arcs_command_geometry(tmp_path):
 def test_arcs_command_rejects_q_at_or_above_N(capsys):
     assert run(["arcs", "--q", 10, "--n", 10]) == 2
     assert "below N" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["arcs"], ["kernel", "--dims", "3"]])
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+def test_non_finite_N_is_a_usage_error(command, bad, tmp_path, capsys):
+    assert run(command + ["--n", bad, "--out", tmp_path / "x"]) == 2
+    assert "N must be finite" in capsys.readouterr().err
 
 
 def test_scan_decay_exit_codes_and_determinism(tmp_path):

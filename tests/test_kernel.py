@@ -4,6 +4,7 @@ import json
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -97,13 +98,47 @@ def test_kernel_1d_equals_recurrence_route_everywhere():
 @pytest.mark.parametrize("lam", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("N", [16, 128, 1024])
 def test_grid_route_matches_recurrence_oracle(lam, N):
-    # the full quadrature grid takes the FFT route, corners included
+    # the full quadrature grid takes the cosine-expansion FFT route at every
+    # node, corners included; the recurrence sweep is the oracle
     M = math.ceil(16 * (2.0 * N + lam))
     theta = 2 * math.pi * np.arange(M) / M
     t = 0.37 * S3.period_seconds
     got = kernel_1d(lam, 1, N, t, theta, Bump())
     want = recurrence_route_kernel(lam, 1, N, t, theta, Bump())
     assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-10
+
+
+def mp_kernel_at_nodes(lam, N, t, M, nodes):
+    """sum_n w_n phi_n(2 pi j / M) for the float weights w_n, in 40 digits."""
+    n, w = mode_weights(lam, 1, N, t, Bump())
+    weights = {int(k): mp.mpc(wk.real, wk.imag) for k, wk in zip(n, w)}
+    out = []
+    with mp.workdps(40):
+        for j in nodes:
+            x = mp.cos(2 * mp.pi * int(j) / M)
+            prev, cur, total = mp.mpf(0), mp.mpf(1), weights.get(0, 0)
+            for k in range(1, int(n[-1]) + 1):  # Gegenbauer three-term recurrence
+                prev, cur = cur, (2 * x * (k + lam - 1) * cur - (k + 2 * lam - 2) * prev) / k
+                if k in weights:
+                    total += weights[k] * cur / math.comb(k + 2 * lam - 1, k)
+            out.append(complex(total))
+    return np.array(out), float(np.sum(np.abs(w)))
+
+
+@pytest.mark.parametrize("lam", [2, 4])
+def test_grid_route_exact_to_rounding_at_corner_nodes(lam):
+    # every node within 1/N of a pole, against the kernel at the exact node
+    # 2 pi j / M; the error is measured against sum_n |w_n| >= |K|
+    N = 128
+    M = math.ceil(16 * (2.0 * N + lam))
+    theta = 2 * math.pi * np.arange(M) / M
+    t = 0.37 * S3.period_seconds
+    nodes = np.flatnonzero(
+        (np.minimum(theta, 2 * math.pi - theta) <= 1 / N) | (np.abs(theta - math.pi) <= 1 / N)
+    )
+    want, scale = mp_kernel_at_nodes(lam, N, t, M, nodes)
+    got = kernel_1d(lam, 1, N, t, theta, Bump())[nodes]
+    assert np.max(np.abs(got - want)) <= 2e-16 * scale
 
 
 def test_kernel_1d_near_guard_band_on_s9():
@@ -268,12 +303,3 @@ def test_field_serialization(tmp_path):
     header = json.loads(json_path.read_text())
     assert header["schema"] == 1
     assert header["N"] == 8 and header["bump"]["kind"] == "smooth"
-
-
-def test_full_values_outer_product_and_guard():
-    bump = Bump()
-    grids = [np.linspace(0, 2 * math.pi, 9, endpoint=False)] * 2
-    fld = kernel_product(S3S3, 8, 0.2, grids, bump)
-    full = fld.full_values()
-    assert full.shape == (9, 9)
-    assert_allclose(full[3, 5], fld.factor_values[0][3] * fld.factor_values[1][5])

@@ -240,6 +240,17 @@ def test_lp_norm_rejects_under_resolved_grid():
         lp_norm(fld, 2)
 
 
+@pytest.mark.parametrize("beta", [16, 64])
+def test_lp_norm_floor_follows_beta(beta):
+    # n_max ~ 2N sqrt(beta): 99 nodes hold |K|^2 at beta = 1 but alias it at
+    # beta = 16 (Parseval off by 3.5e-6) and beta = 64 (off by 1.1e-4)
+    sp = space.build_space([3], [beta])
+    quad = TorusQuadrature.for_kernel(sp, 16, 3)
+    fld = kernel_product(sp, 16, 0.3, quad.grids(), Bump())
+    with pytest.raises(QuadratureError, match="under-resolves"):
+        lp_norm(fld, 2)
+
+
 def test_lp_norm_rejects_non_uniform_grid():
     grid = np.linspace(0, 2 * math.pi, 64)  # endpoint duplicated
     fld = FieldSample(S3, (grid,), (np.ones(64),))
