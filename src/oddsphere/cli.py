@@ -7,10 +7,17 @@ Commands:
     oddsphere arcs       enumerate major-arc geometry as JSON
     oddsphere space-info print exact space invariants (d, r, s, p0, T)
 
-Every command reads an optional config file of key=value lines (same keys
-as the flags; flags win).  Rationals are exact 'p/q' strings; times accept
-either plain seconds or 'T/3', 'T*2/5' style fractions of the flow period.
-Outputs are deterministic for a fixed config and seed.
+Every setting is one entry of KEYS: the parser of its text and the library
+keyword it feeds.  Flags (--key) and the key=value lines of an optional
+config file are the same keys through the same parser; flags win.  A command
+passes on only the keys that were set, so the library signatures hold every
+default.  Rationals are exact 'p/q' strings; times accept either plain
+seconds or 'T/3', 'T*2/5' style fractions of the flow period.  Outputs are
+deterministic for a fixed config and seed.
+
+Exit status: 0 on success (a scan: verdict pass), 1 for a scan whose verdict
+is not pass, 2 for a usage error, such as a bad key or value, an unreadable
+config file, a grid too coarse or an unwritable output.
 """
 
 from __future__ import annotations
@@ -19,142 +26,206 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from . import verify
 from .arcs import MajorArc, farey
 from .kernel import Bump, kernel_product, write_field
 from .measure import QuadratureError, TorusQuadrature
-from .space import (
-    ProductSpace,
-    format_rational,
-    parse_space_config,
-    space_from_config,
-    split_csv,
-)
+from .space import ProductSpace, build_space, format_rational
 
-KNOWN_KEYS = {
-    "dims", "betas", "n", "t", "p", "nu", "mode", "bump", "seed", "trials",
-    "nlist", "arcs", "offsets", "oversample", "tolerance", "out", "q",
-    "time_samples",
-}
-
-SCAN_MODES = ("decay", "corner", "kappa", "strichartz", "threshold")
+DEFAULT_N = 64.0  # frequency scale of the kernel and arcs commands
 
 
 class ConfigError(ValueError):
     pass
 
 
+def _items(value: str) -> list[str]:
+    """Split a comma list into stripped items; an empty item is an error."""
+    items = [item.strip() for item in value.split(",")]
+    if not all(items):
+        raise ConfigError(f"malformed comma list: {value!r}")
+    return items
+
+
+def _list_of(parse: Callable[[str], object]) -> Callable[[str], tuple]:
+    return lambda value: tuple(parse(item) for item in _items(value))
+
+
+def _rational(text: str) -> Fraction:
+    """An exact rational 'p/q' or 'p'."""
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ConfigError(f"zero denominator in {text!r}") from None
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"N must be finite, got {value}")
+    return value
+
+
+def _arc(text: str) -> tuple[int, int]:
+    num, _, den = text.partition("/")
+    if not den:
+        raise ConfigError(f"arc must be written a/q, got {text!r}")
+    return int(num), int(den)
+
+
+@dataclass(frozen=True)
+class Time:
+    """A time as written: plain seconds, or a fraction of the flow period."""
+
+    amount: float
+    per_period: bool
+    label: str
+
+    def seconds(self, space: ProductSpace) -> float:
+        return self.amount * space.period_seconds if self.per_period else self.amount
+
+
+def _time(text: str) -> Time:
+    """Seconds, or a fraction of the flow period written 'T', 'T/3' or 'T*2/5'."""
+    text = text.strip()
+    if not text.upper().startswith("T"):
+        return Time(float(text), False, text)
+    rest = text[1:].strip()
+    if rest.startswith("/"):
+        frac = _rational(f"1/{rest[1:]}")
+    elif rest.startswith("*"):
+        frac = _rational(rest[1:])
+    elif not rest:
+        frac = Fraction(1)
+    else:
+        raise ConfigError(f"cannot parse time {text!r}")
+    return Time(float(frac), True, f"T*{format_rational(frac)}")
+
+
+@dataclass(frozen=True)
+class Key:
+    """One setting: how its text is parsed and the library keyword it feeds."""
+
+    parse: Callable[[str], object]
+    kwarg: str
+    help: str
+
+
+KEYS = {
+    "dims": Key(_list_of(int), "dims", "odd sphere dimensions, e.g. 3,5"),
+    "betas": Key(_list_of(_rational), "betas", "metric coefficients p/q, one per sphere"),
+    "n": Key(_finite, "N", f"frequency scale N (default {DEFAULT_N:g})"),
+    "t": Key(_time, "t", "time: seconds, or T, T/3, T*2/5 of the flow period (default 0)"),
+    "p": Key(float, "p", "Lebesgue exponent; inf for the sup norm"),
+    "nu": Key(int, "nu", "decomposition index of a kappa scan"),
+    "mode": Key(str, "mode", "scan mode: decay, corner, kappa, threshold or strichartz"),
+    "bump": Key(Bump, "bump", "frequency cutoff: smooth or sharp"),
+    "seed": Key(int, "seed", "random seed of the strichartz scan"),
+    "trials": Key(int, "trials", "random data per N of the strichartz scan"),
+    "nlist": Key(_list_of(int), "N_list", "ladder of scales N, e.g. 16,32,64"),
+    "arcs": Key(_list_of(_arc), "arcs", "arc centres a/q, e.g. 0/1,1/2"),
+    "offsets": Key(_list_of(_rational), "offsets", "offsets in arc half-widths, e.g. 0,1/4"),
+    "oversample": Key(int, "oversample", "grid nodes per unit of kernel bandwidth"),
+    "tolerance": Key(float, "tolerance", "slope budget of the verdict"),
+    "out": Key(Path, "out", "output path without suffix"),
+    "q": Key(int, "Q", "largest arc denominator (default ceil(N) - 1)"),
+    "time_samples": Key(int, "time_samples", "stratified times per trial"),
+}
+
+
+def _read_config(text: str) -> dict[str, str]:
+    """key = value lines ('#' starts a comment) -> text by lower-cased key."""
+    out: dict[str, str] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
+        key, _, value = line.partition("=")
+        key, value = key.strip().lower(), value.strip()
+        if not key or not value:
+            raise ConfigError(f"line {lineno}: empty key or value in {raw!r}")
+        if key in out:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        out[key] = value
+    return out
+
+
 def load_config(path: str | None, overrides: dict) -> dict:
-    """Merge config-file keys with CLI overrides; reject unknown keys."""
-    cfg: dict[str, str] = {}
-    if path:
-        text = Path(path).read_text()
-        cfg.update(parse_space_config(text))
-    for key, value in overrides.items():
-        if value is not None:
-            cfg[key] = str(value)
-    unknown = set(cfg) - KNOWN_KEYS
+    """Parse config-file lines and flag values (flags win) through KEYS.
+
+    Returns library keyword -> value for the keys that were set.
+    """
+    raw = _read_config(Path(path).read_text()) if path else {}
+    raw.update((key, value) for key, value in overrides.items() if value is not None)
+    unknown = set(raw) - set(KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    cfg = {}
+    for key, text in raw.items():
+        try:
+            cfg[KEYS[key].kwarg] = KEYS[key].parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
     return cfg
 
 
-def _parse_time(value: str, space: ProductSpace) -> tuple[float, str]:
-    """Seconds, or a fraction of the flow period written 'T/3' or 'T*2/5'."""
-    value = value.strip()
-    if value.upper().startswith("T"):
-        rest = value[1:].strip()
-        if rest.startswith("/"):
-            frac = Fraction(1, int(rest[1:]))
-        elif rest.startswith("*"):
-            frac = Fraction(rest[1:])
-        elif not rest:
-            frac = Fraction(1)
-        else:
-            raise ConfigError(f"cannot parse time {value!r}")
-        return float(frac) * space.period_seconds, f"T*{format_rational(frac)}"
-    return float(value), value
+def _pick(cfg: dict, kwargs: tuple[str, ...]) -> dict:
+    return {kw: cfg[kw] for kw in kwargs if kw in cfg}
 
 
-def _parse_arcs(value: str) -> tuple[tuple[int, int], ...]:
-    out = []
-    for item in split_csv(value):
-        num, _, den = item.partition("/")
-        if not den:
-            raise ConfigError(f"arc must be written a/q, got {item!r}")
-        out.append((int(num), int(den)))
-    return tuple(out)
-
-
-def _parse_N(cfg: dict) -> float:
-    N = float(cfg.get("n", 64))
-    if not math.isfinite(N):
-        raise ConfigError(f"N must be finite, got {N}")
-    return N
-
-
-def _out_base(cfg: dict, default: str) -> Path:
-    return Path(cfg.get("out", default))
+def _space(cfg: dict) -> ProductSpace:
+    if "dims" not in cfg:
+        raise ConfigError("config is missing required key 'dims'")
+    return build_space(cfg["dims"], cfg.get("betas"))
 
 
 def cmd_kernel(cfg: dict) -> int:
-    space = space_from_config(cfg)
-    N = _parse_N(cfg)
-    t, t_label = _parse_time(cfg.get("t", "0"), space)
-    bump = Bump(cfg.get("bump", "smooth"))
-    oversample = int(cfg.get("oversample", 16))
-    quad = TorusQuadrature.for_kernel(space, N, oversample)
-    field = kernel_product(space, N, t, quad.grids(), bump)
-    base = _out_base(cfg, "kernel_field")
+    space = _space(cfg)
+    N = cfg.get("N", DEFAULT_N)
+    t = cfg.get("t") or _time("0")
+    quad = TorusQuadrature.for_kernel(space, N, **_pick(cfg, ("oversample",)))
+    field = kernel_product(space, N, t.seconds(space), quad.grids(), **_pick(cfg, ("bump",)))
+    base = cfg.get("out", Path("kernel_field"))
     write_field(field, base.with_suffix(".csv"), base.with_suffix(".json"))
-    print(f"kernel {space} N={N} t={t_label}: wrote {base}.csv and {base}.json")
+    print(f"kernel {space} N={N} t={t.label}: wrote {base}.csv and {base}.json")
     return 0
 
 
+def _decay_scan(space: ProductSpace, p: float, **settings) -> verify.ScalingReport:
+    return verify.decay_scan(verify.ScanPlan(space, p, **settings))
+
+
+ARC_SCAN = ("N_list", "arcs", "offsets", "bump", "oversample", "tolerance")
+# mode -> (scan, keyword of its second argument, keywords it takes)
+SCANS = {
+    "decay": (_decay_scan, "p", ARC_SCAN),
+    "corner": (verify.corner_scan, "p", ARC_SCAN),
+    "kappa": (verify.kappa_scan, "nu", ARC_SCAN),
+    "threshold": (verify.threshold_check, "p", ARC_SCAN),
+    "strichartz": (
+        verify.strichartz_zonal_scan, "p",
+        ("N_list", "bump", "oversample", "tolerance", "trials", "seed", "time_samples"),
+    ),
+}
+
+
 def cmd_scan(cfg: dict) -> int:
-    space = space_from_config(cfg)
+    space = _space(cfg)
     mode = cfg.get("mode")
-    if mode not in SCAN_MODES:
-        raise ConfigError(f"mode must be one of {SCAN_MODES}, got {mode!r}")
-    N_list = tuple(int(v) for v in split_csv(cfg["nlist"])) if "nlist" in cfg else verify.DEFAULT_N_LIST
-    arcs = _parse_arcs(cfg["arcs"]) if "arcs" in cfg else verify.DEFAULT_ARCS
-    offsets = (
-        tuple(Fraction(v) for v in split_csv(cfg["offsets"]))
-        if "offsets" in cfg
-        else verify.DEFAULT_OFFSETS
-    )
-    common = dict(
-        bump=Bump(cfg.get("bump", "smooth")),
-        oversample=int(cfg.get("oversample", 16)),
-        tolerance=float(cfg.get("tolerance", verify.DEFAULT_TOLERANCE)),
-    )
-    p = float(cfg["p"]) if "p" in cfg else None
-    if p is None and mode != "kappa":
-        raise ConfigError(f"{mode} scan needs p")
-    if mode == "decay":
-        report = verify.decay_scan(verify.ScanPlan(space, p, N_list, arcs, offsets, **common))
-    elif mode == "corner":
-        report = verify.corner_scan(space, p, N_list, arcs, offsets=offsets, **common)
-    elif mode == "kappa":
-        if "nu" not in cfg:
-            raise ConfigError("kappa scan needs nu")
-        report = verify.kappa_scan(
-            space, int(cfg["nu"]), N_list, arcs, offsets=offsets, **common
-        )
-    elif mode == "threshold":
-        report = verify.threshold_check(space, p, N_list, arcs, offsets=offsets, **common)
-    else:  # strichartz
-        report = verify.strichartz_zonal_scan(
-            space, p, N_list,
-            trials=int(cfg.get("trials", 20)),
-            seed=int(cfg.get("seed", 0)),
-            time_samples=int(cfg.get("time_samples", 192)),
-            **common,
-        )
-    base = _out_base(cfg, f"scan_{mode}")
+    if mode not in SCANS:
+        raise ConfigError(f"mode must be one of {tuple(SCANS)}, got {mode!r}")
+    scan, first, kwargs = SCANS[mode]
+    if first not in cfg:
+        raise ConfigError(f"{mode} scan needs {first}")
+    report = scan(space, cfg[first], **_pick(cfg, kwargs))
+    base = cfg.get("out", Path(f"scan_{mode}"))
     verify.write_report(report, base.with_suffix(".json"), base.with_suffix(".csv"))
     for warning in report.warnings:
         print(f"warning: {warning}")
@@ -167,14 +238,13 @@ def cmd_scan(cfg: dict) -> int:
 
 
 def cmd_arcs(cfg: dict) -> int:
-    N = _parse_N(cfg)
-    Q = int(cfg.get("q", math.ceil(N) - 1))
+    N = cfg.get("N", DEFAULT_N)
+    Q = cfg.get("Q", math.ceil(N) - 1)
     if not Q < N:
         raise ConfigError(f"arc denominators must stay below N: Q={Q}, N={N}")
     entries = [MajorArc(a, q, N).to_json() for a, q in farey(Q)]
     payload = {"schema": 1, "N": N, "Q": Q, "arcs": entries}
-    base = _out_base(cfg, "arcs")
-    path = base.with_suffix(".json")
+    path = cfg.get("out", Path("arcs")).with_suffix(".json")
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -183,12 +253,27 @@ def cmd_arcs(cfg: dict) -> int:
 
 
 def cmd_space_info(cfg: dict) -> int:
-    space = space_from_config(cfg)
-    info = space.describe()
+    info = _space(cfg).describe()
     info["schema"] = 1
     info["period"] = f"2*pi * {info['period_over_2pi']}"
     print(json.dumps(info, indent=2, sort_keys=True))
     return 0
+
+
+# command -> (handler, help, keys it takes as flags)
+COMMANDS = {
+    "kernel": (
+        cmd_kernel, "sample a kernel to CSV (+JSON header)",
+        ("dims", "betas", "n", "t", "bump", "oversample", "out"),
+    ),
+    "scan": (
+        cmd_scan, "run a scaling scan (exit 0 iff pass)",
+        ("dims", "betas", "mode", "p", "nu", "nlist", "arcs", "offsets", "bump",
+         "seed", "trials", "time_samples", "oversample", "tolerance", "out"),
+    ),
+    "arcs": (cmd_arcs, "enumerate major arcs as JSON", ("q", "n", "out")),
+    "space-info": (cmd_space_info, "print exact space invariants", ("dims", "betas")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -198,46 +283,21 @@ def build_parser() -> argparse.ArgumentParser:
         "evaluation, major arcs, and scaling-exponent scans.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp_parser, keys):
+    for command, (_, help_text, keys) in COMMANDS.items():
+        sp_parser = sub.add_parser(command, help=help_text)
         sp_parser.add_argument("--config", help="key=value config file")
         for key in keys:
-            sp_parser.add_argument(f"--{key.replace('_', '-')}", dest=key)
-
-    p_kernel = sub.add_parser("kernel", help="sample a kernel to CSV (+JSON header)")
-    add_common(p_kernel, ["dims", "betas", "n", "t", "bump", "oversample", "out"])
-
-    p_scan = sub.add_parser("scan", help="run a scaling scan (exit 0 iff pass)")
-    add_common(
-        p_scan,
-        ["dims", "betas", "mode", "p", "nu", "nlist", "arcs", "offsets", "bump",
-         "seed", "trials", "time_samples", "oversample", "tolerance", "out"],
-    )
-
-    p_arcs = sub.add_parser("arcs", help="enumerate major arcs as JSON")
-    add_common(p_arcs, ["q", "n", "out"])
-
-    p_info = sub.add_parser("space-info", help="print exact space invariants")
-    add_common(p_info, ["dims", "betas"])
-
+            sp_parser.add_argument(f"--{key.replace('_', '-')}", dest=key, help=KEYS[key].help)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = vars(parser.parse_args(argv))
+    args = vars(build_parser().parse_args(argv))
     command = args.pop("command")
     config_path = args.pop("config", None)
     try:
-        cfg = load_config(config_path, args)
-        handler = {
-            "kernel": cmd_kernel,
-            "scan": cmd_scan,
-            "arcs": cmd_arcs,
-            "space-info": cmd_space_info,
-        }[command]
-        return handler(cfg)
-    except (ConfigError, ValueError, QuadratureError) as exc:
+        return COMMANDS[command][0](load_config(config_path, args))
+    except (ValueError, QuadratureError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -256,7 +256,6 @@ def kernel_nu(
     bump: Bump,
     *,
     beta=1,
-    guard: float = DEFAULT_GUARD,
 ) -> np.ndarray:
     """Decomposition piece K_N^{(nu)} = 2 (2 sin theta)^{-(nu+lam)} kappa_N^{(nu)}.
 
@@ -264,9 +263,9 @@ def kernel_nu(
     """
     theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
     sin_t = np.sin(theta_arr)
-    if np.any(np.abs(sin_t) < guard):
+    if np.any(np.abs(sin_t) < DEFAULT_GUARD):
         raise CornerGuardError(
-            f"kernel_nu needs |sin theta| >= {guard}; the full kernel owns corners"
+            f"kernel_nu needs |sin theta| >= {DEFAULT_GUARD}; the full kernel owns corners"
         )
     kap = kappa_nu(lam, N, nu, t, theta_arr, bump, beta=beta)
     out = 2.0 * kap / (2.0 * sin_t) ** (nu + lam)
@@ -300,7 +299,7 @@ def kernel_product(
     N: float,
     t: float,
     grids: Sequence[np.ndarray],
-    bump: Bump,
+    bump: Bump = Bump(),
 ) -> KernelField:
     """Product-space kernel with the per-factor mollifier, stored factored."""
     if len(grids) != space.r:

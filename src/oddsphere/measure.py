@@ -27,6 +27,7 @@ import numpy as np
 from .space import ProductSpace
 
 __all__ = [
+    "DEFAULT_OVERSAMPLE",
     "QuadratureError",
     "Region",
     "TorusQuadrature",
@@ -38,6 +39,7 @@ __all__ = [
     "region_measure",
 ]
 
+DEFAULT_OVERSAMPLE = 16  # grid nodes per unit of kernel bandwidth
 SUP_REFINE_TOL = 1e-4
 RESOLUTION_TOL = 1e-5
 
@@ -110,13 +112,18 @@ class TorusQuadrature:
 
     @classmethod
     def for_kernel(
-        cls, space: ProductSpace, N: float, oversample: int = 16
+        cls, space: ProductSpace, N: float, oversample: int = DEFAULT_OVERSAMPLE
     ) -> "TorusQuadrature":
-        """Grid sized oversample times the kernel bandwidth 2N + lam per factor."""
+        """Grid sized oversample times the kernel bandwidth per factor.
+
+        The bandwidth is 2N + lam, scaled by sqrt(beta) when beta > 1: the
+        kernel's top degree is about 2N sqrt(beta).
+        """
         if oversample < 1:
             raise ValueError(f"need oversample >= 1, got {oversample}")
         sizes = tuple(
-            int(math.ceil(oversample * (2.0 * N + f.lam))) for f in space.factors
+            int(math.ceil(oversample * (2.0 * N + f.lam) * max(1.0, math.sqrt(f.beta))))
+            for f in space.factors
         )
         return cls(space, sizes)
 
@@ -126,9 +133,6 @@ class TorusQuadrature:
 
     def grids(self) -> tuple[np.ndarray, ...]:
         return tuple(self.nodes(j) for j in range(self.space.r))
-
-    def doubled(self) -> "TorusQuadrature":
-        return TorusQuadrature(self.space, tuple(2 * M for M in self.sizes))
 
 
 @dataclass
@@ -353,7 +357,7 @@ def resolution_check(
 
 
 def region_measure(
-    space: ProductSpace, region: Region, N: float, oversample: int = 16
+    space: ProductSpace, region: Region, N: float, oversample: int = DEFAULT_OVERSAMPLE
 ) -> float:
     """Probability measure of a region, on grids proportional to N.
 

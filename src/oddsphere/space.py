@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = [
     "SphereFactor",
@@ -33,9 +33,6 @@ __all__ = [
     "flow_period",
     "parse_rational",
     "format_rational",
-    "parse_space_config",
-    "space_from_config",
-    "split_csv",
 ]
 
 def parse_rational(text: str) -> Fraction:
@@ -211,45 +208,3 @@ def flow_period(space: ProductSpace) -> Fraction:
         out = math.lcm(out, q.denominator)
     return Fraction(out)
 
-
-def parse_space_config(text: str) -> dict:
-    """Parse a plain-text key=value config ('dims = 3,5', 'betas = 1,2/3').
-
-    Returns a dict of raw string values keyed by lower-cased key.  Raises
-    ValueError with the offending line number on malformed input.
-    """
-    out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip().lower()
-        value = value.strip()
-        if not key or not value:
-            raise ValueError(f"line {lineno}: empty key or value in {raw!r}")
-        if key in out:
-            raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        out[key] = value
-    return out
-
-
-def split_csv(value: str) -> list[str]:
-    """Split a comma list into stripped items; an empty item is an error."""
-    items = [item.strip() for item in value.split(",")]
-    if any(not item for item in items):
-        raise ValueError(f"malformed comma list: {value!r}")
-    return items
-
-
-def space_from_config(cfg: dict) -> ProductSpace:
-    """Build a space from a parsed config dict (keys 'dims', 'betas')."""
-    if "dims" not in cfg:
-        raise ValueError("config is missing required key 'dims'")
-    dims = [int(v) for v in split_csv(cfg["dims"])]
-    betas: Iterable[Fraction] | None = None
-    if "betas" in cfg:
-        betas = [parse_rational(v) for v in split_csv(cfg["betas"])]
-    return build_space(dims, betas)

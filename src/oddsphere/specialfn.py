@@ -176,7 +176,6 @@ def phi_explicit(
     n: int,
     theta,
     *,
-    coeffs: UltrasphericalCoeffs | None = None,
     guard: float = DEFAULT_GUARD,
 ):
     """Closed finite-sum oracle; raises CornerGuardError within the guard band.
@@ -195,8 +194,7 @@ def phi_explicit(
         raise CornerGuardError(
             f"explicit route needs |sin theta| >= {guard}; use the recurrence"
         )
-    if coeffs is None or coeffs.nmax < n:
-        coeffs = get_coeffs(lam, n)
+    coeffs = get_coeffs(lam, n)
     acc = np.zeros(th.shape)
     worst = np.zeros(th.shape)
     for nu in range(lam):
@@ -208,25 +206,18 @@ def phi_explicit(
     return acc if theta.ndim else float(acc[0])
 
 
-def phi(
-    lam: int,
-    n: int,
-    theta,
-    *,
-    coeffs: UltrasphericalCoeffs | None = None,
-    guard: float = DEFAULT_GUARD,
-):
+def phi(lam: int, n: int, theta):
     """Hybrid evaluation: recurrence inside the guard band, explicit outside."""
     theta = np.asarray(theta, dtype=float)
     scalar = theta.ndim == 0
     theta = np.atleast_1d(theta)
     out = np.empty(theta.shape)
-    near = np.abs(np.sin(theta)) < guard
+    near = np.abs(np.sin(theta)) < DEFAULT_GUARD
     if near.any():
         out[near] = phi_recurrence(lam, n, theta[near])
     far = ~near
     if far.any():
-        out[far] = phi_explicit(lam, n, theta[far], coeffs=coeffs, guard=guard)
+        out[far] = phi_explicit(lam, n, theta[far])
     return float(out[0]) if scalar else out
 
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import measure
 from .kernel import Bump, dim_vector, kappa_nu, kernel_product, mode_weights
-from .measure import FieldSample, Region, TorusQuadrature
+from .measure import DEFAULT_OVERSAMPLE, FieldSample, Region, TorusQuadrature
 from .space import ProductSpace, format_rational
 from .specialfn import phi_matrix
 
@@ -98,18 +98,21 @@ def _check_ladder(N_list: Sequence[int], tolerance: float) -> None:
 
 @dataclass(frozen=True)
 class ScanPlan:
-    """Work list for a ratio scan."""
+    """Work list for a ratio scan: the one declaration of its settings and defaults."""
 
     space: ProductSpace
     p: float
-    N_list: tuple[int, ...] = DEFAULT_N_LIST
-    arcs: tuple[tuple[int, int], ...] = DEFAULT_ARCS
-    offsets: tuple[Fraction, ...] = DEFAULT_OFFSETS  # as fractions of the half-width
+    N_list: Sequence[int] = DEFAULT_N_LIST
+    arcs: Sequence[tuple[int, int]] = DEFAULT_ARCS
+    offsets: Sequence[Fraction] = DEFAULT_OFFSETS  # as fractions of the half-width
     bump: Bump = field(default_factory=Bump)
-    oversample: int = 16
+    oversample: int = DEFAULT_OVERSAMPLE
     tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "N_list", tuple(self.N_list))
+        object.__setattr__(self, "arcs", tuple(tuple(arc) for arc in self.arcs))
+        object.__setattr__(self, "offsets", tuple(self.offsets))
         if not self.p > 0:
             raise ValueError(f"need p > 0, got {self.p}")
         _check_ladder(self.N_list, self.tolerance)
@@ -122,6 +125,16 @@ class ScanPlan:
         for off in self.offsets:
             if not (0 <= off < 1):
                 raise ValueError(f"offsets are fractions of the half-width, got {off}")
+
+
+# the fields of a record in report order: the CSV columns and the JSON keys
+RECORD_FIELDS = (
+    "N", "tau", "a", "q", "dist", "p", "region", "norm", "bound_denominator", "ratio",
+)
+
+
+def _json_p(p: float | None):
+    return "inf" if p == math.inf else p
 
 
 @dataclass
@@ -139,18 +152,15 @@ class ScanRecord:
     extra: dict = field(default_factory=dict)
 
     def row(self) -> list:
-        return [
-            self.N,
-            self.tau,
-            self.a,
-            self.q,
-            repr(self.dist),
-            "inf" if self.p == math.inf else (self.p if self.p is not None else ""),
-            self.region,
-            repr(self.norm),
-            repr(self.bound_denominator),
-            repr(self.ratio),
-        ]
+        """CSV cells; the csv module writes floats by repr and None as ''."""
+        return [getattr(self, name) for name in RECORD_FIELDS]
+
+    def to_json(self) -> dict:
+        out = {name: getattr(self, name) for name in RECORD_FIELDS}
+        out["p"] = _json_p(self.p)
+        if self.extra:
+            out["extra"] = self.extra
+        return out
 
 
 @dataclass
@@ -178,7 +188,7 @@ class ScalingReport:
             "schema": 1,
             "mode": self.mode,
             "space": self.space,
-            "p": "inf" if self.p == math.inf else self.p,
+            "p": _json_p(self.p),
             "target_exponent": self.target_exponent,
             "tolerance": self.tolerance,
             "fitted_slope": self.fitted_slope,
@@ -188,22 +198,7 @@ class ScalingReport:
             "warnings": self.warnings,
             "params": self.params,
             "worst_per_N": [[n, v] for n, v in self.worst_per_N],
-            "records": [
-                {
-                    "N": rec.N,
-                    "tau": rec.tau,
-                    "a": rec.a,
-                    "q": rec.q,
-                    "dist": rec.dist,
-                    "p": "inf" if rec.p == math.inf else rec.p,
-                    "region": rec.region,
-                    "norm": rec.norm,
-                    "bound_denominator": rec.bound_denominator,
-                    "ratio": rec.ratio,
-                    **({"extra": rec.extra} if rec.extra else {}),
-                }
-                for rec in self.records
-            ],
+            "records": [rec.to_json() for rec in self.records],
         }
 
 
@@ -215,10 +210,7 @@ def write_report(report: ScalingReport, json_path=None, csv_path=None) -> None:
     if csv_path is not None:
         with open(csv_path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["N", "tau", "a", "q", "dist", "p", "region", "norm",
-                 "bound_denominator", "ratio"]
-            )
+            writer.writerow(RECORD_FIELDS)
             for rec in report.records:
                 writer.writerow(rec.row())
 
@@ -357,26 +349,14 @@ def decay_scan(plan: ScanPlan) -> ScalingReport:
     return report
 
 
-def corner_scan(
-    space: ProductSpace,
-    p: float,
-    N_list: Sequence[int] = DEFAULT_N_LIST,
-    arcs: Sequence[tuple[int, int]] = DEFAULT_ARCS,
-    *,
-    offsets: Sequence[Fraction] = DEFAULT_OFFSETS,
-    bump: Bump | None = None,
-    oversample: int = 16,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> ScalingReport:
+def corner_scan(space: ProductSpace, p: float, *args, **settings) -> ScalingReport:
     """Corner-neighborhood ratio scan; the envelope holds for every p > 0.
 
     Each radius-1/N box around each product corner is scanned; the fit uses
-    the per-N worst ratio over corners, arcs, and offsets.
+    the per-N worst ratio over corners, arcs, and offsets.  Further
+    arguments (N_list, arcs, offsets, ...) are ScanPlan's.
     """
-    plan = ScanPlan(
-        space, p, tuple(N_list), tuple(arcs), tuple(offsets),
-        bump=bump or Bump(), oversample=oversample, tolerance=tolerance,
-    )
+    plan = ScanPlan(space, p, *args, **settings)
 
     def corners(N: int) -> list[Region]:
         return [Region.corner(poles, 1.0 / N) for poles in np.ndindex(*(2,) * space.r)]
@@ -384,28 +364,18 @@ def corner_scan(
     return _arc_scan(plan, "corner", _lp_target(space, p), corners)
 
 
-def kappa_scan(
-    space: ProductSpace,
-    nu: int,
-    N_list: Sequence[int] = DEFAULT_N_LIST,
-    arcs: Sequence[tuple[int, int]] = DEFAULT_ARCS,
-    *,
-    offsets: Sequence[Fraction] = DEFAULT_OFFSETS,
-    bump: Bump | None = None,
-    oversample: int = 16,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> ScalingReport:
-    """Sup-norm scan of the numerator sums kappa_N^{(nu)} against N^{lam - nu + 1}."""
+def kappa_scan(space: ProductSpace, nu: int, *args, **settings) -> ScalingReport:
+    """Sup-norm scan of the numerator sums kappa_N^{(nu)} against N^{lam - nu + 1}.
+
+    Further arguments (N_list, arcs, offsets, ...) are ScanPlan's.
+    """
     if space.r != 1:
         raise ValueError("kappa scans are per sphere factor; pass a rank-one space")
     f = space.factors[0]
     lam = f.lam
     if not 0 <= nu <= lam - 1:
         raise ValueError(f"need 0 <= nu <= lam-1 = {lam - 1}, got {nu}")
-    plan = ScanPlan(
-        space, math.inf, tuple(N_list), tuple(arcs), tuple(offsets),
-        bump=bump or Bump(), oversample=oversample, tolerance=tolerance,
-    )
+    plan = ScanPlan(space, math.inf, *args, **settings)
 
     def field_at(N, grids, t_sec):
         def evaluator(th):
@@ -419,29 +389,17 @@ def kappa_scan(
     )
 
 
-def threshold_check(
-    space: ProductSpace,
-    p: float,
-    N_list: Sequence[int] = DEFAULT_N_LIST,
-    arcs: Sequence[tuple[int, int]] = DEFAULT_ARCS,
-    *,
-    offsets: Sequence[Fraction] = DEFAULT_OFFSETS,
-    bump: Bump | None = None,
-    oversample: int = 16,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> ScalingReport:
+def threshold_check(space: ProductSpace, p: float, *args, **settings) -> ScalingReport:
     """Away-from-corners ratio scan probing the integrability floor 2d/(d-1).
 
     Below the floor the away-region envelope genuinely fails; the failure
     is visible at the worst within-arc offsets, where the kernel has fully
-    dispersed onto the region, so offset sampling matters here.
+    dispersed onto the region, so offset sampling matters here.  Further
+    arguments (N_list, arcs, offsets, ...) are ScanPlan's.
     """
     if space.r != 1:
         raise ValueError("the threshold probe is a single-sphere statement")
-    plan = ScanPlan(
-        space, p, tuple(N_list), tuple(arcs), tuple(offsets),
-        bump=bump or Bump(), oversample=oversample, tolerance=tolerance,
-    )
+    plan = ScanPlan(space, p, *args, **settings)
     report = _arc_scan(
         plan, "threshold", _lp_target(space, p), lambda N: [Region.away(1.0 / N)]
     )
@@ -472,8 +430,8 @@ def strichartz_zonal_scan(
     *,
     seed: int = 0,
     time_samples: int = 192,
-    bump: Bump | None = None,
-    oversample: int = 16,
+    bump: Bump = Bump(),
+    oversample: int = DEFAULT_OVERSAMPLE,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> ScalingReport:
     """Worst-of-trials space-time L^p growth of random frequency-shell data.
@@ -498,7 +456,6 @@ def strichartz_zonal_scan(
     _check_ladder(N_list, tolerance)
     if space.r != 1:
         raise ValueError("random-data scans are implemented for rank-one spaces")
-    bump = bump or Bump()
     rng = np.random.default_rng(seed)
     f = space.factors[0]
     lam, beta = f.lam, float(f.beta)

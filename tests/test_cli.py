@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from oddsphere import verify
 from oddsphere.cli import main
+from oddsphere.space import build_space
 
 
 def run(args):
@@ -191,3 +193,72 @@ def test_kernel_defaults_to_cwd_named_file(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run(["kernel", "--dims", "3", "--n", 8]) == 0
     assert (tmp_path / "kernel_field.csv").exists()
+
+
+def test_config_file_builds_space(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dims = 3,5\nbetas = 1,2/3\n# comment\n")
+    assert run(["space-info", "--config", cfg]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["dims"] == [3, 5] and payload["betas"] == ["1", "2/3"]
+
+
+def test_config_file_errors(tmp_path, capsys):
+    cases = [
+        ("not a config", "line 1: expected key=value"),
+        ("dims = 3\n= 5", "line 2: empty key"),
+        ("dims = 3\ndims = 5", "line 2: duplicate key 'dims'"),
+        ("betas = 1", "missing required key 'dims'"),
+        ("dims = 3\nbetas = 1,", "malformed comma list"),
+    ]
+    cfg = tmp_path / "run.cfg"
+    for text, message in cases:
+        cfg.write_text(text)
+        assert run(["space-info", "--config", cfg]) == 2, text
+        assert message in capsys.readouterr().err, text
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["kernel", "--dims", "3", "--betas", "1/0"],
+        ["kernel", "--dims", "3", "--t", "T/0"],
+        ["scan", "--dims", "3", "--mode", "decay", "--p", 4, "--offsets", "1/0"],
+        ["space-info", "--config", "{tmp}/missing.cfg"],
+        ["kernel", "--dims", "3", "--n", 8, "--out", "{tmp}/missing/field"],
+    ],
+    ids=["betas", "time", "offsets", "config", "out"],
+)
+def test_usage_errors_exit_2(args, tmp_path, capsys):
+    args = [str(a).format(tmp=tmp_path) for a in args]
+    assert run(args) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_scan_grid_follows_beta(tmp_path):
+    # the grid grows with sqrt(beta), so a large beta is resolved at the
+    # default oversample instead of failing the resolution floor
+    assert run(
+        ["scan", "--mode", "decay", "--dims", 3, "--betas", 100, "--p", 4,
+         "--nlist", "16,32,64", "--out", tmp_path / "beta"]
+    ) == 0
+
+
+@pytest.mark.parametrize(
+    "mode, library_scan",
+    [
+        ("decay", lambda sp: verify.decay_scan(verify.ScanPlan(sp, 4.0))),
+        ("strichartz", lambda sp: verify.strichartz_zonal_scan(sp, 4.0)),
+    ],
+    ids=["decay", "strichartz"],
+)
+def test_scan_defaults_live_in_the_library(mode, library_scan, tmp_path):
+    # a CLI scan given only the required keys reports exactly what the
+    # library call with its own defaults reports, params included
+    cli_base, lib_base = tmp_path / "cli", tmp_path / "lib"
+    code = run(["scan", "--dims", 3, "--mode", mode, "--p", 4, "--out", cli_base])
+    report = library_scan(build_space([3]))
+    assert code == (0 if report.passed else 1)
+    verify.write_report(report, lib_base.with_suffix(".json"), lib_base.with_suffix(".csv"))
+    for suffix in (".json", ".csv"):
+        assert cli_base.with_suffix(suffix).read_bytes() == lib_base.with_suffix(suffix).read_bytes()

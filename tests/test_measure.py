@@ -1,6 +1,7 @@
 """Quadrature, regional norms, and their spectral oracles."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -242,13 +243,28 @@ def test_lp_norm_rejects_under_resolved_grid():
 
 @pytest.mark.parametrize("beta", [16, 64])
 def test_lp_norm_floor_follows_beta(beta):
-    # n_max ~ 2N sqrt(beta): 99 nodes hold |K|^2 at beta = 1 but alias it at
-    # beta = 16 (Parseval off by 3.5e-6) and beta = 64 (off by 1.1e-4)
+    # n_max ~ 2N sqrt(beta): 99 nodes (the beta = 1 grid at oversample 3) hold
+    # |K|^2 at beta = 1 but alias it at beta = 16 (Parseval off by 3.5e-6) and
+    # beta = 64 (off by 1.1e-4)
     sp = space.build_space([3], [beta])
-    quad = TorusQuadrature.for_kernel(sp, 16, 3)
-    fld = kernel_product(sp, 16, 0.3, quad.grids(), Bump())
+    fld = kernel_product(sp, 16, 0.3, TorusQuadrature(sp, (99,)).grids(), Bump())
     with pytest.raises(QuadratureError, match="under-resolves"):
         lp_norm(fld, 2)
+    # the grid for_kernel sizes for this beta clears the floor
+    quad = TorusQuadrature.for_kernel(sp, 16, 3)
+    assert quad.sizes[0] > 99
+    lp_norm(kernel_product(sp, 16, 0.3, quad.grids(), Bump()), 2)
+
+
+@pytest.mark.parametrize("dims", [(3,), (5, 7)])
+def test_for_kernel_sizes_follow_beta(dims):
+    for N in (16, 100.5, 1024):
+        nominal = [math.ceil(16 * (2.0 * N + (d - 1) // 2)) for d in dims]
+        for beta in (1, Fraction(2, 3), Fraction(1, 100)):
+            sp = space.build_space(dims, [beta] * len(dims))
+            assert TorusQuadrature.for_kernel(sp, N).sizes == tuple(nominal)
+        sp = space.build_space(dims, [4] * len(dims))
+        assert TorusQuadrature.for_kernel(sp, N).sizes == tuple(2 * M for M in nominal)
 
 
 def test_lp_norm_rejects_non_uniform_grid():

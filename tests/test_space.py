@@ -13,8 +13,6 @@ from oddsphere.space import (
     format_rational,
     harmonic_dim,
     parse_rational,
-    parse_space_config,
-    space_from_config,
 )
 
 
@@ -131,24 +129,6 @@ def test_rational_serialization_round_trip():
     for text in ("3", "-5", "2/3", "-7/4"):
         assert format_rational(parse_rational(text)) == text
     assert parse_rational("4/6") == Fraction(2, 3)
-
-
-def test_parse_space_config():
-    cfg = parse_space_config("dims = 3,5\nbetas = 1,2/3\n# comment\n")
-    sp = space_from_config(cfg)
-    assert sp.dims == (3, 5)
-    assert sp.betas == (Fraction(1), Fraction(2, 3))
-
-
-def test_parse_space_config_errors():
-    with pytest.raises(ValueError, match="line 1"):
-        parse_space_config("not a config")
-    with pytest.raises(ValueError, match="line 2"):
-        parse_space_config("dims = 3\n= 5")
-    with pytest.raises(ValueError):
-        space_from_config(parse_space_config("betas = 1"))
-    with pytest.raises(ValueError):
-        space_from_config(parse_space_config("dims = 3\nbetas = 1,"))
 
 
 def test_describe_and_str():
