@@ -11,9 +11,10 @@ Every setting is one entry of KEYS: the parser of its text and the library
 keyword it feeds.  Flags (--key) and the key=value lines of an optional
 config file are the same keys through the same parser; flags win.  A command
 passes on only the keys that were set, so the library signatures hold every
-default.  Rationals are exact 'p/q' strings; times accept either plain
-seconds or 'T/3', 'T*2/5' style fractions of the flow period.  Outputs are
-deterministic for a fixed config and seed.
+default, and a scan warns about each set key its mode ignores.  Rationals
+are exact 'p/q' strings (the exponent p also takes a float or inf); times
+accept either plain seconds or 'T/3', 'T*2/5' style fractions of the flow
+period.  Outputs are deterministic for a fixed config and seed.
 
 Exit status: 0 on success (a scan: verdict pass), 1 for a scan whose verdict
 is not pass, 2 for a usage error, such as a bad key or value, an unreadable
@@ -62,6 +63,14 @@ def _rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except ZeroDivisionError:
         raise ConfigError(f"zero denominator in {text!r}") from None
+
+
+def _exponent(text: str) -> float:
+    """A float such as 0.5 or inf, or an exact rational 'p/q' rounded once."""
+    try:
+        return float(text)
+    except ValueError:
+        return float(_rational(text))
 
 
 def _finite(text: str) -> float:
@@ -121,7 +130,7 @@ KEYS = {
     "betas": Key(_list_of(_rational), "betas", "metric coefficients p/q, one per sphere"),
     "n": Key(_finite, "N", f"frequency scale N (default {DEFAULT_N:g})"),
     "t": Key(_time, "t", "time: seconds, or T, T/3, T*2/5 of the flow period (default 0)"),
-    "p": Key(float, "p", "Lebesgue exponent; inf for the sup norm"),
+    "p": Key(_exponent, "p", "Lebesgue exponent, e.g. 4, 1/2 or inf (the sup norm)"),
     "nu": Key(int, "nu", "decomposition index of a kappa scan"),
     "mode": Key(str, "mode", "scan mode: decay, corner, kappa, threshold or strichartz"),
     "bump": Key(Bump, "bump", "frequency cutoff: smooth or sharp"),
@@ -224,6 +233,10 @@ def cmd_scan(cfg: dict) -> int:
     scan, first, kwargs = SCANS[mode]
     if first not in cfg:
         raise ConfigError(f"{mode} scan needs {first}")
+    used = {"dims", "betas", "mode", "out", first, *kwargs}
+    for key, spec in KEYS.items():
+        if spec.kwarg in cfg and spec.kwarg not in used:
+            print(f"warning: {key} is ignored by a {mode} scan", file=sys.stderr)
     report = scan(space, cfg[first], **_pick(cfg, kwargs))
     base = cfg.get("out", Path(f"scan_{mode}"))
     verify.write_report(report, base.with_suffix(".json"), base.with_suffix(".csv"))

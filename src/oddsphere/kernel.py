@@ -25,11 +25,15 @@ kernel is one FFT per exponential half of its cosine expansion
 sum_f F_f cos(f theta).  Its coefficients come from the Fourier series of
 the Gegenbauer polynomials (Szego, Orthogonal Polynomials, 4.9), in which
 each phi_n is a cosine sum with positive coefficients adding up to one, so
-no cancellation is amplified and the sum is accurate to rounding at every
-node, corners included; it costs O(n_max^2 + M log M).  At every angle off
-that grid the kernel comes from the recurrence sweep phi_series, at
-O(#modes * #angles).  The nu-pieces are kept as the paper's numerator sums
-(kappa_nu, kernel_nu), not as an evaluation route.
+no cancellation is amplified: at every node, corners included, the absolute
+error is of the order of eps * sum_n |w_n| for the mode weights w_n, and the
+sum costs O(n_max^2 + M log M).  At every angle off that grid the kernel
+comes from the recurrence sweep phi_series, at O(#modes * #angles).  Sup
+refinement asks for a few angles per field at a time, so
+KernelField.evaluate_factor also takes one time per angle: the candidates
+of every kernel of one space, scale and cutoff then share one sweep, with
+one weight column per distinct time.  The nu-pieces are kept as the paper's
+numerator sums (kappa_nu, kernel_nu), not as an evaluation route.
 """
 
 from __future__ import annotations
@@ -37,7 +41,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -114,9 +119,68 @@ class Bump:
         return int(math.floor(math.sqrt(self.hi * bN2 + lam * lam) - lam)) + 2
 
 
+class _Tables(NamedTuple):
+    """Exact spectral integers of S^{2 lam + 1} rounded once to float, n <= nmax."""
+
+    nmax: int
+    dims: np.ndarray  # d_n, the harmonic-space dimensions
+    g: np.ndarray  # g_j = binom(j + lam - 1, j)
+    c1: np.ndarray  # C_n^lam(1) = binom(n + 2 lam - 1, n)
+
+
+_TABLES: dict[int, _Tables] = {}
+
+
+def _spectral_tables(lam: int, nmax: int) -> _Tables:
+    """Cached tables per lam, grown geometrically like get_coeffs."""
+    cached = _TABLES.get(lam)
+    if cached is None or cached.nmax < nmax:
+        grow = max(nmax, 2 * cached.nmax if cached else 0, 64)
+
+        def column(exact) -> np.ndarray:
+            arr = np.fromiter((float(exact(k)) for k in range(grow + 1)), float, grow + 1)
+            arr.setflags(write=False)
+            return arr
+
+        cached = _Tables(
+            grow,
+            column(lambda n: harmonic_dim(2 * lam + 1, n)),
+            column(lambda j: math.comb(j + lam - 1, j)),
+            column(lambda n: math.comb(n + 2 * lam - 1, n)),
+        )
+        _TABLES[lam] = cached
+    return cached
+
+
 def dim_vector(lam: int, n: np.ndarray) -> np.ndarray:
-    dim = 2 * lam + 1
-    return np.array([harmonic_dim(dim, int(k)) for k in n], dtype=float)
+    """Harmonic-space dimensions d_n on S^{2 lam + 1} as floats."""
+    n = np.asarray(n, dtype=int)
+    if n.min(initial=0) < 0:
+        raise ValueError(f"need n >= 0, got {int(n.min())}")
+    return _spectral_tables(lam, int(n.max(initial=0))).dims[n]
+
+
+class _Spectrum(NamedTuple):
+    """The time-free part of a factor's mode weights."""
+
+    n: np.ndarray  # degrees inside the cutoff's support
+    cut: np.ndarray  # bump(x_n)
+    mu: np.ndarray  # m_n / beta
+    dims: np.ndarray  # d_n
+
+    def weights(self, t: float) -> np.ndarray:
+        return self.cut * np.exp(-1j * t * self.mu) * self.dims
+
+
+def _spectrum(lam: int, beta, N: float, bump: Bump) -> _Spectrum:
+    beta_f = float(beta)
+    bN2 = beta_f * N * N
+    n = np.arange(0, max(bump.top_degree(lam, beta, N), 0) + 1)
+    m = n * (n + 2 * lam)
+    cut = bump(m / bN2)
+    keep = cut > 0.0
+    n, m, cut = n[keep], m[keep], cut[keep]
+    return _Spectrum(n, cut, m / beta_f, dim_vector(lam, n))
 
 
 def mode_weights(
@@ -127,17 +191,8 @@ def mode_weights(
     Returns (n, w) with w_n = bump(x_n) exp(-i t m_n / beta) d_n; degrees
     with an exactly vanishing cutoff are dropped, everything else kept.
     """
-    beta_f = float(beta)
-    bN2 = beta_f * N * N
-    n = np.arange(0, max(bump.top_degree(lam, beta, N), 0) + 1)
-    m = n * (n + 2 * lam)
-    cut = bump(m / bN2)
-    keep = cut > 0.0
-    n, m, cut = n[keep], m[keep], cut[keep]
-    if n.size == 0:
-        return n, np.zeros(0, dtype=complex)
-    w = cut * np.exp(-1j * t * (m / beta_f)) * dim_vector(lam, n)
-    return n, w
+    spec = _spectrum(lam, beta, N, bump)
+    return spec.n, spec.weights(t)
 
 
 # exp(i psi) for psi = q pi / 2, exact
@@ -167,15 +222,43 @@ def _cosine_coeffs(lam: int, n: np.ndarray, w: np.ndarray) -> np.ndarray:
     sum is well conditioned at every angle, the poles included.
     """
     nmax = int(n[-1])
+    tables = _spectral_tables(lam, nmax)
     v = np.zeros(nmax + 1, dtype=complex)
-    v[n] = w / np.array([float(math.comb(k + 2 * lam - 1, k)) for k in n.tolist()])
-    g = np.array([float(math.comb(j + lam - 1, j)) for j in range(nmax + 1)])
+    v[n] = w / tables.c1[n]
+    g = tables.g
     F = np.zeros(nmax + 1, dtype=complex)
     for k in range(nmax // 2 + 1):
         top = nmax + 1 - 2 * k  # f = 0 .. nmax - 2k
         F[:top] += g[k] * g[k : k + top] * v[2 * k :]
     F[1:] *= 2.0
     return F
+
+
+def _kernel_values(lam: int, spec: _Spectrum, theta, t) -> np.ndarray:
+    """The factor kernel at angles theta, at time t or at time t[i] for angle i.
+
+    At one time the full uniform grid sums the positive cosine expansion by
+    FFT; every other angle set, and every call with one time per angle, is
+    one recurrence sweep with a weight column per distinct time.
+    """
+    theta = np.asarray(theta, dtype=float)
+    th = np.atleast_1d(theta)
+    n = spec.n
+    if n.size == 0:
+        out = np.zeros(th.shape, dtype=complex)
+    elif np.ndim(t) == 0 and uniform_grid_size(th):
+        F = _cosine_coeffs(lam, n, spec.weights(t))
+        out = _cos_sum_grid(F, np.arange(F.size), 0, th.size)
+    else:
+        if np.ndim(t):
+            times, columns = np.unique(t, return_inverse=True)
+            w = np.stack([spec.weights(float(s)) for s in times], axis=1)
+        else:
+            w, columns = spec.weights(t), None
+        wfull = np.zeros((int(n[-1]) + 1,) + w.shape[1:], dtype=complex)
+        wfull[n] = w
+        out = phi_series(lam, wfull, th, columns)
+    return out[0] if theta.ndim == 0 else out
 
 
 def kernel_1d(
@@ -193,22 +276,7 @@ def kernel_1d(
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
-    theta = np.asarray(theta_grid, dtype=float)
-    scalar = theta.ndim == 0
-    theta = np.atleast_1d(theta)
-    n, w = mode_weights(lam, beta, N, t, bump)
-    if n.size == 0:
-        out = np.zeros(theta.shape, dtype=complex)
-        return out[0] if scalar else out
-    M = uniform_grid_size(theta)
-    if M:
-        F = _cosine_coeffs(lam, n, w)
-        out = _cos_sum_grid(F, np.arange(F.size), 0, M)
-    else:
-        wfull = np.zeros(int(n[-1]) + 1, dtype=complex)
-        wfull[n] = w
-        out = phi_series(lam, wfull, theta)
-    return out[0] if scalar else out
+    return _kernel_values(lam, _spectrum(lam, beta, N, bump), theta_grid, t)
 
 
 def kappa_nu(
@@ -289,9 +357,19 @@ class KernelField:
     factor_values: tuple[np.ndarray, ...]
     bump: Bump
 
-    def evaluate_factor(self, j: int, theta) -> np.ndarray:
-        f = self.space.factors[j]
-        return kernel_1d(f.lam, f.beta, self.N, self.t, theta, self.bump)
+    @cached_property
+    def _spectra(self) -> tuple[_Spectrum, ...]:
+        return tuple(_spectrum(f.lam, f.beta, self.N, self.bump) for f in self.space.factors)
+
+    def evaluate_factor(self, j: int, theta, t=None) -> np.ndarray:
+        """Factor j's kernel at fresh angles, at the field's time.
+
+        t, one time per angle, evaluates any kernel of this space, scale
+        and cutoff instead: all of them share one recurrence sweep.
+        """
+        return _kernel_values(
+            self.space.factors[j].lam, self._spectra[j], theta, self.t if t is None else t
+        )
 
 
 def kernel_product(

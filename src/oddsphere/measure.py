@@ -18,9 +18,9 @@ inclusion-exclusion over the per-factor pieces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
-from typing import Callable
+from typing import Callable, Generator
 
 import numpy as np
 
@@ -266,35 +266,29 @@ def lp_norm(field, p: float, region: Region | None = None) -> float:
     return power ** (1.0 / p)
 
 
-def _refine_factor_sup(field, j: int, keep: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Grid max over the nodes keep admits, then local doubling around the argmax."""
-    grid = np.asarray(field.grids[j], dtype=float)
-    mask = keep(grid)
-    vals = np.abs(np.asarray(field.factor_values[j]))
-    if not mask.any():
-        return 0.0
-    idx = np.flatnonzero(mask)
-    k = idx[np.argmax(vals[idx])]
-    best = float(vals[k])
-    evaluate = getattr(field, "evaluate_factor", None)
-    if evaluate is None or getattr(field, "evaluators", True) is None:
-        return best
-    th0 = float(grid[k])
-    h = float(grid[1] - grid[0]) if len(grid) > 1 else math.pi
+# candidate offsets of one refinement step, in units of the current step h
+_STENCIL = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+
+
+def _refine_steps(th0: float, best: float, h0: float, keep):
+    """Step-halving around a grid argmax th0 of value best on a grid of step h0.
+
+    A generator: it yields candidate angles, is sent their |values| and
+    returns the refined sup.
+    """
+    h = h0
     for _ in range(60):
-        cand = th0 + h * np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-        cand = np.mod(cand, 2.0 * math.pi)
+        cand = np.mod(th0 + h * _STENCIL, 2.0 * math.pi)
         cand = cand[keep(cand)]
         if cand.size == 0:
             h *= 0.5
             continue
-        vals_c = np.abs(evaluate(j, cand))
-        i = int(np.argmax(vals_c))
-        new = float(vals_c[i])
+        vals = yield cand
+        i = int(np.argmax(vals))
+        new = float(vals[i])
         moved_best = max(new, best)
-        if moved_best <= best * (1.0 + SUP_REFINE_TOL) and h < (grid[1] - grid[0]) / 4:
-            best = moved_best
-            break
+        if moved_best <= best * (1.0 + SUP_REFINE_TOL) and h < h0 / 4:
+            return moved_best
         th0 = float(cand[i]) if new >= best else th0
         best = moved_best
         h *= 0.5
@@ -303,35 +297,154 @@ def _refine_factor_sup(field, j: int, keep: Callable[[np.ndarray], np.ndarray]) 
     return best
 
 
-def sup_norm(field, region: Region | None = None) -> float:
+def _keep(key: str, radius: float | None) -> Callable[[np.ndarray], np.ndarray]:
+    """The node set of a sup piece: the whole circle, a pole box or the rest."""
+    if key == "full":
+        return lambda th: np.ones(th.shape, dtype=bool)
+    return lambda th: _factor_masks(th, radius)[key]
+
+
+def _sup_pieces(r: int, region: Region) -> list[tuple[int, str, float | None]]:
+    """The per-factor pieces (factor, node set, radius) a region's sup combines."""
+    if region.kind == "corner":
+        return [(j, f"pole{p}", region.radius) for j, p in zip(range(r), region.poles)]
+    full = [(j, "full", None) for j in range(r)]
+    if region.kind == "full":
+        return full
+    return full + [(j, "away", region.radius) for j in range(r)]
+
+
+def _combine_sups(r: int, region: Region, sup: dict) -> float:
+    """Full and corner-box sups multiply across factors; the away sup is the
+    best single factor away from its poles times the full sups of the others."""
+    if region.kind != "away":
+        return math.prod(sup[piece] for piece in _sup_pieces(r, region))
+    best = 0.0
+    for j in range(r):
+        val = sup[(j, "away", region.radius)]
+        for l in range(r):
+            if l != j:
+                val *= sup[(l, "full", None)]
+        best = max(best, val)
+    return best
+
+
+@dataclass
+class _Refinement:
+    """One sup piece under refinement and the field that evaluates it."""
+
+    owner: object  # its evaluate_factor computes the candidates' values
+    time: float | None  # the piece's time, when the owner takes one per angle
+    j: int
+    steps: Generator
+    cand: np.ndarray | None
+    sup: dict
+    piece: tuple
+
+
+def _advance(ref: _Refinement, vals, live: list[_Refinement]) -> None:
+    """Send a piece its candidates' |values|: keep it live or record its sup."""
+    try:
+        ref.cand = ref.steps.send(vals)
+        live.append(ref)
+    except StopIteration as done:
+        ref.sup[ref.piece] = done.value
+
+
+def _sweep_owner(field, owners: dict):
+    """The field whose evaluate_factor serves field, and the time to pass it.
+
+    A kernel field evaluates every kernel of its space, scale and cutoff
+    given one time per angle, so those share one owner: a copy of the first
+    of them without its grid values.  Any other field evaluates only itself.
+    """
+    if not hasattr(field, "t"):
+        return field, None
+    key = (field.space, field.N, field.bump)
+    if key not in owners:
+        owners[key] = replace(field, factor_values=())
+    return owners[key], field.t
+
+
+def _lockstep_sups(fields, regions: list[Region]) -> list[list[float]]:
+    """Sup of every field over every region, all pieces refined in lockstep.
+
+    Each field gives the grid argmax of every distinct piece its regions
+    combine and is then let go (its grid values with it).  Each step
+    evaluates the candidates of all live pieces in one evaluate_factor call
+    per owner and factor.
+    """
+    owners: dict = {}
+    live: list[_Refinement] = []
+    results = []
+    for field in fields:
+        r = field.space.r
+        sup: dict = {}
+        results.append((r, sup))
+        refine = (
+            getattr(field, "evaluate_factor", None) is not None
+            and getattr(field, "evaluators", True) is not None
+        )
+        owner, time = _sweep_owner(field, owners) if refine else (None, None)
+        values: dict[int, np.ndarray] = {}
+        pieces = dict.fromkeys(piece for region in regions for piece in _sup_pieces(r, region))
+        for piece in pieces:
+            j, key, radius = piece
+            grid = np.asarray(field.grids[j], dtype=float)
+            keep = _keep(key, radius)
+            mask = keep(grid)
+            if not mask.any():
+                sup[piece] = 0.0
+                continue
+            if j not in values:
+                values[j] = np.abs(np.asarray(field.factor_values[j]))
+            idx = np.flatnonzero(mask)
+            k = idx[np.argmax(values[j][idx])]
+            best = float(values[j][k])
+            if not refine:
+                sup[piece] = best
+                continue
+            h0 = float(grid[1] - grid[0]) if len(grid) > 1 else math.pi
+            steps = _refine_steps(float(grid[k]), best, h0, keep)
+            _advance(_Refinement(owner, time, j, steps, None, sup, piece), None, live)
+        del field, values  # before the next field is built
+    while live:
+        batches: dict[tuple[int, int], list[_Refinement]] = {}
+        for ref in live:
+            batches.setdefault((id(ref.owner), ref.j), []).append(ref)
+        live = []
+        for batch in batches.values():
+            owner, j = batch[0].owner, batch[0].j
+            sizes = [ref.cand.size for ref in batch]
+            theta = np.concatenate([ref.cand for ref in batch])
+            if batch[0].time is None:
+                vals = owner.evaluate_factor(j, theta)
+            else:
+                vals = owner.evaluate_factor(j, theta, np.repeat([ref.time for ref in batch], sizes))
+            vals = np.abs(vals)
+            for ref, part in zip(batch, np.split(vals, np.cumsum(sizes)[:-1])):
+                _advance(ref, part, live)
+    return [[_combine_sups(r, region, sup) for region in regions] for r, sup in results]
+
+
+def sup_norm(field, region: Region | None = None):
     """Sup of |field| over the region: grid max plus local refinement.
 
     Factored structure: full and corner-box sups multiply across factors;
     the away sup is the best single factor away from its poles times the
     full sups of the others.  Only the per-factor pieces the region
     combines are refined.
+
+    Given an iterable of fields and a list of regions instead, returns one
+    list of sups per field, one per region.  All their pieces, each refined
+    once however many regions share it, advance in lockstep: one
+    evaluate_factor call per factor per step serves every kernel field of
+    one space and scale.  The values are those of one call per field and
+    region.
     """
-    region = region or Region.full()
-    space = field.space
-
-    def piece(j: int, key: str) -> float:
-        if key == "full":
-            return _refine_factor_sup(field, j, lambda th: np.ones(th.shape, dtype=bool))
-        return _refine_factor_sup(field, j, lambda th: _factor_masks(th, region.radius)[key])
-
-    if region.kind == "full":
-        return math.prod(piece(j, "full") for j in range(space.r))
-    if region.kind == "corner":
-        return math.prod(piece(j, f"pole{p}") for j, p in zip(range(space.r), region.poles))
-    full = [piece(j, "full") for j in range(space.r)]
-    best = 0.0
-    for j in range(space.r):
-        val = piece(j, "away")
-        for l in range(space.r):
-            if l != j:
-                val *= full[l]
-        best = max(best, val)
-    return best
+    if region is None or isinstance(region, Region):
+        return _lockstep_sups([field], [region or Region.full()])[0][0]
+    return _lockstep_sups(field, list(region))
 
 
 def resolution_check(

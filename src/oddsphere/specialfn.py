@@ -221,20 +221,26 @@ def phi(lam: int, n: int, theta):
     return float(out[0]) if scalar else out
 
 
-def phi_series(lam: int, weights: Sequence[complex], theta) -> np.ndarray:
+def phi_series(lam: int, weights, theta, columns=None) -> np.ndarray:
     """sum_n weights[n] * phi_n(theta) in one recurrence sweep.
 
     One pass of the normalized recurrence over n = 0..len(weights)-1,
     accumulating on the fly; O(len(weights) * len(theta)) time, O(len(theta))
     memory.  Correct at every angle, so this is the corner-band workhorse.
+
+    With columns, weights is a (modes x fields) array and angle i sums the
+    column columns[i]: several weight sets share the sweep, and every
+    angle's arithmetic is the one of its column alone.
     """
     weights = np.asarray(weights)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    if columns is None:
+        weights, columns = weights[:, None], np.zeros(theta.shape, dtype=int)
     acc = np.zeros(theta.shape, dtype=complex)
     # zip stops on the weights first, so no weights means no sweep
     for w, cur in zip(weights, _sweep(lam, theta, len(weights) - 1)):
-        if w != 0:
-            acc += w * cur
+        if w.any():
+            acc += w[columns] * cur
     return acc
 
 

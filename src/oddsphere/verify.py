@@ -296,11 +296,15 @@ def _arc_scan(
     def measure_N(N: int):
         grids = TorusQuadrature.for_kernel(space, N, plan.oversample).grids()
         regions = regions_for_N(N)
-        for a, q, tau, dist in _arc_time_points(plan.arcs, plan.offsets, N):
-            fld = field_at(N, grids, float(tau) * space.period_seconds)
+        points = _arc_time_points(plan.arcs, plan.offsets, N)
+        fields = (field_at(N, grids, float(tau) * space.period_seconds) for _, _, tau, _ in points)
+        if plan.p == math.inf:  # every sup of this N refined in lockstep
+            norms = measure.sup_norm(fields, regions)
+        else:
+            norms = ([measure.lp_norm(fld, plan.p, region) for region in regions] for fld in fields)
+        for (a, q, tau, dist), row in zip(points, norms):
             denom = bound_denominator(q, N, dist, space.r)
-            for region in regions:
-                norm = measure.lp_norm(fld, plan.p, region)
+            for region, norm in zip(regions, row):
                 yield ScanRecord(
                     N=N,
                     tau=_tau_label(a, q, tau),

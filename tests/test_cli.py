@@ -1,11 +1,13 @@
 """Command-line surface: configs, outputs, exit codes, determinism."""
 
+import dataclasses
+import inspect
 import json
 
 import pytest
 
 from oddsphere import verify
-from oddsphere.cli import main
+from oddsphere.cli import SCANS, main
 from oddsphere.space import build_space
 
 
@@ -262,3 +264,37 @@ def test_scan_defaults_live_in_the_library(mode, library_scan, tmp_path):
     verify.write_report(report, lib_base.with_suffix(".json"), lib_base.with_suffix(".csv"))
     for suffix in (".json", ".csv"):
         assert cli_base.with_suffix(suffix).read_bytes() == lib_base.with_suffix(suffix).read_bytes()
+
+
+def test_p_accepts_an_exact_rational(tmp_path):
+    # 1/2 is the exact rational of 0.5, rounded once: the reports agree byte for byte
+    for name, p in (("rational", "1/2"), ("float", "0.5")):
+        args = ["scan", "--dims", 3, "--mode", "corner", "--p", p, "--nlist", "8,16,32",
+                "--arcs", "0/1,1/2", "--out", tmp_path / name]
+        assert run(args) == 0
+    for suffix in (".csv", ".json"):
+        rational = (tmp_path / "rational").with_suffix(suffix).read_bytes()
+        assert rational == (tmp_path / "float").with_suffix(suffix).read_bytes()
+
+
+def test_scan_warns_about_ignored_keys(tmp_path, capsys):
+    base = ["scan", "--dims", 3, "--nlist", "8,16,32", "--arcs", "0/1", "--out", tmp_path / "w"]
+    assert run(base + ["--mode", "kappa", "--nu", 0, "--p", 4]) == 0
+    assert "warning: p is ignored by a kappa scan" in capsys.readouterr().err
+    assert run(base + ["--mode", "decay", "--p", 4, "--trials", 3]) == 0
+    assert capsys.readouterr().err == "warning: trials is ignored by a decay scan\n"
+    assert run(base + ["--mode", "corner", "--p", 4, "--offsets", "0"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("mode", sorted(SCANS))
+def test_scan_keywords_are_scan_parameters(mode):
+    # every keyword a mode passes on is a parameter of its scan; scans
+    # that forward **settings take ScanPlan's fields
+    scan, first, kwargs = SCANS[mode]
+    params = inspect.signature(scan).parameters
+    accepted = set(params)
+    if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+        accepted |= {f.name for f in dataclasses.fields(verify.ScanPlan)}
+    assert first in params
+    assert set(kwargs) <= accepted - {"space", first}

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oddsphere import space
+from oddsphere import kernel, space
 from oddsphere.kernel import (
     Bump,
+    dim_vector,
     kappa_nu,
     kernel_1d,
     kernel_direct_multi,
@@ -303,3 +304,22 @@ def test_field_serialization(tmp_path):
     header = json.loads(json_path.read_text())
     assert header["schema"] == 1
     assert header["N"] == 8 and header["bump"]["kind"] == "smooth"
+
+
+@pytest.mark.parametrize("lam", [1, 2, 4, 5])
+def test_spectral_tables_are_the_exact_integers_rounded_once(lam):
+    # the cached float tables equal the per-degree exact integers, also
+    # after the table has grown past its first size
+    n = np.arange(0, 40)
+    assert list(dim_vector(lam, n)) == [float(space.harmonic_dim(2 * lam + 1, int(k))) for k in n]
+    top = 700
+    tables = kernel._spectral_tables(lam, top)
+    assert list(dim_vector(lam, np.arange(top + 1))) == [
+        float(space.harmonic_dim(2 * lam + 1, k)) for k in range(top + 1)
+    ]
+    assert list(tables.g[: top + 1]) == [float(math.comb(j + lam - 1, j)) for j in range(top + 1)]
+    assert list(tables.c1[: top + 1]) == [
+        float(math.comb(k + 2 * lam - 1, k)) for k in range(top + 1)
+    ]
+    with pytest.raises(ValueError):
+        dim_vector(lam, np.array([3, -1]))

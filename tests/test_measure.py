@@ -1,13 +1,14 @@
 """Quadrature, regional norms, and their spectral oracles."""
 
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from oddsphere import space
-from oddsphere.kernel import Bump, kernel_product, spectral_l2_norm
+from oddsphere.kernel import Bump, KernelField, kernel_product, spectral_l2_norm
 from oddsphere.measure import (
     FieldSample,
     QuadratureError,
@@ -300,3 +301,50 @@ def test_away_region_measure_complements_corners():
     )
     assert m_full == pytest.approx(1.0, rel=1e-12)
     assert m_away + m_c == pytest.approx(1.0, rel=1e-12)
+
+
+def test_lockstep_sups_equal_one_call_per_field_and_region():
+    # a batch of fields and regions gives what each field and region gives
+    # alone, bit for bit, and sweeps once per factor per step
+    N, radius = 32, 1 / 32
+    sp = space.build_space([3, 5], [1, Fraction(2, 3)])
+    grids = TorusQuadrature.for_kernel(sp, N).grids()
+    times = (0.0, 0.37, 1.9, 0.37)
+    regions = [Region.full(), Region.corner((0, 1), radius), Region.corner((1, 1), radius),
+               Region.away(radius)]
+    fields = [kernel_product(sp, N, t, grids, Bump()) for t in times]
+    calls = []
+    original = KernelField.evaluate_factor
+
+    def spy(self, j, theta, t=None):
+        calls.append(np.size(theta))
+        return original(self, j, theta, t)
+
+    KernelField.evaluate_factor = spy
+    try:
+        batch = sup_norm(iter(fields), regions)
+        batch_calls = len(calls)
+        single = [[sup_norm(f, region) for region in regions] for f in fields]
+    finally:
+        KernelField.evaluate_factor = original
+    assert batch == single
+    assert 0 < batch_calls < (len(calls) - batch_calls) / 4
+
+
+def test_lockstep_lets_each_field_go():
+    # a batch keeps no field (and so no grid values) once it asks for the next
+    N = 32
+    grids = TorusQuadrature.for_kernel(S3, N).grids()
+    refs = []
+    alive = []
+
+    def fields():
+        for t in np.linspace(0.0, 2.0, 8):
+            fld = kernel_product(S3, N, float(t), grids, Bump())
+            refs.append(weakref.ref(fld))
+            yield fld
+            del fld
+            alive.append(sum(ref() is not None for ref in refs))
+
+    sup_norm(fields(), [Region.corner(0, 1 / N), Region.corner(1, 1 / N)])
+    assert len(alive) == 8 and max(alive) == 0

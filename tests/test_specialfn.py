@@ -185,3 +185,17 @@ def test_input_validation():
         phi_matrix(0, [3], [0.5])
     with pytest.raises(ValueError):
         phi_matrix(1, [3, -1], [0.5])
+
+
+def test_phi_series_weight_columns_match_one_call_per_column():
+    # angle i sums column columns[i]; its arithmetic is that column's alone
+    rng = np.random.default_rng(11)
+    for lam in (1, 2, 4):
+        w = rng.standard_normal((300, 5)) + 1j * rng.standard_normal((300, 5))
+        w[:40] = 0.0  # rows below the cutoff's support are skipped
+        theta = rng.uniform(-7.0, 7.0, 60)
+        columns = rng.integers(0, 5, theta.size)
+        got = phi_series(lam, w, theta, columns)
+        for c in range(5):
+            sel = columns == c
+            assert np.array_equal(got[sel], phi_series(lam, w[:, c], theta[sel]))

@@ -7,9 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oddsphere import space, verify
-from oddsphere.kernel import Bump, dim_vector, mode_weights
-from oddsphere.measure import TorusQuadrature, density_normalizer
+from oddsphere import measure, space, verify
+from oddsphere.kernel import Bump, dim_vector, kappa_nu, kernel_product, mode_weights
+from oddsphere.measure import FieldSample, Region, TorusQuadrature, density_normalizer
 from oddsphere.specialfn import phi_matrix
 from oddsphere.verify import (
     ScanPlan,
@@ -280,3 +280,61 @@ def test_bound_denominator_formula():
     N = 50.0
     val = bound_denominator(1, N, 1.0 / (2 * N), 2)
     assert val == pytest.approx((1 + math.sqrt(N / 2.0)) ** 2, rel=1e-12)
+
+
+def _assert_sups_match_single_calls(report, plan, regions_for_N, field_at):
+    # every record of a p = inf scan, refined in lockstep with the other
+    # fields of its N, equals the sup of its own field and region alone
+    records = iter(report.records)
+    for N in plan.N_list:
+        grids = TorusQuadrature.for_kernel(plan.space, N, plan.oversample).grids()
+        for a, q, tau, dist in verify._arc_time_points(plan.arcs, plan.offsets, N):
+            fld = field_at(N, grids, float(tau) * plan.space.period_seconds)
+            for region in regions_for_N(N):
+                rec = next(records)
+                assert (rec.N, rec.tau, rec.region) == (N, verify._tau_label(a, q, tau), region.label())
+                assert rec.norm == measure.sup_norm(fld, region)
+    assert next(records, None) is None
+
+
+def _kernel_at(sp):
+    return lambda N, grids, t: kernel_product(sp, N, t, grids, Bump())
+
+
+def _corners(sp):
+    return lambda N: [Region.corner(poles, 1 / N) for poles in np.ndindex(*(2,) * sp.r)]
+
+
+@pytest.mark.parametrize(
+    "sp",
+    [space.build_space([9]), space.build_space([3, 5], [1, Fraction(2, 3)])],
+    ids=["S9", "S3xS5"],
+)
+def test_lockstep_corner_sups_equal_single_calls(sp):
+    plan = ScanPlan(sp, math.inf, (16, 32, 64, 128))
+    report = corner_scan(sp, math.inf, plan.N_list)
+    _assert_sups_match_single_calls(report, plan, _corners(sp), _kernel_at(sp))
+
+
+def test_lockstep_decay_and_away_sups_equal_single_calls():
+    plan = ScanPlan(S3S3, math.inf, SMALL_NS, SMALL_ARCS)
+    report = decay_scan(plan)
+    _assert_sups_match_single_calls(report, plan, lambda N: [Region.full()], _kernel_at(S3S3))
+    plan = ScanPlan(S3, math.inf, (16, 32, 64, 128))
+    report = threshold_check(S3, math.inf, plan.N_list)
+    _assert_sups_match_single_calls(
+        report, plan, lambda N: [Region.away(1 / N)], _kernel_at(S3)
+    )
+
+
+def test_lockstep_kappa_sups_equal_single_calls():
+    plan = ScanPlan(S5, math.inf, SMALL_NS, SMALL_ARCS)
+    report = kappa_scan(S5, 1, SMALL_NS, SMALL_ARCS)
+
+    def field_at(N, grids, t):
+        def evaluator(th):
+            return kappa_nu(2, N, 1, t, th, Bump())
+
+        return FieldSample(S5, grids, (evaluator(grids[0]),), evaluators=(evaluator,))
+
+    _assert_sups_match_single_calls(report, plan, lambda N: [Region.full()], field_at)
