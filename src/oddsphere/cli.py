@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import verify
-from .arcs import MajorArc, farey
+from .arcs import _ratio_string, farey
 from .kernel import Bump, kernel_product, write_field
 from .measure import QuadratureError, TorusQuadrature
 from .space import ProductSpace, build_space, format_rational
@@ -255,13 +255,24 @@ def cmd_arcs(cfg: dict) -> int:
     Q = cfg.get("Q", math.ceil(N) - 1)
     if not Q < N:
         raise ConfigError(f"arc denominators must stay below N: Q={Q}, N={N}")
-    entries = [MajorArc(a, q, N).to_json() for a, q in farey(Q)]
-    payload = {"schema": 1, "N": N, "Q": Q, "arcs": entries}
+    pairs = farey(Q)
+    # the json.dump(indent=2, sort_keys=True) text of MajorArc.to_json entries,
+    # one format per arc: building and encoding the dicts took most of the run
+    n, m = Fraction(N).as_integer_ratio()
+    N_text = json.dumps(N)
+    arc = (
+        f'    {{\n      "N": {N_text},\n      "a": %d,\n      "center": "%s",\n'
+        '      "distance": null,\n      "halfwidth": "%s",\n      "q": %d\n    }'
+    )
     path = cfg.get("out", Path("arcs")).with_suffix(".json")
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"{len(entries)} arcs with q <= {Q} at N={N}: wrote {path}")
+        fh.write(f'{{\n  "N": {N_text},\n  "Q": {Q},\n  "arcs": [\n')
+        fh.writelines(
+            (",\n" if i else "") + arc % (a, _ratio_string(a, q), _ratio_string(m, q * n), q)
+            for i, (a, q) in enumerate(pairs)
+        )
+        fh.write('\n  ],\n  "schema": 1\n}\n')
+    print(f"{len(pairs)} arcs with q <= {Q} at N={N}: wrote {path}")
     return 0
 
 

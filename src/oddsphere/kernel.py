@@ -25,14 +25,18 @@ kernel is one FFT per exponential half of its cosine expansion
 sum_f F_f cos(f theta).  Its coefficients come from the Fourier series of
 the Gegenbauer polynomials (Szego, Orthogonal Polynomials, 4.9), in which
 each phi_n is a cosine sum with positive coefficients adding up to one, so
-no cancellation is amplified: at every node, corners included, the absolute
-error is of the order of eps * sum_n |w_n| for the mode weights w_n, and the
-sum costs O(n_max^2 + M log M).  At every angle off that grid the kernel
-comes from the recurrence sweep phi_series, at O(#modes * #angles).  Sup
-refinement asks for a few angles per field at a time, so
-KernelField.evaluate_factor also takes one time per angle: the candidates
-of every kernel of one space, scale and cutoff then share one sweep, with
-one weight column per distinct time.  The nu-pieces are kept as the paper's
+no cancellation is amplified.  The coefficients take O(lam n_max) steps:
+Vandermonde's identity splits each product of Fourier coefficients into lam
+polynomial terms, whose sums against the weights are repeated tail sums along
+the parity chains f, f + 2, f + 4, ... of the frequencies, and only the
+f-independent constants that combine them carry signs.  So at every node,
+corners included, the absolute error is of the order of eps * sum_n |w_n| for
+the mode weights w_n, and the sum costs O(lam n_max + M log M).  At every
+angle off that grid the kernel comes from the recurrence sweep phi_series,
+at O(#modes * #angles).  Sup refinement asks for a few angles per field at a
+time, so KernelField.evaluate_factor also takes one time per angle: the
+candidates of every kernel of one space, scale and cutoff then share one
+sweep, with one weight column per distinct time.  The nu-pieces are kept as the paper's
 numerator sums (kappa_nu, kernel_nu), not as an evaluation route.
 """
 
@@ -41,7 +45,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -124,7 +128,6 @@ class _Tables(NamedTuple):
 
     nmax: int
     dims: np.ndarray  # d_n, the harmonic-space dimensions
-    g: np.ndarray  # g_j = binom(j + lam - 1, j)
     c1: np.ndarray  # C_n^lam(1) = binom(n + 2 lam - 1, n)
 
 
@@ -145,7 +148,6 @@ def _spectral_tables(lam: int, nmax: int) -> _Tables:
         cached = _Tables(
             grow,
             column(lambda n: harmonic_dim(2 * lam + 1, n)),
-            column(lambda j: math.comb(j + lam - 1, j)),
             column(lambda n: math.comb(n + 2 * lam - 1, n)),
         )
         _TABLES[lam] = cached
@@ -212,24 +214,72 @@ def _cos_sum_grid(weights: np.ndarray, freq: np.ndarray, q: int, M: int) -> np.n
     return 0.5 * (np.conj(c * np.fft.fft(np.conj(spec))) + c * np.fft.fft(spec))
 
 
+def _binom(x: int, r: int) -> int:
+    """binom(x, r) as the degree-r polynomial in x, at any integer x."""
+    return math.prod(range(x - r + 1, x + 1)) // math.factorial(r)
+
+
+@cache
+def _chain_weights(lam: int) -> np.ndarray:
+    """a[i, c] with g_k binom(k + lam - 1, lam - 1 - i) = sum_c a[i, c] binom(k + c, c).
+
+    Both sides are polynomials in k of degree at most 2 lam - 2, and
+    nabla binom(k + c, c) = binom(k + c - 1, c - 1) vanishes at k = -1 for
+    c >= 1, so a[i, c] is the backward difference (nabla^c h_i)(-1) of the
+    left side h_i.  The integers are small, hence exact as floats.
+    """
+
+    def h(i: int, k: int) -> int:
+        return _binom(k + lam - 1, lam - 1) * _binom(k + lam - 1, lam - 1 - i)
+
+    a = np.array(
+        [
+            [
+                sum((-1) ** j * math.comb(c, j) * h(i, -1 - j) for j in range(c + 1))
+                for c in range(2 * lam - 1)
+            ]
+            for i in range(lam)
+        ],
+        dtype=float,
+    )
+    a.setflags(write=False)
+    return a
+
+
 def _cosine_coeffs(lam: int, n: np.ndarray, w: np.ndarray) -> np.ndarray:
     """F_f with sum_n w_n phi_n(theta) = sum_f F_f cos(f theta), f = 0..n[-1].
 
     C_n^lam(cos theta) = sum_{k=0}^{n} g_k g_{n-k} cos((n - 2k) theta) with
     g_j = binom(j + lam - 1, j) > 0, so with v_n = w_n / C_n^lam(1),
     F_f = (2 - [f = 0]) sum_k g_k g_{k+f} v_{2k+f}.  The g_k g_{n-k} add up
-    to C_n^lam(1), so the |F_f| add up to at most sum_n |w_n|: the cosine
-    sum is well conditioned at every angle, the poles included.
+    to C_n^lam(1), so the |F_f| add up to at most sum_n |w_n|.
+
+    The k-sum takes O(lam n_max) steps.  By Vandermonde,
+    g_{k+f} = sum_{i<lam} binom(f, i) binom(k + lam - 1, lam - 1 - i), and
+    _chain_weights writes g_k binom(k + lam - 1, lam - 1 - i) in the basis
+    binom(k + c, c), whose sum against v_{2k+f} is the (c+1)-fold tail sum
+    S^{c+1}(f) of v along the parity chain f, f + 2, f + 4, ...; so
+    F_f = (2 - [f = 0]) sum_i binom(f, i) sum_c a[i, c] S^{c+1}(f).  The
+    tail sums and binomials are positive, and only the f-independent a[i, c]
+    carry signs, so the absolute error stays of the order of
+    eps * sum_n |w_n|, the bound of the grid route.
     """
     nmax = int(n[-1])
-    tables = _spectral_tables(lam, nmax)
-    v = np.zeros(nmax + 1, dtype=complex)
-    v[n] = w / tables.c1[n]
-    g = tables.g
-    F = np.zeros(nmax + 1, dtype=complex)
-    for k in range(nmax // 2 + 1):
-        top = nmax + 1 - 2 * k  # f = 0 .. nmax - 2k
-        F[:top] += g[k] * g[k : k + top] * v[2 * k :]
+    size = nmax + 1
+    v = np.zeros(size + size % 2, dtype=complex)
+    v[n] = w / _spectral_tables(lam, nmax).c1[n]
+    tail = v.reshape(-1, 2)  # row j holds v_{2j} and v_{2j+1}, one column per chain
+    sums = []
+    for _ in range(2 * lam - 1):
+        tail = np.cumsum(tail[::-1], axis=0)[::-1]
+        sums.append(tail.reshape(-1)[:size])
+    T = _chain_weights(lam) @ np.stack(sums)  # T[i] = sum_c a[i, c] S^{c+1}
+    f = np.arange(size, dtype=float)
+    F = T[0]
+    binom_f = np.ones(size)
+    for i in range(1, lam):
+        binom_f = binom_f * (f - (i - 1)) / i
+        F = F + binom_f * T[i]
     F[1:] *= 2.0
     return F
 

@@ -3,10 +3,12 @@
 import dataclasses
 import inspect
 import json
+import math
 
 import pytest
 
 from oddsphere import verify
+from oddsphere.arcs import MajorArc, farey
 from oddsphere.cli import SCANS, main
 from oddsphere.space import build_space
 
@@ -83,6 +85,18 @@ def test_arcs_command_geometry(tmp_path):
     halfwidths = [entry["halfwidth"] for entry in payload["arcs"]]
     assert halfwidths == ["1/10", "1/30", "1/20", "1/30"]
     assert payload["arcs"][0]["center"] == "0"
+
+
+@pytest.mark.parametrize("flags", [["--n", 512], ["--n", 100.5, "--q", 40], ["--n", 2]])
+def test_arcs_command_writes_the_json_dump_of_each_major_arc(flags, tmp_path):
+    assert run(["arcs", *flags, "--out", tmp_path / "arcs"]) == 0
+    N = float(flags[1])
+    Q = int(flags[3]) if len(flags) > 2 else math.ceil(N) - 1
+    payload = {
+        "schema": 1, "N": N, "Q": Q, "arcs": [MajorArc(a, q, N).to_json() for a, q in farey(Q)]
+    }
+    want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "arcs.json").read_bytes() == want.encode()
 
 
 def test_arcs_command_rejects_q_at_or_above_N(capsys):

@@ -22,6 +22,7 @@ from oddsphere.kernel import (
     spectral_l2_norm,
     write_field,
 )
+from oddsphere.measure import TorusQuadrature
 from oddsphere.specialfn import CornerGuardError, phi_recurrence, phi_series
 
 
@@ -140,6 +141,62 @@ def test_grid_route_exact_to_rounding_at_corner_nodes(lam):
     want, scale = mp_kernel_at_nodes(lam, N, t, M, nodes)
     got = kernel_1d(lam, 1, N, t, theta, Bump())[nodes]
     assert np.max(np.abs(got - want)) <= 2e-16 * scale
+
+
+def exact_cosine_coeffs(lam, n, w):
+    """F_f = (2 - [f = 0]) sum_k g_k g_{k+f} w_{2k+f} / C_{2k+f}^lam(1), in Fraction."""
+    top = int(n[-1])
+    v = [(Fraction(0), Fraction(0))] * (top + 1)
+    for k, wk in zip(n, w):
+        c1 = math.comb(int(k) + 2 * lam - 1, int(k))
+        v[k] = (Fraction(wk.real) / c1, Fraction(wk.imag) / c1)
+    g = [math.comb(j + lam - 1, j) for j in range(top + 1)]
+    out = []
+    for f in range(top + 1):
+        terms = [(g[k] * g[k + f], v[2 * k + f]) for k in range((top - f) // 2 + 1)]
+        re = sum(c * x for c, (x, _) in terms)
+        im = sum(c * y for c, (_, y) in terms)
+        out.append((1 if f == 0 else 2) * complex(re, im))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("lam", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["real", "random sign", "complex"])
+def test_cosine_coeffs_match_the_exact_k_sum(lam, kind):
+    n, w = mode_weights(lam, 1, 64, 0.0, Bump())
+    if kind == "random sign":
+        w = w * np.random.default_rng(lam).choice([-1.0, 1.0], w.size)
+    elif kind == "complex":
+        w = mode_weights(lam, 1, 64, 0.37 * S3.period_seconds, Bump())[1]
+    got = kernel._cosine_coeffs(lam, n, w)
+    assert got.shape == (int(n[-1]) + 1,)
+    assert np.max(np.abs(got - exact_cosine_coeffs(lam, n, w))) <= 1e-16 * np.sum(np.abs(w))
+
+
+@pytest.mark.parametrize("lam", [1, 2, 3, 4, 5, 7])
+def test_chain_weights_expand_each_vandermonde_term_exactly(lam):
+    # h_i(k) = g_k binom(k + lam - 1, lam - 1 - i) = sum_c a[i, c] binom(k + c, c)
+    a = kernel._chain_weights(lam)
+    assert a.shape == (lam, 2 * lam - 1)
+    for i in range(lam):
+        for k in range(3 * lam + 1):
+            h = math.comb(k + lam - 1, lam - 1) * math.comb(k + lam - 1, lam - 1 - i)
+            assert sum(Fraction(a[i, c]) * math.comb(k + c, c) for c in range(2 * lam - 1)) == h
+
+
+@pytest.mark.parametrize("lam", [1, 5])
+def test_grid_route_at_large_n_matches_recurrence(lam):
+    # the neighbours of both poles plus random nodes, 64 in all
+    N = 8192
+    M = TorusQuadrature.for_kernel(space.build_space([2 * lam + 1]), N).sizes[0]
+    theta = 2 * math.pi * np.arange(M) / M
+    poles = np.r_[0:4, M - 4 : M, M // 2 - 4 : M // 2 + 5]
+    others = np.setdiff1d(np.arange(M), poles)
+    nodes = np.r_[poles, np.random.default_rng(lam).choice(others, 64 - poles.size, replace=False)]
+    t = 0.37 * S3.period_seconds
+    got = kernel_1d(lam, 1, N, t, theta, Bump())
+    want = recurrence_route_kernel(lam, 1, N, t, theta[nodes], Bump())
+    assert np.max(np.abs(got[nodes] - want)) <= 1e-10 * np.max(np.abs(got))
 
 
 def test_kernel_1d_near_guard_band_on_s9():
@@ -317,7 +374,6 @@ def test_spectral_tables_are_the_exact_integers_rounded_once(lam):
     assert list(dim_vector(lam, np.arange(top + 1))) == [
         float(space.harmonic_dim(2 * lam + 1, k)) for k in range(top + 1)
     ]
-    assert list(tables.g[: top + 1]) == [float(math.comb(j + lam - 1, j)) for j in range(top + 1)]
     assert list(tables.c1[: top + 1]) == [
         float(math.comb(k + 2 * lam - 1, k)) for k in range(top + 1)
     ]
