@@ -139,7 +139,11 @@ KEYS = {
     "nlist": Key(_list_of(int), "N_list", "ladder of scales N, e.g. 16,32,64"),
     "arcs": Key(_list_of(_arc), "arcs", "arc centres a/q, e.g. 0/1,1/2"),
     "offsets": Key(_list_of(_rational), "offsets", "offsets in arc half-widths, e.g. 0,1/4"),
-    "oversample": Key(int, "oversample", "grid nodes per unit of kernel bandwidth"),
+    "oversample": Key(
+        int, "oversample",
+        "grid nodes per unit of kernel bandwidth, rounded up to the next even "
+        "size with no prime factor above 11",
+    ),
     "tolerance": Key(float, "tolerance", "slope budget of the verdict"),
     "out": Key(Path, "out", "output path without suffix"),
     "q": Key(int, "Q", "largest arc denominator (default ceil(N) - 1)"),
@@ -256,8 +260,9 @@ def cmd_arcs(cfg: dict) -> int:
     if not Q < N:
         raise ConfigError(f"arc denominators must stay below N: Q={Q}, N={N}")
     pairs = farey(Q)
-    # the json.dump(indent=2, sort_keys=True) text of MajorArc.to_json entries,
-    # one format per arc: building and encoding the dicts took most of the run
+    # the text json.dump(indent=2, sort_keys=True) writes for MajorArc.to_json
+    # entries, formatted per arc: indent= forces the pure-Python encoder, and
+    # with the dicts it cost over a second for the 79,596 arcs at N = 512
     n, m = Fraction(N).as_integer_ratio()
     N_text = json.dumps(N)
     arc = (

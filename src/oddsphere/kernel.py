@@ -27,17 +27,18 @@ the Gegenbauer polynomials (Szego, Orthogonal Polynomials, 4.9), in which
 each phi_n is a cosine sum with positive coefficients adding up to one, so
 no cancellation is amplified.  The coefficients take O(lam n_max) steps:
 Vandermonde's identity splits each product of Fourier coefficients into lam
-polynomial terms, whose sums against the weights are repeated tail sums along
-the parity chains f, f + 2, f + 4, ... of the frequencies, and only the
-f-independent constants that combine them carry signs.  So at every node,
-corners included, the absolute error is of the order of eps * sum_n |w_n| for
-the mode weights w_n, and the sum costs O(lam n_max + M log M).  At every
-angle off that grid the kernel comes from the recurrence sweep phi_series,
-at O(#modes * #angles).  Sup refinement asks for a few angles per field at a
-time, so KernelField.evaluate_factor also takes one time per angle: the
-candidates of every kernel of one space, scale and cutoff then share one
-sweep, with one weight column per distinct time.  The nu-pieces are kept as the paper's
-numerator sums (kappa_nu, kernel_nu), not as an evaluation route.
+polynomial terms, whose sums against the weights are repeated tail sums
+along the parity chains f, f + 2, f + 4, ... of the frequencies, and only
+the small f-independent integers that combine them carry signs.  So at
+every node, corners included, the absolute error is of the order of
+eps * sum_n |w_n| for the mode weights w_n, and the sum costs
+O(lam n_max + M log M).  At every angle off that grid the kernel comes from
+the recurrence sweep phi_series, at O(#modes * #angles).  Sup refinement
+asks for a few angles per field at a time, so KernelField.evaluate_factor
+also takes one time per angle: the candidates of every kernel of one space,
+scale and cutoff then share one sweep, with one weight column per distinct
+time.  The nu-pieces are kept as the paper's numerator sums (kappa_nu,
+kernel_nu), not as an evaluation route.
 """
 
 from __future__ import annotations
@@ -259,9 +260,9 @@ def _cosine_coeffs(lam: int, n: np.ndarray, w: np.ndarray) -> np.ndarray:
     _chain_weights writes g_k binom(k + lam - 1, lam - 1 - i) in the basis
     binom(k + c, c), whose sum against v_{2k+f} is the (c+1)-fold tail sum
     S^{c+1}(f) of v along the parity chain f, f + 2, f + 4, ...; so
-    F_f = (2 - [f = 0]) sum_i binom(f, i) sum_c a[i, c] S^{c+1}(f).  The
-    tail sums and binomials are positive, and only the f-independent a[i, c]
-    carry signs, so the absolute error stays of the order of
+    F_f = (2 - [f = 0]) sum_i binom(f, i) sum_c a[i, c] S^{c+1}(f).  Every
+    v_n enters with positive binomial weights except for the small
+    f-independent a[i, c], so the absolute error stays of the order of
     eps * sum_n |w_n|, the bound of the grid route.
     """
     nmax = int(n[-1])

@@ -99,6 +99,26 @@ def density_normalizer(dim: int) -> float:
     return 4.0**lam / (2.0 * math.pi * comb(2 * lam, lam))
 
 
+def _fft_size(nominal: int) -> int:
+    """The smallest even integer >= nominal with no prime factor above 11.
+
+    2, 3, 5, 7 and 11 are the radices numpy's pocketfft transforms natively;
+    a larger prime factor sends it to Bluestein's algorithm, 4 to 12 times
+    slower (M = 16 * 2053 at N = 1024, lam = 5: 7.7 ms against 0.75 ms).
+    From 926 on the result is at most 3.5% above nominal, and at most 0.44%
+    on the scan ladders N = 512, 1024, ..., 16384 with lam <= 5.
+    """
+    M = nominal + nominal % 2
+    while True:
+        rest = M
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return M
+        M += 2
+
+
 @dataclass(frozen=True)
 class TorusQuadrature:
     """Uniform per-factor grids with the probability density weights."""
@@ -117,12 +137,13 @@ class TorusQuadrature:
         """Grid sized oversample times the kernel bandwidth per factor.
 
         The bandwidth is 2N + lam, scaled by sqrt(beta) when beta > 1: the
-        kernel's top degree is about 2N sqrt(beta).
+        kernel's top degree is about 2N sqrt(beta).  Each size is rounded up
+        to the next even integer with no prime factor above 11 (_fft_size).
         """
         if oversample < 1:
             raise ValueError(f"need oversample >= 1, got {oversample}")
         sizes = tuple(
-            int(math.ceil(oversample * (2.0 * N + f.lam) * max(1.0, math.sqrt(f.beta))))
+            _fft_size(math.ceil(oversample * (2.0 * N + f.lam) * max(1.0, math.sqrt(f.beta))))
             for f in space.factors
         )
         return cls(space, sizes)

@@ -257,15 +257,51 @@ def test_lp_norm_floor_follows_beta(beta):
     lp_norm(kernel_product(sp, 16, 0.3, quad.grids(), Bump()), 2)
 
 
+def is_fft_size(M):
+    """Even, with no prime factor above 11."""
+    rest = M
+    for p in (2, 3, 5, 7, 11):
+        while rest % p == 0:
+            rest //= p
+    return M % 2 == 0 and rest == 1
+
+
+def check_fft_size(M, nominal):
+    # the smallest even 11-smooth integer >= nominal, at most 3.5% above it
+    assert is_fft_size(M) and nominal <= M <= 1.035 * nominal, (M, nominal)
+    assert not any(is_fft_size(k) for k in range(nominal, M))
+
+
 @pytest.mark.parametrize("dims", [(3,), (5, 7)])
 def test_for_kernel_sizes_follow_beta(dims):
     for N in (16, 100.5, 1024):
         nominal = [math.ceil(16 * (2.0 * N + (d - 1) // 2)) for d in dims]
         for beta in (1, Fraction(2, 3), Fraction(1, 100)):
             sp = space.build_space(dims, [beta] * len(dims))
-            assert TorusQuadrature.for_kernel(sp, N).sizes == tuple(nominal)
+            for M, nom in zip(TorusQuadrature.for_kernel(sp, N).sizes, nominal):
+                check_fft_size(M, nom)
         sp = space.build_space(dims, [4] * len(dims))
-        assert TorusQuadrature.for_kernel(sp, N).sizes == tuple(2 * M for M in nominal)
+        for M, nom in zip(TorusQuadrature.for_kernel(sp, N).sizes, nominal):
+            check_fft_size(M, 2 * nom)
+
+
+def test_resolution_check_doubles_to_an_fft_size():
+    sp = space.build_space([3, 5], [1, Fraction(2, 3)])
+    quad = TorusQuadrature.for_kernel(sp, 100.5)
+    kern = kernel_product(sp, 100.5, 0.37, quad.grids(), Bump())
+    sizes = []
+
+    def evaluator(j):
+        def evaluate(theta):
+            sizes.append(len(theta))
+            return kern.evaluate_factor(j, theta)
+
+        return evaluate
+
+    fld = FieldSample(sp, kern.grids, kern.factor_values, (evaluator(0), evaluator(1)))
+    resolution_check(fld, 4.0)
+    assert sizes == [2 * M for M in quad.sizes]
+    assert all(is_fft_size(M) for M in sizes)
 
 
 def test_lp_norm_rejects_non_uniform_grid():
