@@ -26,6 +26,7 @@ from oddsphere.verify import (
 S3 = space.build_space([3], [1])
 S5 = space.build_space([5], [1])
 S7 = space.build_space([7], [1])
+S9 = space.build_space([9], [1])
 S3S3 = space.build_space([3, 3], [1, 1])
 
 SMALL_NS = (8, 16, 32)
@@ -219,8 +220,11 @@ def dense_strichartz_norms(sp, p, N_list, trials, seed, time_samples, oversample
 @pytest.mark.parametrize(
     "sp, p, oversample",
     [(sp, p, 16) for sp in (S3, S5, S7) for p in (2.0, 7.5, 8.0)]
-    # oversample 3 on S^3 gives odd M = 3 (2N + 1): no node at pi to drop
-    + [(S3, 8.0, 3)],
+    # oversample 3 on S^3: coarse grids, M = 100, 196, 392
+    + [(S3, 8.0, 3)]
+    # p = 6 takes integer powering with an odd step, p = 3 the generic power
+    + [(sp, p, 16) for sp in (S3, S5, S7, S9) for p in (3.0, 6.0)]
+    + [(S9, p, 16) for p in (2.0, 7.5, 8.0)],
 )
 def test_strichartz_matches_dense_formula(sp, p, oversample):
     kwargs = dict(trials=3, seed=11, time_samples=24, oversample=oversample)
@@ -229,7 +233,14 @@ def test_strichartz_matches_dense_formula(sp, p, oversample):
     assert [rec.norm for rec in report.records] == pytest.approx(ref, rel=1e-12, abs=0)
 
 
-def test_strichartz_evaluates_each_half_grid_node_once(monkeypatch):
+def test_dense_ladder_has_both_midpoint_cases():
+    # M/2 even puts a quarter-grid node at pi/2, paired with itself; M/2 odd
+    # leaves none, so the dense comparison above covers both
+    sizes = [TorusQuadrature.for_kernel(S3, N, 16).sizes[0] for N in (16, 32, 64)]
+    assert sizes == [528, 1050, 2100]
+
+
+def test_strichartz_evaluates_each_quarter_grid_node_once(monkeypatch):
     calls = []
 
     def recording_phi_matrix(lam, n_values, theta, **kwargs):
@@ -240,16 +251,16 @@ def test_strichartz_evaluates_each_half_grid_node_once(monkeypatch):
     N_list = (16, 32, 64)
     strichartz_zonal_scan(S3, 8.0, N_list, trials=2, seed=3, time_samples=8)
     assert all(th.size <= verify.SPACETIME_BLOCK for _, th in calls)
-    assert all(np.all((th > 0.0) & (th < math.pi)) for _, th in calls)
+    assert all(np.all((th > 0.0) & (th <= math.pi / 2.0)) for _, th in calls)
     for N in N_list:
         modes = mode_weights(1, 1.0, N, 0.0, Bump())[0].size
         M = TorusQuadrature.for_kernel(S3, N).sizes[0]
         theta = np.concatenate([th for n, th in calls if n == modes])
         k = theta * M / (2.0 * math.pi)
         assert np.allclose(k, np.round(k), rtol=0.0, atol=1e-9)
-        assert sorted(np.round(k).astype(int)) == list(range(1, M // 2))
+        assert sorted(np.round(k).astype(int)) == list(range(1, M // 4 + 1))
     assert sum(th.size for _, th in calls) == sum(
-        TorusQuadrature.for_kernel(S3, N).sizes[0] // 2 - 1 for N in N_list
+        TorusQuadrature.for_kernel(S3, N).sizes[0] // 4 for N in N_list
     )
 
 
