@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oddsphere import space
-from oddsphere.kernel import Bump, KernelField, kernel_product, spectral_l2_norm
+from oddsphere.kernel import Bump, KernelField, kernel_1d, kernel_product, spectral_l2_norm
 from oddsphere.measure import (
     FieldSample,
     QuadratureError,
@@ -158,8 +158,6 @@ def test_sup_norm_attained_at_identity_for_t0():
     N = 32
     quad = TorusQuadrature.for_kernel(S3, N)
     fld = kernel_product(S3, N, 0.0, quad.grids(), bump)
-    from oddsphere.kernel import kernel_1d
-
     expected = abs(kernel_1d(1, 1, N, 0.0, np.array([0.0]), bump)[0])
     assert sup_norm(fld) == pytest.approx(expected, rel=1e-12)
 
@@ -188,6 +186,21 @@ def test_sup_refinement_converges():
     fld2 = kernel_product(S3, N, t, quad2.grids(), bump)
     refined2 = sup_norm(fld2)
     assert abs(refined - refined2) / refined2 < 2e-4
+
+
+def test_corner_sup_on_the_box_edge():
+    # on S^3 x S^5 at N = 64, tau = 1/2 the S^5 factor's pole-0 box sup sits
+    # on the box edge theta = 1/N with |K| rising outward; step-halving from
+    # the last node inside stopped 1.1e-4 below it
+    sp = space.build_space([3, 5], [1, Fraction(2, 3)])
+    N, t = 64, 0.5 * sp.period_seconds
+    quad = TorusQuadrature.for_kernel(sp, N)
+    fld = kernel_product(sp, N, t, quad.grids(), Bump())
+    dense = np.linspace(0.0, 1.0 / N, 2**14)
+    box_max = math.prod(
+        np.max(np.abs(kernel_1d(f.lam, f.beta, N, t, dense, Bump()))) for f in sp.factors
+    )
+    assert sup_norm(fld, Region.corner((0, 0), 1.0 / N)) == pytest.approx(box_max, rel=1e-9)
 
 
 def test_sup_refines_only_the_pieces_the_region_uses():
