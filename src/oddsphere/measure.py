@@ -291,19 +291,17 @@ def lp_norm(field, p: float, region: Region | None = None) -> float:
 _STENCIL = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
 
 
-def _refine_steps(th0: float, best: float, h0: float, keep, edges: np.ndarray):
+def _refine_steps(th0: float, best: float, h0: float, keep, extra: np.ndarray):
     """Step-halving around a grid argmax th0 of value best on a grid of step h0.
 
-    The first step also tries the piece's box edges, so a sup on the edge of
-    a box is found, not only approached from the last node inside it.  A
-    generator: it yields candidate angles, is sent their |values| and
-    returns the refined sup.
+    The first step also tries the angles extra.  A generator: it yields
+    candidate angles, is sent their |values| and returns the refined sup.
     """
     h = h0
     for _ in range(60):
         cand = np.mod(th0 + h * _STENCIL, 2.0 * math.pi)
-        cand = np.concatenate([cand[keep(cand)], edges])
-        edges = edges[:0]
+        cand = np.concatenate([cand[keep(cand)], extra])
+        extra = extra[:0]
         if cand.size == 0:
             h *= 0.5
             continue
@@ -328,12 +326,14 @@ def _keep(key: str, radius: float | None) -> Callable[[np.ndarray], np.ndarray]:
     return lambda th: _factor_masks(th, radius)[key]
 
 
-def _box_edges(key: str, radius: float | None) -> np.ndarray:
-    """The edge angles pole +- radius of a pole box; none for the other pieces."""
+def _box_candidates(key: str, radius: float | None, box: np.ndarray) -> np.ndarray:
+    """First-step angles of a sup piece: a pole box's nodes and its edges
+    pole +- radius, so neither grid rounding nor a sup on the edge hides the
+    box maximum (a radius-1/N box holds a few nodes); none for the rest."""
     if not key.startswith("pole"):
         return np.empty(0)
-    pole = math.pi * int(key[-1])
-    return np.mod(pole + np.array([-radius, radius]), 2.0 * math.pi)
+    edges = math.pi * int(key[-1]) + np.array([-radius, radius])
+    return np.concatenate([box, np.mod(edges, 2.0 * math.pi)])
 
 
 def _sup_pieces(r: int, region: Region) -> list[tuple[int, str, float | None]]:
@@ -437,7 +437,8 @@ def _lockstep_sups(fields, regions: list[Region]) -> list[list[float]]:
                 sup[piece] = best
                 continue
             h0 = float(grid[1] - grid[0]) if len(grid) > 1 else math.pi
-            steps = _refine_steps(float(grid[k]), best, h0, keep, _box_edges(key, radius))
+            extra = _box_candidates(key, radius, grid[idx])
+            steps = _refine_steps(float(grid[k]), best, h0, keep, extra)
             _advance(_Refinement(owner, time, j, steps, None, sup, piece), None, live)
         del field, values  # before the next field is built
     while live:

@@ -203,6 +203,23 @@ def test_corner_sup_on_the_box_edge():
     assert sup_norm(fld, Region.corner((0, 0), 1.0 / N)) == pytest.approx(box_max, rel=1e-9)
 
 
+def test_pole_box_sup_rechecks_every_box_node():
+    # grid values wrong at the rounding floor can put the grid argmax of a
+    # box far from its maximum; the first step evaluates every box node again
+    N, radius = 16, 1 / 16
+    quad = TorusQuadrature.for_kernel(S3, N)
+    kern = kernel_product(S3, N, 0.37, quad.grids(), Bump())
+    nodes = quad.nodes(0)
+    box = np.flatnonzero(np.abs(nodes - math.pi) <= radius)
+    true = np.abs(kern.evaluate_factor(0, nodes[box]))
+    far = box[np.argmax(np.abs(box - box[np.argmax(true)]))]
+    vals = kern.factor_values[0].copy()
+    vals[box] = 1e-3 * true.max()
+    vals[far] = 0.5 * true.max()
+    fld = FieldSample(S3, kern.grids, (vals,), evaluators=(lambda th: kern.evaluate_factor(0, th),))
+    assert sup_norm(fld, Region.corner(1, radius)) >= true.max() * (1 - 1e-12)
+
+
 def test_sup_refines_only_the_pieces_the_region_uses():
     N, radius = 16, 1 / 16
     quad = TorusQuadrature.for_kernel(S3, N)
