@@ -15,13 +15,12 @@ bump = Bump()
 N = 64
 T = sp.period_seconds
 quad = TorusQuadrature.for_kernel(sp, N)
-grids = quad.grids()
 
 print(f"Kernel on {sp} at scale N = {N}; flow period T = 2*pi\n")
 print(f"{'t/T':>10} {'sup |K|':>12} {'L2':>10} {'L4':>10}")
 for label, tau in [("0 (focus)", 0.0), ("1/2", 0.5), ("1/3", 1 / 3),
                    ("1/5", 0.2), ("edge of 0-arc", 1 / (2 * N)), ("generic", 0.2346891)]:
-    fld = kernel_product(sp, N, tau * T, grids, bump)
+    fld = kernel_product(sp, N, tau * T, quad, bump)
     sup = float(np.max(np.abs(fld.factor_values[0])))
     print(f"{label:>10} {sup:12.1f} {lp_norm(fld, 2):10.2f} {lp_norm(fld, 4):10.2f}")
 
@@ -40,6 +39,6 @@ print(f"  K          = {whole}")
 print(f"  K^(0)+K^(1)= {pieces[0] + pieces[1]}")
 
 out = "demo_kernel_focus"
-fld = kernel_product(sp, N, 0.0, grids, bump)
+fld = kernel_product(sp, N, 0.0, quad, bump)
 write_field(fld, out + ".csv", out + ".json")
 print(f"\nWrote the focused kernel samples to {out}.csv / {out}.json")

@@ -204,7 +204,7 @@ def cmd_kernel(cfg: dict) -> int:
     N = cfg.get("N", DEFAULT_N)
     t = cfg.get("t") or _time("0")
     quad = TorusQuadrature.for_kernel(space, N, **_pick(cfg, ("oversample",)))
-    field = kernel_product(space, N, t.seconds(space), quad.grids(), **_pick(cfg, ("bump",)))
+    field = kernel_product(space, N, t.seconds(space), quad, **_pick(cfg, ("bump",)))
     base = cfg.get("out", Path("kernel_field"))
     write_field(field, base.with_suffix(".csv"), base.with_suffix(".json"))
     print(f"kernel {space} N={N} t={t.label}: wrote {base}.csv and {base}.json")

@@ -20,11 +20,12 @@ product of spheres the kernel with a per-factor mollifier is the pointwise
 product of the factor kernels; the literal joint-frequency (radial) mollifier
 is kept as a brute-force diagnostic.
 
-On the full uniform grid theta_k = 2 pi k / M (the quadrature grid) the
-kernel is one FFT per exponential half of its cosine expansion
-sum_f F_f cos(f theta).  Its coefficients come from the Fourier series of
-the Gegenbauer polynomials (Szego, Orthogonal Polynomials, 4.9), in which
-each phi_n is a cosine sum with positive coefficients adding up to one, so
+Each factor kernel depends on cos theta alone, so it is even in theta;
+kernel_product sums its cosine expansion sum_f F_f cos(f theta) on the half
+grid theta_k = 2 pi k / M, k = 0..M/2, of a measure.TorusQuadrature by one
+pair of real inverse transforms, over the real and the imaginary parts of
+F.  The coefficients come from the Fourier series of the Gegenbauer
+polynomials (Szego, Orthogonal Polynomials, 4.9), in which each phi_n is a cosine sum with positive coefficients adding up to one, so
 no cancellation is amplified.  The coefficients take O(lam n_max) steps:
 Vandermonde's identity splits each product of Fourier coefficients into lam
 polynomial terms, whose sums against the weights are repeated tail sums
@@ -32,13 +33,14 @@ along the parity chains f, f + 2, f + 4, ... of the frequencies, and only
 the small f-independent integers that combine them carry signs.  So at
 every node, corners included, the absolute error is of the order of
 eps * sum_n |w_n| for the mode weights w_n, and the sum costs
-O(lam n_max + M log M).  At every angle off that grid the kernel comes from
-the recurrence sweep phi_series, at O(#modes * #angles).  Sup refinement
-asks for a few angles per field at a time, so KernelField.evaluate_factor
-also takes one time per angle: the candidates of every kernel of one space,
-scale and cutoff then share one sweep, with one weight column per distinct
-time.  The nu-pieces are kept as the paper's numerator sums (kappa_nu,
-kernel_nu), not as an evaluation route.
+O(lam n_max + M log M).  At bare angles (kernel_1d, and
+KernelField.evaluate_factor) the kernel always comes from the recurrence
+sweep phi_series, at O(#modes * #angles).  Sup refinement asks for a few
+angles per field at a time, so evaluate_factor also takes one time per
+angle: the candidates of every kernel of one space, scale and cutoff then
+share one sweep, with one weight column per distinct time.  The nu-pieces
+are kept as the paper's numerator sums (kappa_nu, kernel_nu), not as an
+evaluation route.
 """
 
 from __future__ import annotations
@@ -46,12 +48,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .measure import uniform_grid_size
+from .measure import TorusQuadrature
 from .space import ProductSpace, harmonic_dim
 from .specialfn import (
     DEFAULT_GUARD,
@@ -175,7 +177,11 @@ class _Spectrum(NamedTuple):
         return self.cut * np.exp(-1j * t * self.mu) * self.dims
 
 
+@cache
 def _spectrum(lam: int, beta, N: float, bump: Bump) -> _Spectrum:
+    """One read-only _Spectrum per factor, scale and cutoff: it has no time in it."""
+    if N < 1:
+        raise ValueError(f"need N >= 1, got {N}")
     beta_f = float(beta)
     bN2 = beta_f * N * N
     n = np.arange(0, max(bump.top_degree(lam, beta, N), 0) + 1)
@@ -183,7 +189,10 @@ def _spectrum(lam: int, beta, N: float, bump: Bump) -> _Spectrum:
     cut = bump(m / bN2)
     keep = cut > 0.0
     n, m, cut = n[keep], m[keep], cut[keep]
-    return _Spectrum(n, cut, m / beta_f, dim_vector(lam, n))
+    spec = _Spectrum(n, cut, m / beta_f, dim_vector(lam, n))
+    for arr in spec:
+        arr.setflags(write=False)
+    return spec
 
 
 def mode_weights(
@@ -203,16 +212,25 @@ _QUARTER_TURNS = (1.0, 1j, -1.0, -1j)
 
 
 def _cos_sum_grid(weights: np.ndarray, freq: np.ndarray, q: int, M: int) -> np.ndarray:
-    """sum_k weights[k] cos(freq[k] theta - q pi / 2) at theta = 2 pi j / M, j < M.
+    """sum_k weights[k] cos(freq[k] theta - q pi / 2) at theta = 2 pi j / M, j = 0..M/2.
 
-    The exp(+i f theta) half is the conjugate of the transform of
-    conj(weights), so the two halves are conjugate bit for bit when the
-    weights are real, and the sum is then exactly real.
+    At these nodes a frequency f acts as m = f mod M, and m > M/2 acts as
+    M - m with the phase q pi / 2 negated, so every frequency folds onto
+    0..M/2 and an under-resolved grid still holds the exact node values.
+    The real and imaginary parts of the weights then take one real inverse
+    transform each, so real weights give an exactly real sum.
     """
-    spec = np.zeros(M, dtype=complex)
-    np.add.at(spec, freq % M, weights)
-    c = _QUARTER_TURNS[q % 4]
-    return 0.5 * (np.conj(c * np.fft.fft(np.conj(spec))) + c * np.fft.fft(spec))
+    H = M // 2
+    m = freq % M
+    up = m > H
+    # exp(-i psi) on the kept frequencies, exp(+i psi) = (-1)^q exp(-i psi) on the folded
+    sign = np.where(up, (-1.0) ** q, 1.0)
+    fold = np.where(up, M - m, m)
+    coef = np.stack([np.bincount(fold, part * sign, H + 1) for part in (weights.real, weights.imag)])
+    coef = coef * np.conj(_QUARTER_TURNS[q % 4])
+    coef[:, 1:H] *= 0.5  # the inverse transform counts each inner frequency twice
+    re, im = np.fft.irfft(coef, M, norm="forward")[:, : H + 1]
+    return re + 1j * im
 
 
 def _binom(x: int, r: int) -> int:
@@ -265,7 +283,7 @@ def _cosine_coeffs(lam: int, n: np.ndarray, w: np.ndarray) -> np.ndarray:
     f-independent a[i, c], so the absolute error stays of the order of
     eps * sum_n |w_n|, the bound of the grid route.
     """
-    nmax = int(n[-1])
+    nmax = int(n.max(initial=0))
     size = nmax + 1
     v = np.zeros(size + size % 2, dtype=complex)
     v[n] = w / _spectral_tables(lam, nmax).c1[n]
@@ -285,30 +303,26 @@ def _cosine_coeffs(lam: int, n: np.ndarray, w: np.ndarray) -> np.ndarray:
     return F
 
 
+def _kernel_grid(lam: int, spec: _Spectrum, t: float, M: int) -> np.ndarray:
+    """The factor kernel at time t on the half grid 2 pi k / M, k = 0..M/2."""
+    F = _cosine_coeffs(lam, spec.n, spec.weights(t))
+    return _cos_sum_grid(F, np.arange(F.size), 0, M)
+
+
 def _kernel_values(lam: int, spec: _Spectrum, theta, t) -> np.ndarray:
     """The factor kernel at angles theta, at time t or at time t[i] for angle i.
 
-    At one time the full uniform grid sums the positive cosine expansion by
-    FFT; every other angle set, and every call with one time per angle, is
-    one recurrence sweep with a weight column per distinct time.
+    One recurrence sweep, with a weight column per distinct time.
     """
     theta = np.asarray(theta, dtype=float)
-    th = np.atleast_1d(theta)
-    n = spec.n
-    if n.size == 0:
-        out = np.zeros(th.shape, dtype=complex)
-    elif np.ndim(t) == 0 and uniform_grid_size(th):
-        F = _cosine_coeffs(lam, n, spec.weights(t))
-        out = _cos_sum_grid(F, np.arange(F.size), 0, th.size)
+    if np.ndim(t):
+        times, columns = np.unique(t, return_inverse=True)
+        w = np.stack([spec.weights(float(s)) for s in times], axis=1)
     else:
-        if np.ndim(t):
-            times, columns = np.unique(t, return_inverse=True)
-            w = np.stack([spec.weights(float(s)) for s in times], axis=1)
-        else:
-            w, columns = spec.weights(t), None
-        wfull = np.zeros((int(n[-1]) + 1,) + w.shape[1:], dtype=complex)
-        wfull[n] = w
-        out = phi_series(lam, wfull, th, columns)
+        w, columns = spec.weights(t), None
+    wfull = np.zeros((int(spec.n.max(initial=0)) + 1,) + w.shape[1:], dtype=complex)
+    wfull[spec.n] = w
+    out = phi_series(lam, wfull, np.atleast_1d(theta), columns)
     return out[0] if theta.ndim == 0 else out
 
 
@@ -320,13 +334,7 @@ def kernel_1d(
     theta_grid,
     bump: Bump,
 ) -> np.ndarray:
-    """Single-factor kernel K_N(t, theta) over an angle grid.
-
-    On the full uniform grid the positive cosine expansion is summed by
-    FFT; every other angle set uses the recurrence sweep.
-    """
-    if N < 1:
-        raise ValueError(f"need N >= 1, got {N}")
+    """Single-factor kernel K_N(t, theta) at any angles, by the recurrence sweep."""
     return _kernel_values(lam, _spectrum(lam, beta, N, bump), theta_grid, t)
 
 
@@ -342,28 +350,23 @@ def kappa_nu(
 ) -> np.ndarray:
     """Pure trigonometric numerator sum kappa_N^{(nu)}; valid at every angle.
 
-    FFT on the full uniform grid, a direct cosine sum at other angles.
+    theta is a set of angles, summed directly, or a TorusQuadrature, whose
+    first factor's half grid takes one pair of real transforms.
     """
     if not 0 <= nu <= lam - 1:
         raise ValueError(f"need 0 <= nu <= lam-1 = {lam - 1}, got {nu}")
-    theta = np.asarray(theta, dtype=float)
-    scalar = theta.ndim == 0
-    theta = np.atleast_1d(theta)
     n, w = mode_weights(lam, beta, N, t, bump)
-    if n.size == 0:
-        out = np.zeros(theta.shape, dtype=complex)
-        return out[0] if scalar else out
-    a = w * get_coeffs(lam, int(n[-1])).cnv[n, nu]
+    a = w * get_coeffs(lam, int(n.max(initial=0))).cnv[n, nu]
     freq = n - nu + lam
-    M = uniform_grid_size(theta)
-    if M:
-        out = _cos_sum_grid(a, freq, nu + lam, M)
-    else:  # direct sum, 256 angles at a time to bound memory
-        blocks = np.split(theta.ravel(), list(range(256, theta.size, 256)))
-        psi = (nu + lam) * math.pi / 2.0
-        sums = [np.cos(np.multiply.outer(th, freq) - psi) @ a for th in blocks]
-        out = np.concatenate(sums).reshape(theta.shape)
-    return out[0] if scalar else out
+    if isinstance(theta, TorusQuadrature):
+        return _cos_sum_grid(a, freq, nu + lam, theta.sizes[0])
+    theta = np.asarray(theta, dtype=float)
+    # direct sum, 256 angles at a time to bound memory
+    blocks = np.split(theta.ravel(), list(range(256, theta.size, 256)))
+    psi = (nu + lam) * math.pi / 2.0
+    sums = [np.cos(np.multiply.outer(th, freq) - psi) @ a for th in blocks]
+    out = np.concatenate(sums)
+    return out[0] if theta.ndim == 0 else out.reshape(theta.shape)
 
 
 def kernel_nu(
@@ -393,24 +396,22 @@ def kernel_nu(
 
 @dataclass
 class KernelField:
-    """Sampled kernel over per-factor angle grids at fixed (N, t).
+    """Sampled kernel on a quadrature's half grids at fixed (N, t).
 
-    Values are stored factored (one complex array per factor); the full
-    product-grid value is the outer product.  evaluate_factor re-evaluates
-    one factor kernel at fresh angles, which lets norm refinement zoom in
-    without resampling the whole grid.
+    Values are stored factored (one complex array per factor, on nodes
+    0..M/2); the product-grid value is the outer product.  spectra are the
+    time-free mode data the factors were sampled from.  evaluate_factor
+    re-evaluates one factor kernel at fresh angles, which lets norm
+    refinement zoom in without resampling the whole grid.
     """
 
     space: ProductSpace
     N: float
     t: float
-    grids: tuple[np.ndarray, ...]
+    quad: TorusQuadrature
     factor_values: tuple[np.ndarray, ...]
     bump: Bump
-
-    @cached_property
-    def _spectra(self) -> tuple[_Spectrum, ...]:
-        return tuple(_spectrum(f.lam, f.beta, self.N, self.bump) for f in self.space.factors)
+    spectra: tuple[_Spectrum, ...]
 
     def evaluate_factor(self, j: int, theta, t=None) -> np.ndarray:
         """Factor j's kernel at fresh angles, at the field's time.
@@ -419,25 +420,29 @@ class KernelField:
         and cutoff instead: all of them share one recurrence sweep.
         """
         return _kernel_values(
-            self.space.factors[j].lam, self._spectra[j], theta, self.t if t is None else t
+            self.space.factors[j].lam, self.spectra[j], theta, self.t if t is None else t
         )
+
+    def resample(self, quad: TorusQuadrature) -> "KernelField":
+        """The same kernel on another rule, through the grid route."""
+        return kernel_product(self.space, self.N, self.t, quad, self.bump)
 
 
 def kernel_product(
     space: ProductSpace,
     N: float,
     t: float,
-    grids: Sequence[np.ndarray],
+    quad: TorusQuadrature,
     bump: Bump = Bump(),
 ) -> KernelField:
-    """Product-space kernel with the per-factor mollifier, stored factored."""
-    if len(grids) != space.r:
-        raise ValueError(f"got {len(grids)} grids for rank {space.r}")
-    grids = tuple(np.atleast_1d(np.asarray(g, dtype=float)) for g in grids)
+    """Product-space kernel with the per-factor mollifier on quad's half grids, stored factored."""
+    if quad.space != space:
+        raise ValueError(f"a quadrature on {quad.space} cannot sample a kernel on {space}")
+    spectra = tuple(_spectrum(f.lam, f.beta, N, bump) for f in space.factors)
     values = tuple(
-        kernel_1d(f.lam, f.beta, N, t, g, bump) for f, g in zip(space.factors, grids)
+        _kernel_grid(f.lam, spec, t, M) for f, spec, M in zip(space.factors, spectra, quad.sizes)
     )
-    return KernelField(space, N, t, grids, values, bump)
+    return KernelField(space, N, t, quad, values, bump, spectra)
 
 
 def kernel_direct_multi(
@@ -520,8 +525,8 @@ def write_field(field_obj: KernelField, csv_path, json_path) -> None:
     with open(csv_path, "w", newline="") as fh:
         writer = _csv.writer(fh, lineterminator="\n")
         writer.writerow(["factor", "theta", "re", "im"])
-        for j, (grid, vals) in enumerate(zip(field_obj.grids, field_obj.factor_values)):
-            for th, v in zip(grid, vals):
+        for j, vals in enumerate(field_obj.factor_values):
+            for th, v in zip(field_obj.quad.nodes(j), vals):
                 writer.writerow([j, repr(float(th)), repr(float(v.real)), repr(float(v.imag))])
     header = {
         "schema": 1,

@@ -3,10 +3,12 @@
 Integration of a zonal function over one sphere factor of dimension d
 reduces to the torus with density |sin theta|^{d-1}; the density is
 normalized to a probability measure per factor, so constants never leak
-into fitted exponents.  Grids are uniform (periodic trapezoid), which is
-exact for the trigonometric polynomials all these kernels are, provided
-the grid beats the bandwidth; an empirical doubling check covers the
-non-band-limited case |K|^p for fractional p.
+into fitted exponents.  The rule is the periodic trapezoid rule on the
+grid 2 pi k / M, exact for the trigonometric polynomials all these kernels
+are once the grid beats the bandwidth; an empirical doubling check covers
+the non-band-limited case |K|^p for fractional p.  A zonal function is even
+in theta, so the rule folds onto the half grid k = 0..M/2 (M even), and
+every sampled field carries the TorusQuadrature it was sampled on.
 
 Regions: "full" is the whole torus; a "corner" region is the product of
 per-factor angular boxes of a given radius around a chosen pole (0 or pi)
@@ -121,7 +123,7 @@ def _fft_size(nominal: int) -> int:
 
 @dataclass(frozen=True)
 class TorusQuadrature:
-    """Uniform per-factor grids with the probability density weights."""
+    """Per-factor half-grid rules: nodes 2 pi k / M, k = 0..M/2, and their weights."""
 
     space: ProductSpace
     sizes: tuple[int, ...]
@@ -129,6 +131,8 @@ class TorusQuadrature:
     def __post_init__(self) -> None:
         if len(self.sizes) != self.space.r:
             raise ValueError(f"got {len(self.sizes)} sizes for rank {self.space.r}")
+        if any(M < 2 or M % 2 for M in self.sizes):
+            raise ValueError(f"grid sizes must be even and positive, got {self.sizes}")
 
     @classmethod
     def for_kernel(
@@ -149,19 +153,31 @@ class TorusQuadrature:
         return cls(space, sizes)
 
     def nodes(self, j: int) -> np.ndarray:
-        M = self.sizes[j]
-        return 2.0 * math.pi * np.arange(M) / M
+        """Factor j's half grid, as pi (k / (M/2)): 0, pi/2 (M/2 even) and pi are exact."""
+        H = self.sizes[j] // 2
+        return math.pi * (np.arange(H + 1) / H)
 
-    def grids(self) -> tuple[np.ndarray, ...]:
-        return tuple(self.nodes(j) for j in range(self.space.r))
+    def weights(self, j: int) -> np.ndarray:
+        """Probability weights of factor j's nodes: the normalized density
+        |sin theta|^(d-1) times the step 2 pi / M, doubled inside (0, pi),
+        where each node also stands for its mirror image 2 pi - theta."""
+        f = self.space.factors[j]
+        step = 2.0 * math.pi / self.sizes[j]
+        w = density_normalizer(f.dim) * step * np.abs(np.sin(self.nodes(j))) ** (f.dim - 1)
+        w[1:-1] *= 2.0
+        return w
+
+    def doubled(self) -> "TorusQuadrature":
+        """The rule on twice the nodes; 2M stays even, and 11-smooth if M is."""
+        return TorusQuadrature(self.space, tuple(2 * M for M in self.sizes))
 
 
 @dataclass
 class FieldSample:
-    """Factored torus samples of a zonal function, with optional re-evaluator."""
+    """Factored half-grid samples of a zonal function, with optional re-evaluator."""
 
     space: ProductSpace
-    grids: tuple[np.ndarray, ...]
+    quad: TorusQuadrature
     factor_values: tuple[np.ndarray, ...]
     evaluators: tuple[Callable[[np.ndarray], np.ndarray], ...] | None = None
 
@@ -169,23 +185,6 @@ class FieldSample:
         if self.evaluators is None:
             raise ValueError("this sampled field carries no evaluator")
         return self.evaluators[j](np.asarray(theta, dtype=float))
-
-
-def uniform_grid_size(grid) -> int:
-    """M if grid is the uniform periodic grid 2 pi k / M, k < M; else 0."""
-    grid = np.asarray(grid)
-    M = grid.size
-    if grid.ndim != 1 or M == 0:
-        return 0
-    return M if np.allclose(grid, 2.0 * math.pi * np.arange(M) / M, rtol=0.0, atol=1e-12) else 0
-
-
-def _check_uniform(grid: np.ndarray) -> float:
-    """Weight 2*pi/M for a uniform full-circle grid starting at 0."""
-    M = uniform_grid_size(grid)
-    if not M:
-        raise QuadratureError("norms need the uniform periodic grid [0, 2pi)")
-    return 2.0 * math.pi / M
 
 
 def _pole_distances(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -212,9 +211,9 @@ def _resolution_floor(field, space: ProductSpace) -> None:
         # field's cutoff and never taken below 2N; add the density
         n_max = max(field.bump.top_degree(f.lam, f.beta, N), math.ceil(2.0 * N))
         need = 2 * (n_max + f.lam) + f.dim
-        if len(field.grids[j]) < need:
+        if field.quad.sizes[j] < need:
             raise QuadratureError(
-                f"factor {j}: grid of {len(field.grids[j])} nodes under-resolves "
+                f"factor {j}: grid of {field.quad.sizes[j]} nodes under-resolves "
                 f"a scale-{N} kernel (need >= {need})"
             )
 
@@ -227,15 +226,11 @@ def _factor_power_integrals(
     Keys: 'full' always; 'pole0', 'pole1', 'away' when a radius is given.
     """
     out = []
-    for j, f in enumerate(space.factors):
-        grid = np.asarray(field.grids[j], dtype=float)
-        step = _check_uniform(grid)
-        vals = np.abs(np.asarray(field.factor_values[j])) ** p
-        dens = np.abs(np.sin(grid)) ** (f.dim - 1)
-        contrib = density_normalizer(f.dim) * step * vals * dens
+    for j in range(space.r):
+        contrib = field.quad.weights(j) * np.abs(np.asarray(field.factor_values[j])) ** p
         entry = {"full": float(np.sum(contrib))}
         if radius is not None:
-            masks = _factor_masks(grid, radius)
+            masks = _factor_masks(field.quad.nodes(j), radius)
             for key, mask in masks.items():
                 entry[key] = float(np.sum(contrib[mask]))
         out.append(entry)
@@ -422,7 +417,7 @@ def _lockstep_sups(fields, regions: list[Region]) -> list[list[float]]:
         pieces = dict.fromkeys(piece for region in regions for piece in _sup_pieces(r, region))
         for piece in pieces:
             j, key, radius = piece
-            grid = np.asarray(field.grids[j], dtype=float)
+            grid = field.quad.nodes(j)
             keep = _keep(key, radius)
             mask = keep(grid)
             if not mask.any():
@@ -436,7 +431,7 @@ def _lockstep_sups(fields, regions: list[Region]) -> list[list[float]]:
             if not refine:
                 sup[piece] = best
                 continue
-            h0 = float(grid[1] - grid[0]) if len(grid) > 1 else math.pi
+            h0 = 2.0 * math.pi / field.quad.sizes[j]
             extra = _box_candidates(key, radius, grid[idx])
             steps = _refine_steps(float(grid[k]), best, h0, keep, extra)
             _advance(_Refinement(owner, time, j, steps, None, sup, piece), None, live)
@@ -483,21 +478,13 @@ def sup_norm(field, region: Region | None = None):
 def resolution_check(
     field, p: float = 2.0, region: Region | None = None, tol: float = RESOLUTION_TOL
 ) -> tuple[bool, float]:
-    """Empirical convergence gate: recompute the norm on a doubled grid.
+    """Empirical convergence gate: recompute the norm on the doubled rule.
 
-    Returns (passed, relative_change).  Needs a field that can re-evaluate
-    itself (kernel fields can).
+    Returns (passed, relative_change).  Needs a field with a resample
+    method (kernel fields sample themselves again through the grid route).
     """
     base = lp_norm(field, p, region)
-    fine_grids = []
-    fine_vals = []
-    for j, grid in enumerate(field.grids):
-        M = 2 * len(grid)
-        fine = 2.0 * math.pi * np.arange(M) / M
-        fine_grids.append(fine)
-        fine_vals.append(field.evaluate_factor(j, fine))
-    fine_field = FieldSample(field.space, tuple(fine_grids), tuple(fine_vals))
-    refined = lp_norm(fine_field, p, region)
+    refined = lp_norm(field.resample(field.quad.doubled()), p, region)
     rel = abs(refined - base) / max(abs(refined), np.finfo(float).tiny)
     return rel < tol, rel
 
@@ -507,13 +494,10 @@ def region_measure(
 ) -> float:
     """Probability measure of a region, on grids proportional to N.
 
-    Grid size 2*oversample*N per factor keeps the node count inside a
-    radius-1/N box independent of N, so measured volume scaling is free of
-    boundary-snapping noise.
+    Grid size 2*oversample*N per factor, rounded up to even, keeps the node
+    count inside a radius-1/N box independent of N, so measured volume
+    scaling is free of boundary-snapping noise.
     """
-    sizes = tuple(max(int(math.ceil(2 * oversample * N)), 8) for _ in space.factors)
-    quad = TorusQuadrature(space, sizes)
-    grids = quad.grids()
-    ones = tuple(np.ones(len(g)) for g in grids)
-    field = FieldSample(space, grids, ones)
-    return lp_norm(field, 1.0, region)
+    quad = TorusQuadrature(space, (2 * math.ceil(max(oversample * N, 4)),) * space.r)
+    ones = tuple(np.ones(M // 2 + 1) for M in quad.sizes)
+    return lp_norm(FieldSample(space, quad, ones), 1.0, region)

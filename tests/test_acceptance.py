@@ -129,10 +129,10 @@ def test_criterion_02_structural_identities():
     rng = np.random.default_rng(2024)
     prod_worst = 0.0
     t = 0.29 * S3S3.period_seconds
+    fld = kernel_product(S3S3, 16, t, TorusQuadrature.for_kernel(S3S3, 16), bump)
     for _ in range(5):
         point = rng.uniform(0, 2 * math.pi, 2)
-        fld = kernel_product(S3S3, 16, t, [point[:1], point[1:]], bump)
-        via_prod = fld.factor_values[0][0] * fld.factor_values[1][0]
+        via_prod = fld.evaluate_factor(0, point[0]) * fld.evaluate_factor(1, point[1])
         via_direct = kernel_direct_multi(S3S3, 16, t, point, bump, radial=False)
         prod_worst = max(prod_worst, abs(via_prod - via_direct) / abs(via_direct))
     if prod_worst > 1e-9:
@@ -160,7 +160,7 @@ def test_criterion_03_parseval():
         quad = TorusQuadrature.for_kernel(S3, N)
         oracle = spectral_l2_norm(1, 1, N, 0.0, bump)
         for t in rng.uniform(0, S3.period_seconds, 10):
-            fld = kernel_product(S3, N, t, quad.grids(), bump)
+            fld = kernel_product(S3, N, t, quad, bump)
             rel = abs(lp_norm(fld, 2) - oracle) / oracle
             worst = max(worst, rel)
     elapsed = time.perf_counter() - t0

@@ -38,6 +38,17 @@ def recurrence_route_kernel(lam, beta, N, t, theta, bump):
     return phi_series(lam, wfull, theta)
 
 
+def grid_route_on_full_circle(lam, N, t, M, bump=Bump()):
+    """kernel_product on the half grid of M nodes, mirrored onto k = 0..M-1.
+
+    The kernel is even in theta, so node M - k holds the value of node k.
+    """
+    sp = space.build_space([2 * lam + 1])
+    half = kernel_product(sp, N, t, TorusQuadrature(sp, (M,)), bump).factor_values[0]
+    k = np.arange(M)
+    return half[np.minimum(k, M - k)]
+
+
 def test_bump_shapes():
     smooth = Bump()
     x = np.linspace(-1, 6, 500)
@@ -100,12 +111,12 @@ def test_kernel_1d_equals_recurrence_route_everywhere():
 @pytest.mark.parametrize("lam", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("N", [16, 128, 1024])
 def test_grid_route_matches_recurrence_oracle(lam, N):
-    # the full quadrature grid takes the cosine-expansion FFT route at every
-    # node, corners included; the recurrence sweep is the oracle
+    # the quadrature's half grid takes the cosine-expansion transform at
+    # every node, corners included; the recurrence sweep is the oracle
     M = math.ceil(16 * (2.0 * N + lam))
     theta = 2 * math.pi * np.arange(M) / M
     t = 0.37 * S3.period_seconds
-    got = kernel_1d(lam, 1, N, t, theta, Bump())
+    got = grid_route_on_full_circle(lam, N, t, M)
     want = recurrence_route_kernel(lam, 1, N, t, theta, Bump())
     assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-10
 
@@ -139,7 +150,7 @@ def test_grid_route_exact_to_rounding_at_corner_nodes(lam):
         (np.minimum(theta, 2 * math.pi - theta) <= 1 / N) | (np.abs(theta - math.pi) <= 1 / N)
     )
     want, scale = mp_kernel_at_nodes(lam, N, t, M, nodes)
-    got = kernel_1d(lam, 1, N, t, theta, Bump())[nodes]
+    got = grid_route_on_full_circle(lam, N, t, M)[nodes]
     assert np.max(np.abs(got - want)) <= 2e-16 * scale
 
 
@@ -194,7 +205,7 @@ def test_grid_route_at_large_n_matches_recurrence(lam):
     others = np.setdiff1d(np.arange(M), poles)
     nodes = np.r_[poles, np.random.default_rng(lam).choice(others, 64 - poles.size, replace=False)]
     t = 0.37 * S3.period_seconds
-    got = kernel_1d(lam, 1, N, t, theta, Bump())
+    got = grid_route_on_full_circle(lam, N, t, M)
     want = recurrence_route_kernel(lam, 1, N, t, theta[nodes], Bump())
     assert np.max(np.abs(got[nodes] - want)) <= 1e-10 * np.max(np.abs(got))
 
@@ -209,13 +220,35 @@ def test_kernel_1d_near_guard_band_on_s9():
 
 
 @pytest.mark.parametrize("lam", [2, 4])
+def test_under_resolved_grid_route_equals_the_recurrence_at_its_nodes(lam):
+    # at oversample 1 the top frequencies pass M/2 and fold back: the node
+    # values stay those of the kernel itself
+    N, t = 64, 0.37 * S3.period_seconds
+    sp = space.build_space([2 * lam + 1])
+    quad = TorusQuadrature.for_kernel(sp, N, 1)
+    n_top = mode_weights(lam, 1, N, t, Bump())[0][-1]
+    assert n_top > quad.sizes[0] // 2
+    got = kernel_product(sp, N, t, quad, Bump()).factor_values[0]
+    want = kernel_1d(lam, 1, N, t, quad.nodes(0), Bump())
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+    for nu in range(lam):  # nu + lam odd folds a sine series, with the phase negated
+        got = kappa_nu(lam, N, nu, t, quad, Bump())
+        want = kappa_nu(lam, N, nu, t, quad.nodes(0), Bump())
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("lam", [2, 4])
 def test_kappa_nu_grid_and_direct_routes_agree(lam):
-    # the full grid is summed by FFT, any other angle set directly
+    # a quadrature's half grid is summed by transform, bare angles directly;
+    # kappa_nu(2 pi - theta) = (-1)^(nu + lam) kappa_nu(theta) gives the rest
     N, t = 64, 0.53
     M = math.ceil(16 * (2.0 * N + lam))
     theta = 2 * math.pi * np.arange(M) / M
+    quad = TorusQuadrature(space.build_space([2 * lam + 1]), (M,))
+    k = np.arange(M)
     for nu in range(lam):
-        on_grid = kappa_nu(lam, N, nu, t, theta, Bump())
+        half = kappa_nu(lam, N, nu, t, quad, Bump())
+        on_grid = np.where(k <= M // 2, 1, (-1) ** (nu + lam)) * half[np.minimum(k, M - k)]
         direct = kappa_nu(lam, N, nu, t, theta[1:], Bump())
         assert np.max(np.abs(on_grid[1:] - direct)) / np.max(np.abs(on_grid)) < 1e-12
 
@@ -290,10 +323,10 @@ def test_product_matches_direct_multi_product_mollifier():
     rng = np.random.default_rng(5)
     sp = space.build_space([3, 5], [1, Fraction(2, 3)])
     t = 0.317 * sp.period_seconds
+    fld = kernel_product(sp, 16, t, TorusQuadrature.for_kernel(sp, 16), bump)
     for _ in range(4):
         point = rng.uniform(0, 2 * math.pi, size=2)
-        fld = kernel_product(sp, 16, t, [point[:1], point[1:]], bump)
-        via_product = fld.factor_values[0][0] * fld.factor_values[1][0]
+        via_product = fld.evaluate_factor(0, point[0]) * fld.evaluate_factor(1, point[1])
         via_direct = kernel_direct_multi(sp, 16, t, point, bump, radial=False)
         assert abs(via_product - via_direct) / abs(via_direct) < 1e-9
 
@@ -348,13 +381,14 @@ def test_parseval_oracle():
 
 def test_field_serialization(tmp_path):
     bump = Bump()
-    fld = kernel_product(S3, 8, 0.0, [np.linspace(0, 2 * math.pi, 33, endpoint=False)], bump)
+    fld = kernel_product(S3, 8, 0.0, TorusQuadrature(S3, (64,)), bump)
     csv_path = tmp_path / "field.csv"
     json_path = tmp_path / "field.json"
     write_field(fld, csv_path, json_path)
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "factor,theta,re,im"
-    assert len(lines) == 1 + 33
+    assert len(lines) == 1 + 33  # the half grid: theta = 2 pi k / 64, k = 0..32
+    assert float(lines[-1].split(",")[1]) == math.pi
     # t = 0 kernel is real
     for line in lines[1:]:
         assert float(line.split(",")[3]) == 0.0

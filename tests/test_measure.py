@@ -29,30 +29,50 @@ S3S3 = space.build_space([3, 3], [1, 1])
 
 def random_field(sp, quad, rng, modes=12):
     """Synthetic factored field: random low-degree trig polynomials."""
-    grids = quad.grids()
     vals = []
     evs = []
-    for g in grids:
+    for j in range(sp.r):
         coef = rng.standard_normal(modes) + 1j * rng.standard_normal(modes)
 
         def ev(th, coef=coef):
             th = np.asarray(th, dtype=float)
             return sum(c * np.exp(1j * k * th) for k, c in enumerate(coef))
 
-        vals.append(ev(g))
+        vals.append(ev(quad.nodes(j)))
         evs.append(ev)
-    return FieldSample(sp, grids, tuple(vals), evaluators=tuple(evs))
+    return FieldSample(sp, quad, tuple(vals), evaluators=tuple(evs))
 
 
 def test_quadrature_construction():
     quad = TorusQuadrature.for_kernel(S3, 32)
     assert quad.sizes[0] >= 16 * (2 * 32 + 1)
-    grids = quad.grids()
-    assert grids[0][0] == 0.0 and len(grids[0]) == quad.sizes[0]
+    nodes = quad.nodes(0)
+    assert nodes[0] == 0.0 and nodes[-1] == math.pi and len(nodes) == quad.sizes[0] // 2 + 1
+    assert quad.doubled().sizes == (2 * quad.sizes[0],)
     with pytest.raises(ValueError):
         TorusQuadrature(S3, (8, 8))
     with pytest.raises(ValueError):
         TorusQuadrature.for_kernel(S3, 32, oversample=0)
+
+
+@pytest.mark.parametrize("M", [99, 7, 1, 0, -4])
+def test_quadrature_rejects_odd_sizes(M):
+    with pytest.raises(ValueError, match="even"):
+        TorusQuadrature(S3, (M,))
+    with pytest.raises(ValueError, match="even"):
+        TorusQuadrature(S3S3, (64, M))
+
+
+@pytest.mark.parametrize("dims", [(3,), (5, 7), (9, 3, 11)])
+@pytest.mark.parametrize("M", [12, 98, 100, 2100])
+def test_rule_weights_are_probabilities(dims, M):
+    # the rule integrates the density |sin theta|^(d-1), a cosine polynomial
+    # of degree d - 1, exactly once M exceeds d - 1
+    quad = TorusQuadrature(space.build_space(dims), (M,) * len(dims))
+    for j in range(len(dims)):
+        w = quad.weights(j)
+        assert w.shape == (M // 2 + 1,) and np.all(w >= 0.0)
+        assert abs(float(np.sum(w)) - 1.0) <= 1e-14
 
 
 def test_region_validation():
@@ -67,7 +87,7 @@ def test_region_validation():
 
 def test_constant_field_has_unit_norm():
     quad = TorusQuadrature.for_kernel(S3, 8)
-    fld = FieldSample(S3, quad.grids(), (np.ones(quad.sizes[0]),))
+    fld = FieldSample(S3, quad, (np.ones(quad.sizes[0] // 2 + 1),))
     for p in (0.5, 1.0, 2.0, 4.0):
         assert lp_norm(fld, p) == pytest.approx(1.0, rel=1e-12)
 
@@ -79,7 +99,7 @@ def test_parseval_against_spectral_oracle():
         quad = TorusQuadrature.for_kernel(S3, N)
         oracle = spectral_l2_norm(1, 1, N, 0.0, bump)
         for t in rng.uniform(0, S3.period_seconds, 3):
-            fld = kernel_product(S3, N, t, quad.grids(), bump)
+            fld = kernel_product(S3, N, t, quad, bump)
             assert lp_norm(fld, 2) == pytest.approx(oracle, rel=1e-6)
 
 
@@ -87,7 +107,7 @@ def test_parseval_product_space():
     bump = Bump()
     N = 16
     quad = TorusQuadrature.for_kernel(S3S3, N)
-    fld = kernel_product(S3S3, N, 0.77, quad.grids(), bump)
+    fld = kernel_product(S3S3, N, 0.77, quad, bump)
     oracle = spectral_l2_norm(1, 1, N, 0.0, bump) ** 2
     assert lp_norm(fld, 2) == pytest.approx(oracle, rel=1e-6)
 
@@ -96,9 +116,8 @@ def test_pure_mode_norm_exact():
     # || d_n phi_n ||_2 = sqrt(d_n) once the grid beats the bandwidth
     for n in (3, 11):
         d_n = (n + 1) ** 2
-        M = 16 * (2 * n + 1)
-        grid = 2 * math.pi * np.arange(M) / M
-        fld = FieldSample(S3, (grid,), (d_n * phi(1, n, grid),))
+        quad = TorusQuadrature(S3, (16 * (2 * n + 1),))
+        fld = FieldSample(S3, quad, (d_n * phi(1, n, quad.nodes(0)),))
         assert lp_norm(fld, 2) == pytest.approx(math.sqrt(d_n), rel=1e-9)
 
 
@@ -117,7 +136,7 @@ def test_region_additivity_partitions_the_circle():
     bump = Bump()
     N = 32
     quad = TorusQuadrature.for_kernel(S3, N)
-    fld = kernel_product(S3, N, 0.3, quad.grids(), bump)
+    fld = kernel_product(S3, N, 0.3, quad, bump)
     p = 2.0
     radius = 1.0 / N
     full = lp_norm(fld, p) ** p
@@ -133,7 +152,7 @@ def test_region_additivity_product_space():
     bump = Bump()
     N = 8
     quad = TorusQuadrature.for_kernel(S3S3, N)
-    fld = kernel_product(S3S3, N, 0.2, quad.grids(), bump)
+    fld = kernel_product(S3S3, N, 0.2, quad, bump)
     p, radius = 2.0, 1.0 / N
     full = lp_norm(fld, p) ** p
     corners = sum(
@@ -148,7 +167,7 @@ def test_region_additivity_product_space():
 def test_corner_norm_bounded_by_full():
     bump = Bump()
     quad = TorusQuadrature.for_kernel(S3, 16)
-    fld = kernel_product(S3, 16, 0.9, quad.grids(), bump)
+    fld = kernel_product(S3, 16, 0.9, quad, bump)
     for p in (1.0, 2.0, 4.0):
         assert lp_norm(fld, p, Region.corner(0, 1 / 16)) <= lp_norm(fld, p)
 
@@ -157,16 +176,15 @@ def test_sup_norm_attained_at_identity_for_t0():
     bump = Bump()
     N = 32
     quad = TorusQuadrature.for_kernel(S3, N)
-    fld = kernel_product(S3, N, 0.0, quad.grids(), bump)
+    fld = kernel_product(S3, N, 0.0, quad, bump)
     expected = abs(kernel_1d(1, 1, N, 0.0, np.array([0.0]), bump)[0])
     assert sup_norm(fld) == pytest.approx(expected, rel=1e-12)
 
 
 def test_sup_norm_pure_mode():
     n, d_n = 5, 36
-    M = 512
-    grid = 2 * math.pi * np.arange(M) / M
-    fld = FieldSample(S3, (grid,), (d_n * phi(1, n, grid),))
+    quad = TorusQuadrature(S3, (512,))
+    fld = FieldSample(S3, quad, (d_n * phi(1, n, quad.nodes(0)),))
     assert sup_norm(fld) == pytest.approx(d_n, rel=1e-9)
 
 
@@ -177,13 +195,13 @@ def test_sup_refinement_converges():
     N = 128
     quad = TorusQuadrature.for_kernel(S3, N, oversample=16)
     t = 0.37 * S3.period_seconds
-    fld = kernel_product(S3, N, t, quad.grids(), bump)
+    fld = kernel_product(S3, N, t, quad, bump)
     coarse = max(np.abs(fld.factor_values[0]))
     refined = sup_norm(fld)
     assert refined >= coarse * (1 - 1e-12)
     # re-running with a doubled base grid moves the answer by < 2e-4
     quad2 = TorusQuadrature(S3, (2 * quad.sizes[0],))
-    fld2 = kernel_product(S3, N, t, quad2.grids(), bump)
+    fld2 = kernel_product(S3, N, t, quad2, bump)
     refined2 = sup_norm(fld2)
     assert abs(refined - refined2) / refined2 < 2e-4
 
@@ -195,7 +213,7 @@ def test_corner_sup_on_the_box_edge():
     sp = space.build_space([3, 5], [1, Fraction(2, 3)])
     N, t = 64, 0.5 * sp.period_seconds
     quad = TorusQuadrature.for_kernel(sp, N)
-    fld = kernel_product(sp, N, t, quad.grids(), Bump())
+    fld = kernel_product(sp, N, t, quad, Bump())
     dense = np.linspace(0.0, 1.0 / N, 2**14)
     box_max = math.prod(
         np.max(np.abs(kernel_1d(f.lam, f.beta, N, t, dense, Bump()))) for f in sp.factors
@@ -208,7 +226,7 @@ def test_pole_box_sup_rechecks_every_box_node():
     # box far from its maximum; the first step evaluates every box node again
     N, radius = 16, 1 / 16
     quad = TorusQuadrature.for_kernel(S3, N)
-    kern = kernel_product(S3, N, 0.37, quad.grids(), Bump())
+    kern = kernel_product(S3, N, 0.37, quad, Bump())
     nodes = quad.nodes(0)
     box = np.flatnonzero(np.abs(nodes - math.pi) <= radius)
     true = np.abs(kern.evaluate_factor(0, nodes[box]))
@@ -216,28 +234,28 @@ def test_pole_box_sup_rechecks_every_box_node():
     vals = kern.factor_values[0].copy()
     vals[box] = 1e-3 * true.max()
     vals[far] = 0.5 * true.max()
-    fld = FieldSample(S3, kern.grids, (vals,), evaluators=(lambda th: kern.evaluate_factor(0, th),))
+    fld = FieldSample(S3, quad, (vals,), evaluators=(lambda th: kern.evaluate_factor(0, th),))
     assert sup_norm(fld, Region.corner(1, radius)) >= true.max() * (1 - 1e-12)
 
 
 def test_sup_refines_only_the_pieces_the_region_uses():
     N, radius = 16, 1 / 16
     quad = TorusQuadrature.for_kernel(S3, N)
-    kern = kernel_product(S3, N, 0.37, quad.grids(), Bump())
+    kern = kernel_product(S3, N, 0.37, quad, Bump())
     probed = []
 
     def evaluate(theta):
         probed.extend(theta)
         return kern.evaluate_factor(0, theta)
 
-    fld = FieldSample(S3, kern.grids, kern.factor_values, evaluators=(evaluate,))
+    fld = FieldSample(S3, kern.quad, kern.factor_values, evaluators=(evaluate,))
     assert sup_norm(fld, Region.corner(1, radius)) == sup_norm(kern, Region.corner(1, radius))
     assert probed and all(abs(th - math.pi) <= radius for th in probed)
 
 
 def _resolution_passes(N, p, oversample):
     quad = TorusQuadrature.for_kernel(S3, N, oversample)
-    fld = kernel_product(S3, N, 0.618, quad.grids(), Bump())
+    fld = kernel_product(S3, N, 0.618, quad, Bump())
     try:
         ok, _ = resolution_check(fld, p=p)
     except QuadratureError:
@@ -266,25 +284,24 @@ def test_resolution_check_and_failing_oversample(N, p):
 def test_lp_norm_rejects_under_resolved_grid():
     bump = Bump()
     N = 64
-    grid = 2 * math.pi * np.arange(32) / 32  # way below the bandwidth
-    fld = kernel_product(S3, N, 0.0, [grid], bump)
+    quad = TorusQuadrature(S3, (32,))  # way below the bandwidth
+    fld = kernel_product(S3, N, 0.0, quad, bump)
     with pytest.raises(QuadratureError):
         lp_norm(fld, 2)
 
 
 @pytest.mark.parametrize("beta", [16, 64])
 def test_lp_norm_floor_follows_beta(beta):
-    # n_max ~ 2N sqrt(beta): 99 nodes (the beta = 1 grid at oversample 3) hold
-    # |K|^2 at beta = 1 but alias it at beta = 16 (Parseval off by 3.5e-6) and
-    # beta = 64 (off by 1.1e-4)
+    # n_max ~ 2N sqrt(beta): 100 nodes (the beta = 1 grid at oversample 3)
+    # hold |K|^2 at beta = 1 but alias it at beta = 16 and beta = 64
     sp = space.build_space([3], [beta])
-    fld = kernel_product(sp, 16, 0.3, TorusQuadrature(sp, (99,)).grids(), Bump())
+    fld = kernel_product(sp, 16, 0.3, TorusQuadrature(sp, (100,)), Bump())
     with pytest.raises(QuadratureError, match="under-resolves"):
         lp_norm(fld, 2)
     # the grid for_kernel sizes for this beta clears the floor
     quad = TorusQuadrature.for_kernel(sp, 16, 3)
-    assert quad.sizes[0] > 99
-    lp_norm(kernel_product(sp, 16, 0.3, quad.grids(), Bump()), 2)
+    assert quad.sizes[0] > 100
+    lp_norm(kernel_product(sp, 16, 0.3, quad, Bump()), 2)
 
 
 def is_fft_size(M):
@@ -315,35 +332,26 @@ def test_for_kernel_sizes_follow_beta(dims):
             check_fft_size(M, 2 * nom)
 
 
-def test_resolution_check_doubles_to_an_fft_size():
+def test_resolution_check_doubles_to_an_fft_size(monkeypatch):
+    # the kernel is sampled again on the doubled rule, through the grid route
     sp = space.build_space([3, 5], [1, Fraction(2, 3)])
     quad = TorusQuadrature.for_kernel(sp, 100.5)
-    kern = kernel_product(sp, 100.5, 0.37, quad.grids(), Bump())
-    sizes = []
+    kern = kernel_product(sp, 100.5, 0.37, quad, Bump())
+    rules = []
 
-    def evaluator(j):
-        def evaluate(theta):
-            sizes.append(len(theta))
-            return kern.evaluate_factor(j, theta)
+    def resample(self, fine):
+        rules.append(fine)
+        return kernel_product(self.space, self.N, self.t, fine, self.bump)
 
-        return evaluate
-
-    fld = FieldSample(sp, kern.grids, kern.factor_values, (evaluator(0), evaluator(1)))
-    resolution_check(fld, 4.0)
-    assert sizes == [2 * M for M in quad.sizes]
-    assert all(is_fft_size(M) for M in sizes)
-
-
-def test_lp_norm_rejects_non_uniform_grid():
-    grid = np.linspace(0, 2 * math.pi, 64)  # endpoint duplicated
-    fld = FieldSample(S3, (grid,), (np.ones(64),))
-    with pytest.raises(QuadratureError):
-        lp_norm(fld, 2)
+    monkeypatch.setattr(KernelField, "resample", resample)
+    resolution_check(kern, 4.0)
+    assert [fine.sizes for fine in rules] == [tuple(2 * M for M in quad.sizes)]
+    assert all(is_fft_size(M) for M in rules[0].sizes)
 
 
 def test_lp_norm_rejects_bad_p():
     quad = TorusQuadrature.for_kernel(S3, 8)
-    fld = FieldSample(S3, quad.grids(), (np.ones(quad.sizes[0]),))
+    fld = FieldSample(S3, quad, (np.ones(quad.sizes[0] // 2 + 1),))
     with pytest.raises(ValueError):
         lp_norm(fld, 0.0)
 
@@ -374,11 +382,11 @@ def test_lockstep_sups_equal_one_call_per_field_and_region():
     # alone, bit for bit, and sweeps once per factor per step
     N, radius = 32, 1 / 32
     sp = space.build_space([3, 5], [1, Fraction(2, 3)])
-    grids = TorusQuadrature.for_kernel(sp, N).grids()
+    quad = TorusQuadrature.for_kernel(sp, N)
     times = (0.0, 0.37, 1.9, 0.37)
     regions = [Region.full(), Region.corner((0, 1), radius), Region.corner((1, 1), radius),
                Region.away(radius)]
-    fields = [kernel_product(sp, N, t, grids, Bump()) for t in times]
+    fields = [kernel_product(sp, N, t, quad, Bump()) for t in times]
     calls = []
     original = KernelField.evaluate_factor
 
@@ -400,13 +408,13 @@ def test_lockstep_sups_equal_one_call_per_field_and_region():
 def test_lockstep_lets_each_field_go():
     # a batch keeps no field (and so no grid values) once it asks for the next
     N = 32
-    grids = TorusQuadrature.for_kernel(S3, N).grids()
+    quad = TorusQuadrature.for_kernel(S3, N)
     refs = []
     alive = []
 
     def fields():
         for t in np.linspace(0.0, 2.0, 8):
-            fld = kernel_product(S3, N, float(t), grids, Bump())
+            fld = kernel_product(S3, N, float(t), quad, Bump())
             refs.append(weakref.ref(fld))
             yield fld
             del fld

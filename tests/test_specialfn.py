@@ -155,8 +155,9 @@ def test_high_degree_against_multiprecision_next_to_the_poles(lam):
     # nodes of the N = 1024 quadrature grid next to 0, pi and 2 pi, plus
     # angles where the closed sum is ill-conditioned (1e-3 <= |sin| <= 1e-1)
     n = 2047
-    grid = TorusQuadrature.for_kernel(build_space([2 * lam + 1]), 1024).nodes(0)
-    M, half = grid.size, grid.size // 2
+    M = TorusQuadrature.for_kernel(build_space([2 * lam + 1]), 1024).sizes[0]
+    grid = 2 * math.pi * np.arange(M) / M
+    half = M // 2
     nodes = np.r_[0:5, half - 5:half + 6, M - 5:M]
     band = np.arcsin(np.geomspace(1e-3, 1e-1, 5))
     theta = np.concatenate([grid[nodes], band, math.pi - band, math.pi + band])

@@ -199,7 +199,8 @@ def dense_strichartz_norms(sp, p, N_list, trials, seed, time_samples, oversample
         n_shell, _ = mode_weights(lam, beta, N, 0.0, Bump())
         dims = dim_vector(lam, n_shell)
         mu = n_shell * (n_shell + 2 * lam) / beta
-        grid = TorusQuadrature.for_kernel(sp, N, oversample).nodes(0)
+        M = TorusQuadrature.for_kernel(sp, N, oversample).sizes[0]
+        grid = 2.0 * math.pi * np.arange(M) / M
         weights = (
             density_normalizer(f.dim) * (2.0 * math.pi / grid.size)
             * np.abs(np.sin(grid)) ** (f.dim - 1)
@@ -298,9 +299,9 @@ def _assert_sups_match_single_calls(report, plan, regions_for_N, field_at):
     # fields of its N, equals the sup of its own field and region alone
     records = iter(report.records)
     for N in plan.N_list:
-        grids = TorusQuadrature.for_kernel(plan.space, N, plan.oversample).grids()
+        quad = TorusQuadrature.for_kernel(plan.space, N, plan.oversample)
         for a, q, tau, dist in verify._arc_time_points(plan.arcs, plan.offsets, N):
-            fld = field_at(N, grids, float(tau) * plan.space.period_seconds)
+            fld = field_at(N, quad, float(tau) * plan.space.period_seconds)
             for region in regions_for_N(N):
                 rec = next(records)
                 assert (rec.N, rec.tau, rec.region) == (N, verify._tau_label(a, q, tau), region.label())
@@ -309,7 +310,7 @@ def _assert_sups_match_single_calls(report, plan, regions_for_N, field_at):
 
 
 def _kernel_at(sp):
-    return lambda N, grids, t: kernel_product(sp, N, t, grids, Bump())
+    return lambda N, quad, t: kernel_product(sp, N, t, quad, Bump())
 
 
 def _corners(sp):
@@ -342,10 +343,10 @@ def test_lockstep_kappa_sups_equal_single_calls():
     plan = ScanPlan(S5, math.inf, SMALL_NS, SMALL_ARCS)
     report = kappa_scan(S5, 1, SMALL_NS, SMALL_ARCS)
 
-    def field_at(N, grids, t):
+    def field_at(N, quad, t):
         def evaluator(th):
             return kappa_nu(2, N, 1, t, th, Bump())
 
-        return FieldSample(S5, grids, (evaluator(grids[0]),), evaluators=(evaluator,))
+        return FieldSample(S5, quad, (kappa_nu(2, N, 1, t, quad, Bump()),), evaluators=(evaluator,))
 
     _assert_sups_match_single_calls(report, plan, lambda N: [Region.full()], field_at)
