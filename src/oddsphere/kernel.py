@@ -126,52 +126,15 @@ class Bump:
         return int(math.floor(math.sqrt(self.hi * bN2 + lam * lam) - lam)) + 2
 
 
-class _Tables(NamedTuple):
-    """Exact spectral integers of S^{2 lam + 1} rounded once to float, n <= nmax."""
-
-    nmax: int
-    dims: np.ndarray  # d_n, the harmonic-space dimensions
-    c1: np.ndarray  # C_n^lam(1) = binom(n + 2 lam - 1, n)
-
-
-_TABLES: dict[int, _Tables] = {}
-
-
-def _spectral_tables(lam: int, nmax: int) -> _Tables:
-    """Cached tables per lam, grown geometrically like get_coeffs."""
-    cached = _TABLES.get(lam)
-    if cached is None or cached.nmax < nmax:
-        grow = max(nmax, 2 * cached.nmax if cached else 0, 64)
-
-        def column(exact) -> np.ndarray:
-            arr = np.fromiter((float(exact(k)) for k in range(grow + 1)), float, grow + 1)
-            arr.setflags(write=False)
-            return arr
-
-        cached = _Tables(
-            grow,
-            column(lambda n: harmonic_dim(2 * lam + 1, n)),
-            column(lambda n: math.comb(n + 2 * lam - 1, n)),
-        )
-        _TABLES[lam] = cached
-    return cached
-
-
-def dim_vector(lam: int, n: np.ndarray) -> np.ndarray:
-    """Harmonic-space dimensions d_n on S^{2 lam + 1} as floats."""
-    n = np.asarray(n, dtype=int)
-    if n.min(initial=0) < 0:
-        raise ValueError(f"need n >= 0, got {int(n.min())}")
-    return _spectral_tables(lam, int(n.max(initial=0))).dims[n]
-
-
 class _Spectrum(NamedTuple):
-    """The time-free part of a factor's mode weights."""
+    """The time-free part of a factor's mode weights: the one float copy of
+    its spectral integers, each rounded once from the exact value."""
 
     n: np.ndarray  # degrees inside the cutoff's support
     cut: np.ndarray  # bump(x_n)
     mu: np.ndarray  # m_n / beta
-    dims: np.ndarray  # d_n
+    dims: np.ndarray  # d_n, the harmonic-space dimensions
+    c1: np.ndarray  # C_n^lam(1) = binom(n + 2 lam - 1, n)
 
     def weights(self, t: float) -> np.ndarray:
         return self.cut * np.exp(-1j * t * self.mu) * self.dims
@@ -189,7 +152,9 @@ def _spectrum(lam: int, beta, N: float, bump: Bump) -> _Spectrum:
     cut = bump(m / bN2)
     keep = cut > 0.0
     n, m, cut = n[keep], m[keep], cut[keep]
-    spec = _Spectrum(n, cut, m / beta_f, dim_vector(lam, n))
+    dims = np.array([float(harmonic_dim(2 * lam + 1, k)) for k in n.tolist()])
+    c1 = np.array([float(math.comb(k + 2 * lam - 1, k)) for k in n.tolist()])
+    spec = _Spectrum(n, cut, m / beta_f, dims, c1)
     for arr in spec:
         arr.setflags(write=False)
     return spec
@@ -265,8 +230,10 @@ def _chain_weights(lam: int) -> np.ndarray:
     return a
 
 
-def _cosine_coeffs(lam: int, n: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _cosine_coeffs(lam: int, n: np.ndarray, w: np.ndarray, c1: np.ndarray) -> np.ndarray:
     """F_f with sum_n w_n phi_n(theta) = sum_f F_f cos(f theta), f = 0..n[-1].
+
+    c1 holds C_n^lam(1) at the degrees n.
 
     C_n^lam(cos theta) = sum_{k=0}^{n} g_k g_{n-k} cos((n - 2k) theta) with
     g_j = binom(j + lam - 1, j) > 0, so with v_n = w_n / C_n^lam(1),
@@ -286,7 +253,7 @@ def _cosine_coeffs(lam: int, n: np.ndarray, w: np.ndarray) -> np.ndarray:
     nmax = int(n.max(initial=0))
     size = nmax + 1
     v = np.zeros(size + size % 2, dtype=complex)
-    v[n] = w / _spectral_tables(lam, nmax).c1[n]
+    v[n] = w / c1
     tail = v.reshape(-1, 2)  # row j holds v_{2j} and v_{2j+1}, one column per chain
     sums = []
     for _ in range(2 * lam - 1):
@@ -305,7 +272,7 @@ def _cosine_coeffs(lam: int, n: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _kernel_grid(lam: int, spec: _Spectrum, t: float, M: int) -> np.ndarray:
     """The factor kernel at time t on the half grid 2 pi k / M, k = 0..M/2."""
-    F = _cosine_coeffs(lam, spec.n, spec.weights(t))
+    F = _cosine_coeffs(lam, spec.n, spec.weights(t), spec.c1)
     return _cos_sum_grid(F, np.arange(F.size), 0, M)
 
 
@@ -480,7 +447,8 @@ def kernel_direct_multi(
         xs.append(m / (float(f.beta) * N * N))
         mus.append(m / float(f.beta))
         rows = phi_matrix(f.lam, n, np.array([th]))[:, 0]
-        dphis.append(dim_vector(f.lam, n) * rows)
+        dims = np.array([float(harmonic_dim(f.dim, int(k))) for k in n])
+        dphis.append(dims * rows)
     shape = [len(x) for x in xs]
     x_joint = np.zeros(shape)
     mu_joint = np.zeros(shape)
@@ -508,10 +476,8 @@ def spectral_l2_norm(lam: int, beta, N: float, t: float, bump: Bump) -> float:
 
     Time drops out (unimodular phases);  this is the quadrature oracle.
     """
-    n, _ = mode_weights(lam, beta, N, 0.0, bump)
-    bN2 = float(beta) * N * N
-    cut = bump(n * (n + 2 * lam) / bN2)
-    return math.sqrt(float(np.sum(cut**2 * dim_vector(lam, n))))
+    spec = _spectrum(lam, beta, N, bump)
+    return math.sqrt(float(np.sum(spec.cut**2 * spec.dims)))
 
 
 # ---------------------------------------------------------------------------

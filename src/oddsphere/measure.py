@@ -13,14 +13,16 @@ every sampled field carries the TorusQuadrature it was sampled on.
 Regions: "full" is the whole torus; a "corner" region is the product of
 per-factor angular boxes of a given radius around a chosen pole (0 or pi)
 of each factor; "away" is the complement of the union of all corner boxes.
-Corner/full norms factor across the product; away norms come from
-inclusion-exclusion over the per-factor pieces.
+Every region combines per-factor pieces (a pole box, the whole circle or the
+rest of it): corner and full norms multiply across factors, away integrals
+come from inclusion-exclusion and away sups from the best single factor.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from math import comb
 from typing import Callable, Generator
 
@@ -160,12 +162,20 @@ class TorusQuadrature:
     def weights(self, j: int) -> np.ndarray:
         """Probability weights of factor j's nodes: the normalized density
         |sin theta|^(d-1) times the step 2 pi / M, doubled inside (0, pi),
-        where each node also stands for its mirror image 2 pi - theta."""
-        f = self.space.factors[j]
-        step = 2.0 * math.pi / self.sizes[j]
-        w = density_normalizer(f.dim) * step * np.abs(np.sin(self.nodes(j))) ** (f.dim - 1)
-        w[1:-1] *= 2.0
-        return w
+        where each node also stands for its mirror image 2 pi - theta.
+        Computed once per rule, and read-only."""
+        return self._weights[j]
+
+    @cached_property
+    def _weights(self) -> tuple[np.ndarray, ...]:
+        out = []
+        for j, f in enumerate(self.space.factors):
+            step = 2.0 * math.pi / self.sizes[j]
+            w = density_normalizer(f.dim) * step * np.abs(np.sin(self.nodes(j))) ** (f.dim - 1)
+            w[1:-1] *= 2.0
+            w.setflags(write=False)
+            out.append(w)
+        return tuple(out)
 
     def doubled(self) -> "TorusQuadrature":
         """The rule on twice the nodes; 2M stays even, and 11-smooth if M is."""
@@ -187,26 +197,19 @@ class FieldSample:
         return self.evaluators[j](np.asarray(theta, dtype=float))
 
 
-def _pole_distances(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    d0 = np.minimum(grid, 2.0 * math.pi - grid)
-    d1 = np.abs(grid - math.pi)
-    return d0, d1
-
-
 def _factor_masks(grid: np.ndarray, radius: float) -> dict[str, np.ndarray]:
     """Disjoint node partition: box around each pole, remainder away."""
-    d0, d1 = _pole_distances(grid)
-    near0 = d0 <= radius
-    near1 = (d1 <= radius) & ~near0
+    near0 = np.minimum(grid, 2.0 * math.pi - grid) <= radius
+    near1 = (np.abs(grid - math.pi) <= radius) & ~near0
     return {"pole0": near0, "pole1": near1, "away": ~(near0 | near1)}
 
 
-def _resolution_floor(field, space: ProductSpace) -> None:
+def _resolution_floor(field) -> None:
     """Reject grids below twice the field bandwidth (Parseval would alias)."""
     N = getattr(field, "N", None)
     if N is None:
         return
-    for j, f in enumerate(space.factors):
+    for j, f in enumerate(field.space.factors):
         # |K|^2 has bandwidth 2 (n_max + lam), n_max ~ 2N sqrt(beta) from the
         # field's cutoff and never taken below 2N; add the density
         n_max = max(field.bump.top_degree(f.lam, f.beta, N), math.ceil(2.0 * N))
@@ -218,68 +221,83 @@ def _resolution_floor(field, space: ProductSpace) -> None:
             )
 
 
-def _factor_power_integrals(
-    space: ProductSpace, field, p: float, radius: float | None
-) -> list[dict[str, float]]:
-    """Per-factor integrals of |K_j|^p against the probability density.
+def _pieces(r: int, region: Region, sup: bool) -> list[tuple[int, str, float | None]]:
+    """The per-factor pieces (factor, node set, radius) a region combines.
 
-    Keys: 'full' always; 'pole0', 'pole1', 'away' when a radius is given.
+    Full and corner regions take one piece per factor: the whole circle or
+    the chosen pole box.  The away region takes every factor's whole circle
+    and, for a sup, the rest of its circle; for an integral, both pole boxes.
     """
-    out = []
-    for j in range(space.r):
-        contrib = field.quad.weights(j) * np.abs(np.asarray(field.factor_values[j])) ** p
-        entry = {"full": float(np.sum(contrib))}
-        if radius is not None:
-            masks = _factor_masks(field.quad.nodes(j), radius)
-            for key, mask in masks.items():
-                entry[key] = float(np.sum(contrib[mask]))
-        out.append(entry)
-    return out
-
-
-def _combine_region_power(
-    space: ProductSpace, integrals: list[dict[str, float]], region: Region
-) -> float:
-    if region.kind == "full":
-        out = 1.0
-        for entry in integrals:
-            out *= entry["full"]
-        return out
     if region.kind == "corner":
-        if len(region.poles) != space.r:
-            raise ValueError(
-                f"corner region has {len(region.poles)} poles for rank {space.r}"
-            )
-        out = 1.0
-        for entry, pole in zip(integrals, region.poles):
-            out *= entry[f"pole{pole}"]
-        return out
-    # away: full product minus every all-corner box, by inclusion-exclusion
-    full = 1.0
-    for entry in integrals:
-        full *= entry["full"]
-    boxes = 1.0
-    for entry in integrals:
-        boxes *= entry["pole0"] + entry["pole1"]
-    return max(full - boxes, 0.0)
+        if len(region.poles) != r:
+            raise ValueError(f"corner region has {len(region.poles)} poles for rank {r}")
+        return [(j, f"pole{p}", region.radius) for j, p in enumerate(region.poles)]
+    full = [(j, "full", None) for j in range(r)]
+    if region.kind == "full":
+        return full
+    rest = ("away",) if sup else ("pole0", "pole1")
+    return full + [(j, key, region.radius) for j in range(r) for key in rest]
 
 
-def lp_norm(field, p: float, region: Region | None = None) -> float:
+def _combine(r: int, region: Region, value: dict, sup: bool) -> float:
+    """A region's integral of |K|^p (or its sup) from its pieces' values.
+
+    Full and corner regions multiply across factors.  Away from the
+    corners, an integral is the full product minus every all-corner box,
+    and a sup is the best single factor away from its poles times the full
+    sups of the others.
+    """
+    if region.kind != "away":
+        return math.prod(value[piece] for piece in _pieces(r, region, sup))
+    full = [value[(j, "full", None)] for j in range(r)]
+    if sup:
+        return max(
+            math.prod([value[(j, "away", region.radius)]] + full[:j] + full[j + 1 :])
+            for j in range(r)
+        )
+    boxes = math.prod(
+        value[(j, "pole0", region.radius)] + value[(j, "pole1", region.radius)] for j in range(r)
+    )
+    return max(math.prod(full) - boxes, 0.0)
+
+
+def _keep(key: str, radius: float | None) -> Callable[[np.ndarray], np.ndarray]:
+    """The node set of a piece: the whole circle, a pole box or the rest."""
+    if key == "full":
+        return lambda th: np.ones(th.shape, dtype=bool)
+    return lambda th: _factor_masks(th, radius)[key]
+
+
+def _integrals(field, p: float, pieces) -> dict:
+    """The integral of |K_j|^p over each piece's nodes; |K_j|^p is taken
+    once per factor and let go on return."""
+    value = {}
+    for j in range(field.space.r):
+        contrib = field.quad.weights(j) * np.abs(field.factor_values[j]) ** p
+        grid = field.quad.nodes(j)
+        for piece in pieces:
+            if piece[0] == j:
+                part = contrib if piece[1] == "full" else contrib[_keep(*piece[1:])(grid)]
+                value[piece] = float(np.sum(part))
+    return value
+
+
+def lp_norm(field, p: float, region: Region | None = None):
     """Regional L^p norm of a factored field under the probability measure.
 
     p = inf delegates to sup_norm.  Raises QuadratureError when the field's
     grid is below the aliasing floor for its frequency scale.
+
+    Given an iterable of fields and a list of regions instead, returns one
+    list of norms per field, one per region: each field's |K_j|^p is taken
+    once per factor whatever the regions.  The values are those of one
+    call per field and region.
     """
-    region = region or Region.full()
     if p == math.inf:
         return sup_norm(field, region)
     if not p > 0:
         raise ValueError(f"need p > 0, got {p}")
-    space = field.space
-    _resolution_floor(field, space)
-    integrals = _factor_power_integrals(space, field, p, region.radius)
-    power = _combine_region_power(space, integrals, region)
-    return power ** (1.0 / p)
+    return _norms(field, region, p)
 
 
 # candidate offsets of one refinement step, in units of the current step h
@@ -314,13 +332,6 @@ def _refine_steps(th0: float, best: float, h0: float, keep, extra: np.ndarray):
     return best
 
 
-def _keep(key: str, radius: float | None) -> Callable[[np.ndarray], np.ndarray]:
-    """The node set of a sup piece: the whole circle, a pole box or the rest."""
-    if key == "full":
-        return lambda th: np.ones(th.shape, dtype=bool)
-    return lambda th: _factor_masks(th, radius)[key]
-
-
 def _box_candidates(key: str, radius: float | None, box: np.ndarray) -> np.ndarray:
     """First-step angles of a sup piece: a pole box's nodes and its edges
     pole +- radius, so neither grid rounding nor a sup on the edge hides the
@@ -329,31 +340,6 @@ def _box_candidates(key: str, radius: float | None, box: np.ndarray) -> np.ndarr
         return np.empty(0)
     edges = math.pi * int(key[-1]) + np.array([-radius, radius])
     return np.concatenate([box, np.mod(edges, 2.0 * math.pi)])
-
-
-def _sup_pieces(r: int, region: Region) -> list[tuple[int, str, float | None]]:
-    """The per-factor pieces (factor, node set, radius) a region's sup combines."""
-    if region.kind == "corner":
-        return [(j, f"pole{p}", region.radius) for j, p in zip(range(r), region.poles)]
-    full = [(j, "full", None) for j in range(r)]
-    if region.kind == "full":
-        return full
-    return full + [(j, "away", region.radius) for j in range(r)]
-
-
-def _combine_sups(r: int, region: Region, sup: dict) -> float:
-    """Full and corner-box sups multiply across factors; the away sup is the
-    best single factor away from its poles times the full sups of the others."""
-    if region.kind != "away":
-        return math.prod(sup[piece] for piece in _sup_pieces(r, region))
-    best = 0.0
-    for j in range(r):
-        val = sup[(j, "away", region.radius)]
-        for l in range(r):
-            if l != j:
-                val *= sup[(l, "full", None)]
-        best = max(best, val)
-    return best
 
 
 @dataclass
@@ -393,49 +379,44 @@ def _sweep_owner(field, owners: dict):
     return owners[key], field.t
 
 
-def _lockstep_sups(fields, regions: list[Region]) -> list[list[float]]:
-    """Sup of every field over every region, all pieces refined in lockstep.
+def _grid_sups(field, pieces, owners: dict, live: list[_Refinement]) -> dict:
+    """The grid sup of each piece of field.  A field that evaluates itself
+    at fresh angles also puts each piece's refinement on live, which writes
+    the refined sup into the returned dict when it ends."""
+    value = {}
+    refine = (
+        getattr(field, "evaluate_factor", None) is not None
+        and getattr(field, "evaluators", True) is not None
+    )
+    owner, time = _sweep_owner(field, owners) if refine else (None, None)
+    magnitudes: dict[int, np.ndarray] = {}
+    for piece in pieces:
+        j, key, radius = piece
+        grid = field.quad.nodes(j)
+        keep = _keep(key, radius)
+        mask = keep(grid)
+        if not mask.any():
+            value[piece] = 0.0
+            continue
+        if j not in magnitudes:
+            magnitudes[j] = np.abs(np.asarray(field.factor_values[j]))
+        idx = np.flatnonzero(mask)
+        k = idx[np.argmax(magnitudes[j][idx])]
+        best = float(magnitudes[j][k])
+        if not refine:
+            value[piece] = best
+            continue
+        h0 = 2.0 * math.pi / field.quad.sizes[j]
+        extra = _box_candidates(key, radius, grid[idx])
+        steps = _refine_steps(float(grid[k]), best, h0, keep, extra)
+        _advance(_Refinement(owner, time, j, steps, None, value, piece), None, live)
+    return value
 
-    Each field gives the grid argmax of every distinct piece its regions
-    combine and is then let go (its grid values with it).  Each step
-    evaluates the candidates of all live pieces in one evaluate_factor call
-    per owner and factor.
-    """
-    owners: dict = {}
-    live: list[_Refinement] = []
-    results = []
-    for field in fields:
-        r = field.space.r
-        sup: dict = {}
-        results.append((r, sup))
-        refine = (
-            getattr(field, "evaluate_factor", None) is not None
-            and getattr(field, "evaluators", True) is not None
-        )
-        owner, time = _sweep_owner(field, owners) if refine else (None, None)
-        values: dict[int, np.ndarray] = {}
-        pieces = dict.fromkeys(piece for region in regions for piece in _sup_pieces(r, region))
-        for piece in pieces:
-            j, key, radius = piece
-            grid = field.quad.nodes(j)
-            keep = _keep(key, radius)
-            mask = keep(grid)
-            if not mask.any():
-                sup[piece] = 0.0
-                continue
-            if j not in values:
-                values[j] = np.abs(np.asarray(field.factor_values[j]))
-            idx = np.flatnonzero(mask)
-            k = idx[np.argmax(values[j][idx])]
-            best = float(values[j][k])
-            if not refine:
-                sup[piece] = best
-                continue
-            h0 = 2.0 * math.pi / field.quad.sizes[j]
-            extra = _box_candidates(key, radius, grid[idx])
-            steps = _refine_steps(float(grid[k]), best, h0, keep, extra)
-            _advance(_Refinement(owner, time, j, steps, None, sup, piece), None, live)
-        del field, values  # before the next field is built
+
+def _refine(live: list[_Refinement]) -> None:
+    """Run every refinement to its end in lockstep: each step evaluates the
+    candidates of all live pieces in one evaluate_factor call per owner and
+    factor."""
     while live:
         batches: dict[tuple[int, int], list[_Refinement]] = {}
         for ref in live:
@@ -452,16 +433,43 @@ def _lockstep_sups(fields, regions: list[Region]) -> list[list[float]]:
             vals = np.abs(vals)
             for ref, part in zip(batch, np.split(vals, np.cumsum(sizes)[:-1])):
                 _advance(ref, part, live)
-    return [[_combine_sups(r, region, sup) for region in regions] for r, sup in results]
+
+
+def _norms(fields, regions, p: float):
+    """The L^p norms (sups at p = inf) of every field over every region.
+
+    Each field gives the value of every distinct piece its regions combine
+    once, its integral of |K_j|^p or its grid sup, and is then let go, its
+    grid values with it, before the next field is built.  The sup pieces of
+    all fields are then refined together.  A single field and region give
+    a single norm.
+    """
+    if regions is None or isinstance(regions, Region):
+        return _norms([fields], [regions or Region.full()], p)[0][0]
+    regions = list(regions)
+    sup = p == math.inf
+    owners: dict = {}
+    live: list[_Refinement] = []
+    results = []
+    for field in fields:
+        r = field.space.r
+        pieces = dict.fromkeys(piece for reg in regions for piece in _pieces(r, reg, sup))
+        if sup:
+            value = _grid_sups(field, pieces, owners, live)
+        else:
+            _resolution_floor(field)
+            value = _integrals(field, p, pieces)
+        results.append((r, value))
+        del field  # before the next field is built
+    _refine(live)
+    norms = [[_combine(r, reg, value, sup) for reg in regions] for r, value in results]
+    return norms if sup else [[power ** (1.0 / p) for power in row] for row in norms]
 
 
 def sup_norm(field, region: Region | None = None):
     """Sup of |field| over the region: grid max plus local refinement.
 
-    Factored structure: full and corner-box sups multiply across factors;
-    the away sup is the best single factor away from its poles times the
-    full sups of the others.  Only the per-factor pieces the region
-    combines are refined.
+    Only the per-factor pieces the region combines (_pieces) are refined.
 
     Given an iterable of fields and a list of regions instead, returns one
     list of sups per field, one per region.  All their pieces, each refined
@@ -470,9 +478,7 @@ def sup_norm(field, region: Region | None = None):
     one space and scale.  The values are those of one call per field and
     region.
     """
-    if region is None or isinstance(region, Region):
-        return _lockstep_sups([field], [region or Region.full()])[0][0]
-    return _lockstep_sups(field, list(region))
+    return _norms(field, region, math.inf)
 
 
 def resolution_check(

@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import measure
-from .kernel import Bump, dim_vector, kappa_nu, kernel_product, mode_weights
+from .kernel import Bump, _spectrum, kappa_nu, kernel_product
 from .measure import DEFAULT_OVERSAMPLE, FieldSample, Region, TorusQuadrature
 from .space import ProductSpace, format_rational
 from .specialfn import phi_matrix
@@ -88,9 +88,12 @@ def _slope_stderr(pairs: Sequence[tuple[float, float]], slope: float, intercept:
 
 
 def _check_ladder(N_list: Sequence[int], tolerance: float) -> None:
-    """A scan needs a nonempty ladder of scales N >= 1 and a finite slope budget."""
-    if not N_list:
-        raise ValueError("empty N list")
+    """A scan needs three or more distinct scales N >= 1, the fewest a slope
+    fit takes, and a finite slope budget: checked before any kernel is sampled."""
+    if len(set(N_list)) != len(N_list):
+        raise ValueError(f"N values must be distinct, got {list(N_list)}")
+    if len(N_list) < 3:
+        raise ValueError(f"need at least 3 scales N to fit a slope, got {list(N_list)}")
     if min(N_list) < 1:
         raise ValueError(f"need every N >= 1, got {min(N_list)}")
     if not math.isfinite(tolerance):
@@ -299,10 +302,7 @@ def _arc_scan(
         regions = regions_for_N(N)
         points = _arc_time_points(plan.arcs, plan.offsets, N)
         fields = (field_at(N, quad, float(tau) * space.period_seconds) for _, _, tau, _ in points)
-        if plan.p == math.inf:  # every sup of this N refined in lockstep
-            norms = measure.sup_norm(fields, regions)
-        else:
-            norms = ([measure.lp_norm(fld, plan.p, region) for region in regions] for fld in fields)
+        norms = measure.lp_norm(fields, plan.p, regions)
         for (a, q, tau, dist), row in zip(points, norms):
             denom = bound_denominator(q, N, dist, space.r)
             for region, norm in zip(regions, row):
@@ -488,15 +488,14 @@ def strichartz_zonal_scan(
         raise ValueError("random-data scans are implemented for rank-one spaces")
     rng = np.random.default_rng(seed)
     f = space.factors[0]
-    lam, beta = f.lam, float(f.beta)
+    lam = f.lam
     d = space.d
     target = d / 2.0 - (d + 2.0) / p
     T_sec = space.period_seconds
 
     def measure_N(N: int):
-        n_shell, _ = mode_weights(lam, beta, N, 0.0, bump)
-        dims = dim_vector(lam, n_shell)
-        mu = n_shell * (n_shell + 2 * lam) / beta
+        spec = _spectrum(lam, f.beta, N, bump)
+        n_shell, dims, mu = spec.n, spec.dims, spec.mu
         quad = TorusQuadrature.for_kernel(space, N, oversample)
         # the rule's half grid 2 pi k / M, k = 0..H = M/2, already folds node
         # M - k onto node k; phi_n(pi - theta) = (-1)^n phi_n(theta) folds
@@ -508,7 +507,7 @@ def strichartz_zonal_scan(
         # theta = 0 and below 1e-31 at theta = pi, so both are left out.
         H = quad.sizes[0] // 2
         theta = quad.nodes(0)[1 : H // 2 + 1]
-        weights = quad.weights(0)[1 : H // 2 + 1]
+        weights = quad.weights(0)[1 : H // 2 + 1].copy()
         if H % 2 == 0:
             weights[-1] *= 0.5
         parity = n_shell % 2

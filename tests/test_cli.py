@@ -161,6 +161,8 @@ def test_scan_modes_validate(tmp_path, capsys):
             assert "finite tolerance" in capsys.readouterr().err
         assert run(scan + ["--nlist", "0,16,32"]) == 2
         assert "N >= 1" in capsys.readouterr().err
+        assert run(scan + ["--nlist", "16,32"]) == 2
+        assert "at least 3 scales" in capsys.readouterr().err
     # an oversample below the aliasing floor is a usage error, not a verdict
     assert run(
         ["scan", "--dims", "3", "--mode", "corner", "--p", 4, "--oversample", 1,

@@ -12,7 +12,6 @@ from numpy.testing import assert_allclose
 from oddsphere import kernel, space
 from oddsphere.kernel import (
     Bump,
-    dim_vector,
     kappa_nu,
     kernel_1d,
     kernel_direct_multi,
@@ -179,7 +178,7 @@ def test_cosine_coeffs_match_the_exact_k_sum(lam, kind):
         w = w * np.random.default_rng(lam).choice([-1.0, 1.0], w.size)
     elif kind == "complex":
         w = mode_weights(lam, 1, 64, 0.37 * S3.period_seconds, Bump())[1]
-    got = kernel._cosine_coeffs(lam, n, w)
+    got = kernel._cosine_coeffs(lam, n, w, kernel._spectrum(lam, 1, 64, Bump()).c1)
     assert got.shape == (int(n[-1]) + 1,)
     assert np.max(np.abs(got - exact_cosine_coeffs(lam, n, w))) <= 1e-16 * np.sum(np.abs(w))
 
@@ -399,17 +398,12 @@ def test_field_serialization(tmp_path):
 
 @pytest.mark.parametrize("lam", [1, 2, 4, 5])
 def test_spectral_tables_are_the_exact_integers_rounded_once(lam):
-    # the cached float tables equal the per-degree exact integers, also
-    # after the table has grown past its first size
-    n = np.arange(0, 40)
-    assert list(dim_vector(lam, n)) == [float(space.harmonic_dim(2 * lam + 1, int(k))) for k in n]
-    top = 700
-    tables = kernel._spectral_tables(lam, top)
-    assert list(dim_vector(lam, np.arange(top + 1))) == [
-        float(space.harmonic_dim(2 * lam + 1, k)) for k in range(top + 1)
-    ]
-    assert list(tables.c1[: top + 1]) == [
-        float(math.comb(k + 2 * lam - 1, k)) for k in range(top + 1)
-    ]
-    with pytest.raises(ValueError):
-        dim_vector(lam, np.array([3, -1]))
+    # a factor's spectrum holds d_n and C_n^lam(1) at its own degrees, each
+    # the float of the exact integer, at a small and at a large scale
+    for N in (16, 360):
+        spec = kernel._spectrum(lam, 1, N, Bump())
+        n = spec.n.tolist()
+        assert n[-1] > 1.5 * N
+        assert list(spec.dims) == [float(space.harmonic_dim(2 * lam + 1, k)) for k in n]
+        assert list(spec.c1) == [float(math.comb(k + 2 * lam - 1, k)) for k in n]
+        assert not (spec.dims.flags.writeable or spec.c1.flags.writeable)

@@ -75,6 +75,15 @@ def test_rule_weights_are_probabilities(dims, M):
         assert abs(float(np.sum(w)) - 1.0) <= 1e-14
 
 
+def test_rule_weights_are_computed_once_and_read_only():
+    quad = TorusQuadrature.for_kernel(S3S3, 16)
+    for j in range(2):
+        w = quad.weights(j)
+        assert quad.weights(j) is w and not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+
+
 def test_region_validation():
     with pytest.raises(ValueError):
         Region("weird")
@@ -162,6 +171,20 @@ def test_region_additivity_product_space():
     )
     away = lp_norm(fld, p, Region.away(radius)) ** p
     assert corners + away == pytest.approx(full, rel=1e-8)
+
+
+@pytest.mark.parametrize("poles", [0, (0, 0, 0)], ids=["one", "three"])
+def test_corner_needs_one_pole_per_factor(poles):
+    # on a rank-2 field a corner with 1 or 3 poles is an error under both
+    # norms, never a silently truncated product
+    quad = TorusQuadrature.for_kernel(S3S3, 16)
+    fld = kernel_product(S3S3, 16, 0.3, quad, Bump())
+    region = Region.corner(poles, 1 / 16)
+    for p in (2.0, math.inf):
+        with pytest.raises(ValueError, match="poles for rank 2"):
+            lp_norm(fld, p, region)
+    with pytest.raises(ValueError, match="poles for rank 2"):
+        sup_norm(fld, region)
 
 
 def test_corner_norm_bounded_by_full():
@@ -406,19 +429,33 @@ def test_lockstep_sups_equal_one_call_per_field_and_region():
 
 
 def test_lockstep_lets_each_field_go():
-    # a batch keeps no field (and so no grid values) once it asks for the next
+    # a batch keeps no field (and so no grid values, |K|^p or part of
+    # them) once it asks for the next
     N = 32
     quad = TorusQuadrature.for_kernel(S3, N)
+    regions = [Region.corner(0, 1 / N), Region.corner(1, 1 / N), Region.away(1 / N)]
     refs = []
     alive = []
+
+    class Tracked(np.ndarray):
+        """Grid values whose every derived array (|K|, |K|^p, a masked
+        part) is recorded by a weak reference."""
+
+        def __array_finalize__(self, obj):
+            refs.append(weakref.ref(self))
 
     def fields():
         for t in np.linspace(0.0, 2.0, 8):
             fld = kernel_product(S3, N, float(t), quad, Bump())
+            fld.factor_values = tuple(v.view(Tracked) for v in fld.factor_values)
             refs.append(weakref.ref(fld))
             yield fld
             del fld
             alive.append(sum(ref() is not None for ref in refs))
 
-    sup_norm(fields(), [Region.corner(0, 1 / N), Region.corner(1, 1 / N)])
-    assert len(alive) == 8 and max(alive) == 0
+    for p in (math.inf, 3.0):
+        refs.clear()
+        alive.clear()
+        lp_norm(fields(), p, regions)
+        assert len(alive) == 8 and max(alive) == 0
+    assert len(refs) > 8 * 4  # the |K|^p arrays were tracked

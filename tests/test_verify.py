@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oddsphere import measure, space, verify
-from oddsphere.kernel import Bump, dim_vector, kappa_nu, kernel_product, mode_weights
+from oddsphere.kernel import Bump, kappa_nu, kernel_product, mode_weights
 from oddsphere.measure import FieldSample, Region, TorusQuadrature, density_normalizer
 from oddsphere.specialfn import phi_matrix
 from oddsphere.verify import (
@@ -68,7 +68,7 @@ def test_scan_plan_validation():
         with pytest.raises(ValueError, match="finite tolerance"):
             ScanPlan(S3, 4.0, tolerance=tolerance)
     with pytest.raises(ValueError):
-        ScanPlan(S3, 4.0, N_list=(8,), arcs=((1, 9),))  # q >= min N
+        ScanPlan(S3, 4.0, N_list=(8, 16, 32), arcs=((1, 9),))  # q >= min N
     with pytest.raises(ValueError):
         ScanPlan(S3, 4.0, arcs=((2, 4),))  # not reduced
     with pytest.raises(ValueError):
@@ -197,7 +197,7 @@ def dense_strichartz_norms(sp, p, N_list, trials, seed, time_samples, oversample
     norms = []
     for N in N_list:
         n_shell, _ = mode_weights(lam, beta, N, 0.0, Bump())
-        dims = dim_vector(lam, n_shell)
+        dims = np.array([float(space.harmonic_dim(f.dim, int(k))) for k in n_shell])
         mu = n_shell * (n_shell + 2 * lam) / beta
         M = TorusQuadrature.for_kernel(sp, N, oversample).sizes[0]
         grid = 2.0 * math.pi * np.arange(M) / M
@@ -294,9 +294,10 @@ def test_bound_denominator_formula():
     assert val == pytest.approx((1 + math.sqrt(N / 2.0)) ** 2, rel=1e-12)
 
 
-def _assert_sups_match_single_calls(report, plan, regions_for_N, field_at):
-    # every record of a p = inf scan, refined in lockstep with the other
-    # fields of its N, equals the sup of its own field and region alone
+def _assert_norms_match_single_calls(report, plan, regions_for_N, field_at):
+    # every record of a scan, measured in one batch with the other fields
+    # and regions of its N (sups refined in lockstep), equals the norm of its
+    # own field and region alone, bit for bit
     records = iter(report.records)
     for N in plan.N_list:
         quad = TorusQuadrature.for_kernel(plan.space, N, plan.oversample)
@@ -305,7 +306,7 @@ def _assert_sups_match_single_calls(report, plan, regions_for_N, field_at):
             for region in regions_for_N(N):
                 rec = next(records)
                 assert (rec.N, rec.tau, rec.region) == (N, verify._tau_label(a, q, tau), region.label())
-                assert rec.norm == measure.sup_norm(fld, region)
+                assert rec.norm == measure.lp_norm(fld, plan.p, region)
     assert next(records, None) is None
 
 
@@ -325,16 +326,16 @@ def _corners(sp):
 def test_lockstep_corner_sups_equal_single_calls(sp):
     plan = ScanPlan(sp, math.inf, (16, 32, 64, 128))
     report = corner_scan(sp, math.inf, plan.N_list)
-    _assert_sups_match_single_calls(report, plan, _corners(sp), _kernel_at(sp))
+    _assert_norms_match_single_calls(report, plan, _corners(sp), _kernel_at(sp))
 
 
 def test_lockstep_decay_and_away_sups_equal_single_calls():
     plan = ScanPlan(S3S3, math.inf, SMALL_NS, SMALL_ARCS)
     report = decay_scan(plan)
-    _assert_sups_match_single_calls(report, plan, lambda N: [Region.full()], _kernel_at(S3S3))
+    _assert_norms_match_single_calls(report, plan, lambda N: [Region.full()], _kernel_at(S3S3))
     plan = ScanPlan(S3, math.inf, (16, 32, 64, 128))
     report = threshold_check(S3, math.inf, plan.N_list)
-    _assert_sups_match_single_calls(
+    _assert_norms_match_single_calls(
         report, plan, lambda N: [Region.away(1 / N)], _kernel_at(S3)
     )
 
@@ -349,4 +350,47 @@ def test_lockstep_kappa_sups_equal_single_calls():
 
         return FieldSample(S5, quad, (kappa_nu(2, N, 1, t, quad, Bump()),), evaluators=(evaluator,))
 
-    _assert_sups_match_single_calls(report, plan, lambda N: [Region.full()], field_at)
+    _assert_norms_match_single_calls(report, plan, lambda N: [Region.full()], field_at)
+
+
+@pytest.mark.parametrize("p", [0.5, 3.0])
+def test_batched_corner_norms_equal_single_calls(p):
+    sp = space.build_space([3, 5], [1, Fraction(2, 3)])
+    plan = ScanPlan(sp, p, SMALL_NS, SMALL_ARCS)
+    report = corner_scan(sp, p, SMALL_NS, SMALL_ARCS)
+    _assert_norms_match_single_calls(report, plan, _corners(sp), _kernel_at(sp))
+
+
+def test_batched_away_norms_equal_single_calls():
+    plan = ScanPlan(S3, 2.1, (16, 32, 64, 128))
+    report = threshold_check(S3, 2.1, plan.N_list)
+    _assert_norms_match_single_calls(
+        report, plan, lambda N: [Region.away(1 / N)], _kernel_at(S3)
+    )
+
+
+def test_arc_scan_makes_one_norm_call_per_N(monkeypatch):
+    calls = []
+    original = measure.lp_norm
+
+    def spy(fields, p, regions=None):
+        calls.append(p)
+        return original(fields, p, regions)
+
+    monkeypatch.setattr(measure, "lp_norm", spy)
+    for p in (0.5, math.inf):
+        calls.clear()
+        corner_scan(S3S3, p, SMALL_NS, SMALL_ARCS)
+        assert calls == [p] * len(SMALL_NS)
+
+
+@pytest.mark.parametrize("N_list", [(16, 32), (16, 32, 32), (16, 16, 16, 32)])
+def test_short_ladders_fail_before_any_kernel(monkeypatch, N_list):
+    sampled = []
+    monkeypatch.setattr(verify, "kernel_product", lambda *args: sampled.append(args))
+    monkeypatch.setattr(verify, "phi_matrix", lambda *args: sampled.append(args))
+    with pytest.raises(ValueError, match="distinct|at least 3"):
+        decay_scan(ScanPlan(S3, 4.0, N_list))
+    with pytest.raises(ValueError, match="distinct|at least 3"):
+        strichartz_zonal_scan(S3, 8.0, N_list, trials=1, time_samples=4)
+    assert sampled == []
