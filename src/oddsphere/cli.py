@@ -142,7 +142,8 @@ KEYS = {
     "oversample": Key(
         int, "oversample",
         "grid nodes per unit of kernel bandwidth, rounded up to the next even "
-        "size with no prime factor above 11",
+        "size with no prime factor above 11; at an even p over whole circles, "
+        "an upper bound on the smaller grid that integrates exactly",
     ),
     "tolerance": Key(float, "tolerance", "slope budget of the verdict"),
     "out": Key(Path, "out", "output path without suffix"),

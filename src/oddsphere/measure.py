@@ -4,11 +4,18 @@ Integration of a zonal function over one sphere factor of dimension d
 reduces to the torus with density |sin theta|^{d-1}; the density is
 normalized to a probability measure per factor, so constants never leak
 into fitted exponents.  The rule is the periodic trapezoid rule on the
-grid 2 pi k / M, exact for the trigonometric polynomials all these kernels
-are once the grid beats the bandwidth; an empirical doubling check covers
-the non-band-limited case |K|^p for fractional p.  A zonal function is even
-in theta, so the rule folds onto the half grid k = 0..M/2 (M even), and
-every sampled field carries the TorusQuadrature it was sampled on.
+grid 2 pi k / M, exact for every trigonometric polynomial of degree below
+M.  On an odd sphere the density is one, of degree d - 1, and for an even
+integer p so is |K|^p, of degree p n_top for a kernel of top degree n_top:
+a whole-circle L^p integral at even p is exact once M > p n_top + d - 1,
+and TorusQuadrature.for_kernel(power=p) sizes the grid just past that.
+Everywhere else the grid is oversampled (DEFAULT_OVERSAMPLE nodes per unit
+of bandwidth): at fractional p and p = inf, whose |K|^p is not a
+trigonometric polynomial, and on pole boxes and their complements, whose
+edges the trapezoid rule does not resolve; an empirical doubling check
+(resolution_check) covers those.  A zonal function is even in theta, so
+the rule folds onto the half grid k = 0..M/2 (M even), and every sampled
+field carries the TorusQuadrature it was sampled on.
 
 Regions: "full" is the whole torus; a "corner" region is the product of
 per-factor angular boxes of a given radius around a chosen pole (0 or pi)
@@ -138,21 +145,41 @@ class TorusQuadrature:
 
     @classmethod
     def for_kernel(
-        cls, space: ProductSpace, N: float, oversample: int = DEFAULT_OVERSAMPLE
+        cls,
+        space: ProductSpace,
+        N: float,
+        oversample: int = DEFAULT_OVERSAMPLE,
+        *,
+        power: float | None = None,
+        bump=None,
     ) -> "TorusQuadrature":
         """Grid sized oversample times the kernel bandwidth per factor.
 
         The bandwidth is 2N + lam, scaled by sqrt(beta) when beta > 1: the
         kernel's top degree is about 2N sqrt(beta).  Each size is rounded up
         to the next even integer with no prime factor above 11 (_fft_size).
+
+        An even integer power p says that the rule integrates |K|^p over
+        whole circles, for kernels of scale N under the cutoff bump.  Then
+        |K_j|^p |sin theta|^(d-1) is a cosine polynomial of degree
+        p n_top + d - 1, n_top = bump.top_degree, which the trapezoid rule
+        integrates exactly on more nodes than that: each size is capped at
+        _fft_size(p n_top + d), taken no lower than the aliasing floor
+        (_floor_size).  Any other power keeps the oversampled sizes.
         """
         if oversample < 1:
             raise ValueError(f"need oversample >= 1, got {oversample}")
-        sizes = tuple(
-            _fft_size(math.ceil(oversample * (2.0 * N + f.lam) * max(1.0, math.sqrt(f.beta))))
-            for f in space.factors
-        )
-        return cls(space, sizes)
+        exact = power is not None and float(power).is_integer() and int(power) % 2 == 0
+        if exact and bump is None:
+            raise ValueError("a degree-exact rule needs the kernel's bump")
+        sizes = []
+        for f in space.factors:
+            M = _fft_size(math.ceil(oversample * (2.0 * N + f.lam) * max(1.0, math.sqrt(f.beta))))
+            if exact:
+                degree = int(power) * bump.top_degree(f.lam, f.beta, N) + f.dim
+                M = min(M, _fft_size(max(degree, _floor_size(f, bump, N))))
+            sizes.append(M)
+        return cls(space, tuple(sizes))
 
     def nodes(self, j: int) -> np.ndarray:
         """Factor j's half grid, as pi (k / (M/2)): 0, pi/2 (M/2 even) and pi are exact."""
@@ -176,6 +203,25 @@ class TorusQuadrature:
             w.setflags(write=False)
             out.append(w)
         return tuple(out)
+
+    def mask(self, j: int, key: str, radius: float | None) -> np.ndarray:
+        """Factor j's nodes in a piece's node set: the whole circle ('full'),
+        the radius box around a pole ('pole0', 'pole1') or the rest ('away').
+        Computed once per rule, factor and radius, and read-only."""
+        if (j, key, radius) not in self._masks:
+            grid = self.nodes(j)
+            if key == "full":
+                found = {"full": np.ones(grid.shape, dtype=bool)}
+            else:
+                found = _factor_masks(grid, radius)
+            for name, m in found.items():
+                m.setflags(write=False)
+                self._masks[(j, name, radius)] = m
+        return self._masks[(j, key, radius)]
+
+    @cached_property
+    def _masks(self) -> dict:
+        return {}
 
     def doubled(self) -> "TorusQuadrature":
         """The rule on twice the nodes; 2M stays even, and 11-smooth if M is."""
@@ -204,16 +250,23 @@ def _factor_masks(grid: np.ndarray, radius: float) -> dict[str, np.ndarray]:
     return {"pole0": near0, "pole1": near1, "away": ~(near0 | near1)}
 
 
+def _floor_size(f, bump, N: float) -> int:
+    """The fewest nodes factor f's grid may have for a scale-N kernel.
+
+    |K|^2 has bandwidth 2 (n_max + lam), n_max ~ 2N sqrt(beta) from the
+    cutoff and never taken below 2N; add the density.
+    """
+    n_max = max(bump.top_degree(f.lam, f.beta, N), math.ceil(2.0 * N))
+    return 2 * (n_max + f.lam) + f.dim
+
+
 def _resolution_floor(field) -> None:
     """Reject grids below twice the field bandwidth (Parseval would alias)."""
     N = getattr(field, "N", None)
     if N is None:
         return
     for j, f in enumerate(field.space.factors):
-        # |K|^2 has bandwidth 2 (n_max + lam), n_max ~ 2N sqrt(beta) from the
-        # field's cutoff and never taken below 2N; add the density
-        n_max = max(field.bump.top_degree(f.lam, f.beta, N), math.ceil(2.0 * N))
-        need = 2 * (n_max + f.lam) + f.dim
+        need = _floor_size(f, field.bump, N)
         if field.quad.sizes[j] < need:
             raise QuadratureError(
                 f"factor {j}: grid of {field.quad.sizes[j]} nodes under-resolves "
@@ -262,7 +315,8 @@ def _combine(r: int, region: Region, value: dict, sup: bool) -> float:
 
 
 def _keep(key: str, radius: float | None) -> Callable[[np.ndarray], np.ndarray]:
-    """The node set of a piece: the whole circle, a pole box or the rest."""
+    """The node set of a piece as a test on any angles (refinement candidates):
+    the whole circle, a pole box or the rest."""
     if key == "full":
         return lambda th: np.ones(th.shape, dtype=bool)
     return lambda th: _factor_masks(th, radius)[key]
@@ -274,10 +328,9 @@ def _integrals(field, p: float, pieces) -> dict:
     value = {}
     for j in range(field.space.r):
         contrib = field.quad.weights(j) * np.abs(field.factor_values[j]) ** p
-        grid = field.quad.nodes(j)
         for piece in pieces:
             if piece[0] == j:
-                part = contrib if piece[1] == "full" else contrib[_keep(*piece[1:])(grid)]
+                part = contrib if piece[1] == "full" else contrib[field.quad.mask(*piece)]
                 value[piece] = float(np.sum(part))
     return value
 
@@ -393,8 +446,7 @@ def _grid_sups(field, pieces, owners: dict, live: list[_Refinement]) -> dict:
     for piece in pieces:
         j, key, radius = piece
         grid = field.quad.nodes(j)
-        keep = _keep(key, radius)
-        mask = keep(grid)
+        mask = field.quad.mask(j, key, radius)
         if not mask.any():
             value[piece] = 0.0
             continue
@@ -408,7 +460,7 @@ def _grid_sups(field, pieces, owners: dict, live: list[_Refinement]) -> dict:
             continue
         h0 = 2.0 * math.pi / field.quad.sizes[j]
         extra = _box_candidates(key, radius, grid[idx])
-        steps = _refine_steps(float(grid[k]), best, h0, keep, extra)
+        steps = _refine_steps(float(grid[k]), best, h0, _keep(key, radius), extra)
         _advance(_Refinement(owner, time, j, steps, None, value, piece), None, live)
     return value
 

@@ -244,6 +244,29 @@ def _tau_label(a: int, q: int, tau: Fraction) -> str:
     return f"{a}/{q}+{format_rational(delta)}"
 
 
+def _grid_rule(
+    space: ProductSpace, N: int, oversample: int, power: float | None, bump: Bump, grids: list
+) -> TorusQuadrature:
+    """The rule of scale N, degree-exact for an even power (for_kernel).
+
+    Appends to grids each factor's size and the rule that set it: the
+    oversampled size, or the degree-exact cap where that is smaller.
+    """
+    oversampled = TorusQuadrature.for_kernel(space, N, oversample)
+    quad = TorusQuadrature.for_kernel(space, N, oversample, power=power, bump=bump)
+    grids.append(
+        {
+            "N": N,
+            "sizes": list(quad.sizes),
+            "rules": [
+                "degree-exact" if M < M_over else "oversample"
+                for M, M_over in zip(quad.sizes, oversampled.sizes)
+            ],
+        }
+    )
+    return quad
+
+
 def _scan(
     mode: str,
     space: ProductSpace,
@@ -291,15 +314,21 @@ def _arc_scan(
     """Regional L^p norms over (N, arc, offset, region) against the arc envelope.
 
     field_at(N, quad, t_sec) samples the field; the default is the kernel.
+    A kernel scan at an even p over full regions only integrates on the
+    degree-exact rule, every other scan on the oversampled rule.
     """
     space = plan.space
-    if field_at is None:
+    kernel = field_at is None
+    if kernel:
         def field_at(N, quad, t_sec):
             return kernel_product(space, N, t_sec, quad, plan.bump)
+    grids: list = []
 
     def measure_N(N: int):
-        quad = TorusQuadrature.for_kernel(space, N, plan.oversample)
         regions = regions_for_N(N)
+        whole = kernel and all(region.kind == "full" for region in regions)
+        power = plan.p if whole else None
+        quad = _grid_rule(space, N, plan.oversample, power, plan.bump, grids)
         points = _arc_time_points(plan.arcs, plan.offsets, N)
         fields = (field_at(N, quad, float(tau) * space.period_seconds) for _, _, tau, _ in points)
         norms = measure.lp_norm(fields, plan.p, regions)
@@ -327,6 +356,7 @@ def _arc_scan(
         "offsets": [format_rational(o) for o in plan.offsets],
         "bump": plan.bump.kind,
         "oversample": plan.oversample,
+        "grids": grids,
     }
     return _scan(
         mode, space, plan.p, target, plan.tolerance, plan.N_list, measure_N, params
@@ -471,10 +501,12 @@ def strichartz_zonal_scan(
     stratified-random times (the p-th power of the flow is far from
     band-limited in t, so a dense deterministic t grid is infeasible; the
     stratified estimate is unbiased and seeded).  The angle integral takes
-    the quadrature's half-grid rule on the open half grid 0 < theta < pi,
-    folded exactly onto the quarter grid 0 < theta <= pi/2 by the mode parity:
-    phi_n is evaluated only there, in blocks of SPACETIME_BLOCK angles, so
-    memory does not grow with modes times grid size.  Pass verdict requires
+    the quadrature's half-grid rule, degree-exact at even p and oversampled
+    otherwise (TorusQuadrature.for_kernel), on the open half grid
+    0 < theta < pi, folded exactly onto the quarter grid 0 < theta <= pi/2
+    by the mode parity: phi_n is evaluated only there, in blocks of
+    SPACETIME_BLOCK angles, so memory does not grow with modes times grid
+    size.  Pass verdict requires
     the fitted worst-trial exponent at or below d/2 - (d+2)/p plus budget.
     """
     if trials < 1:
@@ -492,11 +524,12 @@ def strichartz_zonal_scan(
     d = space.d
     target = d / 2.0 - (d + 2.0) / p
     T_sec = space.period_seconds
+    grids: list = []
 
     def measure_N(N: int):
         spec = _spectrum(lam, f.beta, N, bump)
         n_shell, dims, mu = spec.n, spec.dims, spec.mu
-        quad = TorusQuadrature.for_kernel(space, N, oversample)
+        quad = _grid_rule(space, N, oversample, p, bump, grids)
         # the rule's half grid 2 pi k / M, k = 0..H = M/2, already folds node
         # M - k onto node k; phi_n(pi - theta) = (-1)^n phi_n(theta) folds
         # half-grid node H - k onto node k with the odd modes negated.
@@ -553,6 +586,7 @@ def strichartz_zonal_scan(
         "N_list": list(N_list),
         "bump": bump.kind,
         "oversample": oversample,
+        "grids": grids,
     }
     report = _scan("strichartz", space, p, target, tolerance, N_list, measure_N, params)
     if p < float(space.p0):

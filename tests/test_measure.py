@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oddsphere import space
+from oddsphere import measure, space
 from oddsphere.kernel import Bump, KernelField, kernel_1d, kernel_product, spectral_l2_norm
 from oddsphere.measure import (
     FieldSample,
@@ -82,6 +82,42 @@ def test_rule_weights_are_computed_once_and_read_only():
         assert quad.weights(j) is w and not w.flags.writeable
         with pytest.raises(ValueError):
             w[0] = 1.0
+
+
+def test_node_masks_are_built_once_per_rule_factor_and_radius(monkeypatch):
+    # every field of one rule shares its pole-box and away masks (sup
+    # refinement still tests its few candidate angles one step at a time)
+    built = []
+    original = measure._factor_masks
+
+    def spy(grid, radius):
+        if grid.size == quad.sizes[0] // 2 + 1:
+            built.append(radius)
+        return original(grid, radius)
+
+    monkeypatch.setattr(measure, "_factor_masks", spy)
+    N = 16
+    quad = TorusQuadrature.for_kernel(S3S3, N)
+    regions = [Region.corner(poles, 1 / N) for poles in np.ndindex(2, 2)] + [Region.away(1 / N)]
+    fields = [kernel_product(S3S3, N, t, quad, Bump()) for t in (0.0, 0.3, 1.1)]
+    lp_norm(iter(fields), 0.5, regions)
+    sup_norm(iter(fields), regions)
+    assert built == [1 / N] * 2
+    for j in range(2):
+        for key in ("full", "pole0", "pole1", "away"):
+            m = quad.mask(j, key, None if key == "full" else 1 / N)
+            assert m is quad.mask(j, key, None if key == "full" else 1 / N)
+            with pytest.raises(ValueError):
+                m[0] = not m[0]
+    parts = [quad.mask(0, key, 1 / N) for key in ("pole0", "pole1", "away")]
+    assert np.array_equal(sum(part.astype(int) for part in parts), np.ones(quad.sizes[0] // 2 + 1))
+    # each radius gets its own masks: the norms of a rule that has seen
+    # another radius are those of a fresh rule
+    for radius in (2 / N, 1 / N):
+        fresh = kernel_product(S3S3, N, 0.3, TorusQuadrature(S3S3, quad.sizes), Bump())
+        for region in (Region.corner((0, 1), radius), Region.away(radius)):
+            assert lp_norm(fields[1], 0.5, region) == lp_norm(fresh, 0.5, region)
+            assert sup_norm(fields[1], region) == sup_norm(fresh, region)
 
 
 def test_region_validation():
@@ -459,3 +495,120 @@ def test_lockstep_lets_each_field_go():
         lp_norm(fields(), p, regions)
         assert len(alive) == 8 and max(alive) == 0
     assert len(refs) > 8 * 4  # the |K|^p arrays were tracked
+
+
+def exact_rule(sp, N, p):
+    return TorusQuadrature.for_kernel(sp, N, power=p, bump=Bump())
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 9, 11])
+def test_degree_exact_rule_gives_the_oversampled_norms(d):
+    # at even p, |K|^p times the density is a cosine polynomial the capped
+    # grid integrates exactly: its norms are those of the oversample-16 rule
+    # and of that rule doubled.  The grid kernel's values carry an absolute
+    # roundoff of the order of eps sum_n |w_n| (kernel.py), which at p = 2 on
+    # S^9 and S^11 at N = 64 and t > 0 moves the oversampled norm and its
+    # doubled norm apart by up to 2.8e-11 (the capped norm lies within 7e-12
+    # of the exact one); there the capped norm is held to the exact L^2
+    # norm, spectral_l2_norm, instead.
+    for beta in (1, Fraction(2, 3), Fraction(3, 2)):
+        sp = space.build_space([d], [beta])
+        T = sp.period_seconds
+        for N in (16, 64):
+            wide = TorusQuadrature.for_kernel(sp, N, 16)
+            for p in (2.0, 4.0, 6.0, 8.0):
+                capped = exact_rule(sp, N, p)
+                assert capped.sizes[0] < wide.sizes[0]
+                for t in (0.0, T / 3 + T / (6 * N)):
+                    norm = lp_norm(kernel_product(sp, N, t, capped, Bump()), p)
+                    if p == 2 and d >= 9 and N == 64 and t > 0:
+                        f = sp.factors[0]
+                        exact = spectral_l2_norm(f.lam, f.beta, N, t, Bump())
+                        assert norm == pytest.approx(exact, rel=1e-11, abs=0), (beta, t)
+                        continue
+                    for quad in (wide, wide.doubled()):
+                        ref = lp_norm(kernel_product(sp, N, t, quad, Bump()), p)
+                        assert norm == pytest.approx(ref, rel=1e-12, abs=0), (beta, N, p, t)
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 9, 11])
+def test_degree_exact_rule_holds_the_top_degree(d):
+    # 1/2 + cos(n_top theta), n_top the cutoff's top degree, puts weight on
+    # the top frequency p n_top + d - 1 of |K|^p |sin theta|^(d-1); its
+    # values are exact to rounding, so the capped rule must give the
+    # oversampled norm to 1e-13
+    for beta in (1, Fraction(2, 3), Fraction(3, 2)):
+        sp = space.build_space([d], [beta])
+        f = sp.factors[0]
+        for N in (16, 64):
+            n_top = Bump().top_degree(f.lam, f.beta, N)
+            for p in (2.0, 4.0, 6.0, 8.0):
+                norms = []
+                for quad in (exact_rule(sp, N, p), TorusQuadrature.for_kernel(sp, N, 16)):
+                    values = 0.5 + np.cos(n_top * quad.nodes(0))
+                    norms.append(lp_norm(FieldSample(sp, quad, (values,)), p))
+                assert norms[0] == pytest.approx(norms[1], rel=1e-13, abs=0), (beta, N, p)
+
+
+RULE_SPACES = [
+    space.build_space([3], [1]),
+    space.build_space([3], [Fraction(2, 3)]),
+    space.build_space([11], [1]),
+    space.build_space([3, 5], [1, Fraction(2, 3)]),
+    space.build_space([7, 9], [Fraction(3, 2), 4]),
+]
+
+
+def check_size(nominal):
+    """The smallest even 11-smooth integer >= nominal, by search."""
+    return next(M for M in range(nominal, 2 * nominal + 2) if is_fft_size(M))
+
+
+@pytest.mark.parametrize("sp", RULE_SPACES, ids=lambda sp: str(sp))
+def test_degree_exact_sizes_lie_between_the_floor_and_the_oversampled_rule(sp):
+    bump = Bump()
+    for N in (8, 16, 100.5, 1024):
+        wide = TorusQuadrature.for_kernel(sp, N)
+        for p in (2, 4.0, 6, 8.0, 12.0, 16.0, 64.0):
+            capped = exact_rule(sp, N, p)
+            for f, M, M_wide in zip(sp.factors, capped.sizes, wide.sizes):
+                floor = measure._floor_size(f, bump, N)
+                exact = int(p) * bump.top_degree(f.lam, f.beta, N) + f.dim
+                assert floor <= M <= M_wide and is_fft_size(M)
+                assert M == min(M_wide, max(check_size(exact), check_size(floor)))
+            if p <= 8:  # the rule clears the floor lp_norm enforces
+                lp_norm(kernel_product(sp, N, 0.2, capped, bump), p)
+
+
+def test_floor_binds_at_p2_on_small_grids():
+    # the bare degree 2 n_top + d falls below the aliasing floor at p = 2:
+    # S^3 at N = 16 needs 71 nodes where 2 n_top + 3 = 69; in S^3 x S^5 with
+    # betas 2/3, 1 the floors are 69 (2 n_top + 3 = 57) and 73 (69)
+    bump = Bump()
+    for sp in (S3, space.build_space([3, 5], [Fraction(2, 3), 1])):
+        capped = exact_rule(sp, 16, 2.0)
+        for f, M in zip(sp.factors, capped.sizes):
+            floor = measure._floor_size(f, bump, 16)
+            assert 2 * bump.top_degree(f.lam, f.beta, 16) + f.dim < floor <= M
+            assert M == check_size(floor)
+
+
+@pytest.mark.parametrize("sp", RULE_SPACES, ids=lambda sp: str(sp))
+def test_other_powers_keep_the_oversampled_rule(sp):
+    for N in (16, 100.5, 1024):
+        for oversample in (3, 16):
+            wide = TorusQuadrature.for_kernel(sp, N, oversample)
+            for p in (0.5, 1.0, 2.1, 3.0, 7.5, math.inf, 32.0, 64.0):
+                assert TorusQuadrature.for_kernel(
+                    sp, N, oversample, power=p, bump=Bump()
+                ) == wide, p
+    # p = 16 on S^3 is the smallest even power whose cap does not bind
+    for N in (16, 100.5, 1024):
+        wide = TorusQuadrature.for_kernel(S3, N)
+        assert exact_rule(S3, N, 16.0) == wide
+        assert exact_rule(S3, N, 14.0).sizes[0] < wide.sizes[0]
+
+
+def test_exact_rule_needs_the_bump():
+    with pytest.raises(ValueError, match="bump"):
+        TorusQuadrature.for_kernel(S3, 16, power=4)

@@ -255,13 +255,13 @@ def test_strichartz_evaluates_each_quarter_grid_node_once(monkeypatch):
     assert all(np.all((th > 0.0) & (th <= math.pi / 2.0)) for _, th in calls)
     for N in N_list:
         modes = mode_weights(1, 1.0, N, 0.0, Bump())[0].size
-        M = TorusQuadrature.for_kernel(S3, N).sizes[0]
+        M = TorusQuadrature.for_kernel(S3, N, power=8.0, bump=Bump()).sizes[0]
         theta = np.concatenate([th for n, th in calls if n == modes])
         k = theta * M / (2.0 * math.pi)
         assert np.allclose(k, np.round(k), rtol=0.0, atol=1e-9)
         assert sorted(np.round(k).astype(int)) == list(range(1, M // 4 + 1))
     assert sum(th.size for _, th in calls) == sum(
-        TorusQuadrature.for_kernel(S3, N).sizes[0] // 4 for N in N_list
+        TorusQuadrature.for_kernel(S3, N, power=8.0, bump=Bump()).sizes[0] // 4 for N in N_list
     )
 
 
@@ -285,6 +285,38 @@ def test_report_serialization(tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0].startswith("N,tau,a,q,dist,p,region,norm")
     assert len(lines) == 1 + len(report.records)
+
+
+def test_reports_record_each_grid_and_its_rule(tmp_path):
+    # an even-p kernel scan over whole circles integrates on the
+    # degree-exact rule; regions with edges, fractional p, p = inf and the
+    # kappa sums keep the oversampled one, and the report says which rule
+    # set each size
+    sp = space.build_space([3, 5], [1, Fraction(2, 3)])
+
+    def assert_grids(report, sp, power, rule):
+        want = [TorusQuadrature.for_kernel(sp, N, power=power, bump=Bump()) for N in SMALL_NS]
+        assert report.params["grids"] == [
+            {"N": N, "sizes": list(quad.sizes), "rules": [rule] * sp.r}
+            for N, quad in zip(SMALL_NS, want)
+        ]
+
+    for p in (2.0, 4.0):
+        assert_grids(decay_scan(ScanPlan(sp, p, SMALL_NS, SMALL_ARCS)), sp, p, "degree-exact")
+    report = strichartz_zonal_scan(S3, 8.0, SMALL_NS, trials=1, time_samples=4)
+    assert_grids(report, S3, 8.0, "degree-exact")
+    for scan_space, report in (
+        (sp, decay_scan(ScanPlan(sp, 3.0, SMALL_NS, SMALL_ARCS))),
+        (sp, decay_scan(ScanPlan(sp, math.inf, SMALL_NS, SMALL_ARCS))),
+        (sp, corner_scan(sp, 4.0, SMALL_NS, SMALL_ARCS)),
+        (S3, threshold_check(S3, 4.0, SMALL_NS, SMALL_ARCS)),
+        (S5, kappa_scan(S5, 1, SMALL_NS, SMALL_ARCS)),
+        (S3, strichartz_zonal_scan(S3, 7.5, SMALL_NS, trials=1, time_samples=4)),
+    ):
+        assert_grids(report, scan_space, None, "oversample")
+    write_report(report, tmp_path / "r.json")
+    payload = json.loads((tmp_path / "r.json").read_text())
+    assert payload["params"]["grids"] == report.params["grids"]
 
 
 def test_bound_denominator_formula():
