@@ -56,9 +56,16 @@ DEFAULT_N_LIST = (16, 32, 64, 128, 256, 512)
 DEFAULT_ARCS = ((0, 1), (1, 2), (1, 3), (2, 5))
 DEFAULT_OFFSETS = (Fraction(0), Fraction(1, 4), Fraction(1, 2))
 DEFAULT_TOLERANCE = 0.30
-# quarter-grid angles per phi_matrix block in the space-time scan; bounds
-# its memory (each block serves twice as many half-grid nodes)
+# The space-time scan sums each trial's angle integral in blocks of
+# SPACETIME_BLOCK quarter-grid angles (each serves twice as many half-grid
+# nodes), a fixed order that keeps its records bit-stable.  It evaluates
+# phi_n one tile of SPACETIME_TILE angles at a time (a last part-block joins
+# the tile before it) and runs every trial through a tile before the next,
+# so its memory is modes x tile plus 3 x 2T x tile doubles plus 3 x T x modes
+# complex values (T time samples), with no trials factor; the trials' drawn
+# coefficients add only trials x modes.
 SPACETIME_BLOCK = 512
+SPACETIME_TILE = 2 * SPACETIME_BLOCK
 
 
 def fit_loglog(pairs: Sequence[tuple[float, float]]) -> tuple[float, float, float]:
@@ -504,9 +511,12 @@ def strichartz_zonal_scan(
     the quadrature's half-grid rule, degree-exact at even p and oversampled
     otherwise (TorusQuadrature.for_kernel), on the open half grid
     0 < theta < pi, folded exactly onto the quarter grid 0 < theta <= pi/2
-    by the mode parity: phi_n is evaluated only there, in blocks of
-    SPACETIME_BLOCK angles, so memory does not grow with modes times grid
-    size.  Pass verdict requires
+    by the mode parity: phi_n is evaluated only there, one tile of
+    SPACETIME_TILE angles at a time, and every trial passes through a tile
+    before the next is built.  Memory is modes x tile plus 3 x 2T x tile
+    doubles plus 3 x T x modes complex values (T time samples) and the
+    trials x modes drawn coefficients: it grows neither with modes times
+    grid size nor with trials times time samples.  Pass verdict requires
     the fitted worst-trial exponent at or below d/2 - (d+2)/p plus budget.
     """
     if trials < 1:
@@ -547,24 +557,38 @@ def strichartz_zonal_scan(
         order = np.argsort(parity, kind="stable")  # even modes first
         n_even = parity.size - int(np.count_nonzero(parity))
         n_sorted = n_shell[order]
-        t_frac = (np.arange(time_samples) + rng.random(time_samples)) / time_samples
+        T = time_samples
+        t_frac = (np.arange(T) + rng.random(T)) / T
         phase = np.exp(-1j * np.outer(t_frac * T_sec, mu[order]))  # (time, mode)
-        stacked = []  # per trial: real parts over imaginary parts, (2 time, mode)
-        for _ in range(trials):  # the draws keep the shell's own mode order
-            c = _random_shell_state(rng, n_shell, dims)
-            A = phase * (c * dims)[order][None, :]
-            stacked.append(np.concatenate([A.real, A.imag]))
-        power = np.zeros((trials, time_samples))  # integral of |u|^p over angles
-        for start in range(0, theta.size, SPACETIME_BLOCK):
-            block = slice(start, start + SPACETIME_BLOCK)
-            rows = phi_matrix(lam, n_sorted, theta[block])
-            for acc, A in zip(power, stacked):
-                even = A[:, :n_even] @ rows[:n_even]
-                odd = A[:, n_even:] @ rows[n_even:]
-                near = _abs_power(even + odd, p)  # theta_k
+        # the draws keep the shell's own mode order
+        scaled = [(_random_shell_state(rng, n_shell, dims) * dims)[order] for _ in range(trials)]
+        # reused per trial and tile: one trial's (time, mode) product, stacked
+        # as real parts over imaginary parts, and three (2 time, angle) buffers
+        product = np.empty((T, n_sorted.size), dtype=complex)
+        A = np.empty((2 * T, n_sorted.size))
+        starts = list(range(0, theta.size, SPACETIME_TILE))
+        if len(starts) > 1 and theta.size - starts[-1] < SPACETIME_BLOCK:
+            del starts[-1]  # a last part-block joins the tile before it
+        stops = starts[1:] + [theta.size]
+        flat = np.empty((3, 2 * T * max(b - a for a, b in zip(starts, stops))))
+        power = np.zeros((trials, T))  # integral of |u|^p over angles
+        for start, stop in zip(starts, stops):
+            rows = phi_matrix(lam, n_sorted, theta[start:stop])
+            width = stop - start
+            even, odd, near = (buf[: 2 * T * width].reshape(2 * T, width) for buf in flat)
+            for acc, g in zip(power, scaled):
+                np.multiply(phase, g, out=product)
+                A[:T] = product.real
+                A[T:] = product.imag
+                np.matmul(A[:, :n_even], rows[:n_even], out=even)
+                np.matmul(A[:, n_even:], rows[n_even:], out=odd)
+                u = _abs_power(np.add(even, odd, out=near), p)  # theta_k
                 even -= odd
-                near += _abs_power(even, p)  # theta_{H-k}
-                acc += near @ weights[block]
+                u += _abs_power(even, p)  # theta_{H-k}
+                for b in range(0, width, SPACETIME_BLOCK):
+                    block = slice(start + b, start + b + SPACETIME_BLOCK)
+                    acc += u[:, b : b + SPACETIME_BLOCK] @ weights[block]
+            del rows  # else the next tile's rows would be built beside it
         worst_norm = max(float(np.mean(f_t)) ** (1.0 / p) for f_t in power)
         yield ScanRecord(
             N=N,

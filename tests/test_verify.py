@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -241,7 +242,8 @@ def test_dense_ladder_has_both_midpoint_cases():
     assert sizes == [528, 1050, 2100]
 
 
-def test_strichartz_evaluates_each_quarter_grid_node_once(monkeypatch):
+def record_phi_matrix(monkeypatch):
+    """Patch verify.phi_matrix to log (modes, angles) of every call."""
     calls = []
 
     def recording_phi_matrix(lam, n_values, theta, **kwargs):
@@ -249,9 +251,10 @@ def test_strichartz_evaluates_each_quarter_grid_node_once(monkeypatch):
         return phi_matrix(lam, n_values, theta, **kwargs)
 
     monkeypatch.setattr(verify, "phi_matrix", recording_phi_matrix)
-    N_list = (16, 32, 64)
-    strichartz_zonal_scan(S3, 8.0, N_list, trials=2, seed=3, time_samples=8)
-    assert all(th.size <= verify.SPACETIME_BLOCK for _, th in calls)
+    return calls
+
+
+def assert_each_quarter_grid_node_once(calls, N_list):
     assert all(np.all((th > 0.0) & (th <= math.pi / 2.0)) for _, th in calls)
     for N in N_list:
         modes = mode_weights(1, 1.0, N, 0.0, Bump())[0].size
@@ -263,6 +266,66 @@ def test_strichartz_evaluates_each_quarter_grid_node_once(monkeypatch):
     assert sum(th.size for _, th in calls) == sum(
         TorusQuadrature.for_kernel(S3, N, power=8.0, bump=Bump()).sizes[0] // 4 for N in N_list
     )
+
+
+def test_strichartz_evaluates_each_quarter_grid_node_once(monkeypatch):
+    calls = record_phi_matrix(monkeypatch)
+    N_list = (16, 32, 64)
+    strichartz_zonal_scan(S3, 8.0, N_list, trials=2, seed=3, time_samples=8)
+    assert all(th.size <= verify.SPACETIME_TILE for _, th in calls)
+    assert_each_quarter_grid_node_once(calls, N_list)
+
+
+# (block, tile) in angles: with 8 and 16 every ladder N ends in a part-block
+# that joins the tile before it; with 16 and 48 every N ends in a part-tile
+@pytest.mark.parametrize("block, tile", [(8, 16), (16, 48)])
+def test_strichartz_several_tiles_per_scale(monkeypatch, block, tile):
+    N_list = (16, 32, 64)
+    kwargs = dict(trials=3, seed=5, time_samples=16)
+    whole = strichartz_zonal_scan(S3, 8.0, N_list, **kwargs)
+    monkeypatch.setattr(verify, "SPACETIME_BLOCK", block)
+    monkeypatch.setattr(verify, "SPACETIME_TILE", tile)
+    calls = record_phi_matrix(monkeypatch)
+    tiled = strichartz_zonal_scan(S3, 8.0, N_list, **kwargs)
+    assert [rec.norm for rec in tiled.records] == pytest.approx(
+        [rec.norm for rec in whole.records], rel=1e-13, abs=0
+    )
+    assert all(th.size < tile + block for _, th in calls)
+    for N in N_list:
+        modes = mode_weights(1, 1.0, N, 0.0, Bump())[0].size
+        assert sum(n == modes for n, _ in calls) >= 2
+    assert_each_quarter_grid_node_once(calls, N_list)
+
+
+def test_strichartz_working_set_does_not_grow_with_trials():
+    N_list = (16, 32, 64, 128)
+    kwargs = dict(seed=2, time_samples=64)
+    strichartz_zonal_scan(S3, 8.0, N_list, trials=1, **kwargs)  # fill the caches
+    peaks = {}
+    for trials in (2, 40):
+        tracemalloc.start()
+        try:
+            strichartz_zonal_scan(S3, 8.0, N_list, trials=trials, **kwargs)
+            peaks[trials] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # 38 more coefficient vectors and power rows at N = 128, plus slack
+    modes = mode_weights(1, 1.0, N_list[-1], 0.0, Bump())[0].size
+    extra = 38 * (16 * modes + 8 * kwargs["time_samples"])
+    assert peaks[40] - peaks[2] <= extra + 2**18
+
+
+def test_strichartz_draws_time_samples_then_trials():
+    # one generator serves the whole ladder, so only its first N shares the
+    # time samples and first k trials between k and k + 1 trials: each N
+    # is put first in turn, where its worst trial can only rise with k
+    kwargs = dict(seed=5, time_samples=16)
+    for N_list in ((16, 32, 64), (32, 64, 16), (64, 16, 32)):
+        worst = [
+            strichartz_zonal_scan(S3, 8.0, N_list, trials=k, **kwargs).records[0].norm
+            for k in range(1, 6)
+        ]
+        assert worst == sorted(worst)
 
 
 def test_report_serialization(tmp_path):
