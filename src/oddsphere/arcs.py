@@ -106,25 +106,30 @@ def _ratio_string(p: int, q: int) -> str:
     return str(p // g) if q == g else f"{p // g}/{q // g}"
 
 
-def farey(Q: int) -> list[tuple[int, int]]:
-    """All reduced fractions a/q with 0 <= a < q <= Q, sorted by value.
+def _farey_table(Q: int) -> tuple[np.ndarray, np.ndarray]:
+    """All reduced fractions a/q with 0 <= a < q <= Q as two integer arrays
+    (a, q), sorted by value.
 
-    Built by the next-term recurrence: neighbours a/b < c/d of the Farey
-    sequence of order Q are followed by (k c - a)/(k d - b) with
-    k = floor((Q + b) / d).  Every numerator and denominator is taken from
-    one list of ints, so equal values share one int object: 5.2 MB instead
-    of 7.6 MB at Q = 511.
+    Each q keeps the numerators np.gcd finds coprime to it, and one argsort
+    of the float values a/q orders the table.  That sort is exact: two
+    distinct reduced fractions with denominators at most Q differ by at
+    least 1/Q^2, far above the rounding of a/q.
     """
     if Q < 1:
         raise ValueError(f"need Q >= 1, got {Q}")
-    ints = list(range(Q + 1))
-    pairs = [(0, 1)]
-    a, b, c, d = 0, 1, 1, Q
-    while c < d:
-        pairs.append((ints[c], ints[d]))
-        k = (Q + b) // d
-        a, b, c, d = c, d, k * c - a, k * d - b
-    return pairs
+    a = [np.flatnonzero(np.gcd(np.arange(q), q) == 1) for q in range(1, Q + 1)]
+    q = np.repeat(np.arange(1, Q + 1), [part.size for part in a])
+    a = np.concatenate(a)
+    order = np.argsort(a / q)
+    a = a[order]  # the unsorted a is let go before q is permuted
+    return a, q[order]
+
+
+def farey(Q: int) -> list[tuple[int, int]]:
+    """All reduced fractions a/q with 0 <= a < q <= Q, sorted by value: the
+    pairs of _farey_table(Q), the table the arcs listing writes from."""
+    a, q = _farey_table(Q)
+    return list(zip(a.tolist(), q.tolist()))
 
 
 def classify_fraction(tau, N: float) -> MajorArc | MinorArcReport:

@@ -32,8 +32,10 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from . import verify
-from .arcs import _ratio_string, farey
+from .arcs import _farey_table
 from .kernel import Bump, kernel_product, write_field
 from .measure import QuadratureError, TorusQuadrature
 from .space import ProductSpace, build_space, format_rational
@@ -255,30 +257,55 @@ def cmd_scan(cfg: dict) -> int:
     return 0 if report.passed else 1
 
 
+ARC_CHUNK = 2048  # listing entries formatted per call
+
+
+def _arc_entries(N: float, a: np.ndarray, q: np.ndarray):
+    """Yield the listing text of the Farey table (a, q), which starts at 0/1:
+    the text json.dump(indent=2, sort_keys=True) writes for the
+    MajorArc.to_json entries, in chunks of ARC_CHUNK entries, each one
+    %-format of integers only (indent= forces the pure-Python encoder).
+
+    Past 0/1 (centre "0") every centre a/q is reduced with q >= 2.  With
+    N = n/m and g = gcd(m, q) the half-width 1/(qN) = m/(qn) reduces to
+    (m/g) / ((q/g) n), since m and n are coprime.  Both parts are looked up
+    per q as Python ints, so they stay exact where (q/g) n passes 2^63.
+    """
+    n, m = Fraction(N).as_integer_ratio()
+
+    def entry(center: str) -> str:
+        return (
+            f'    {{\n      "N": {json.dumps(N)},\n      "a": %d,\n      "center": "{center}",\n'
+            '      "distance": null,\n      "halfwidth": "%d/%d",\n      "q": %d\n    }'
+        )
+
+    yield entry("0") % (0, m, n, 1)
+    g = [math.gcd(m, k) for k in range(int(q.max()) + 1)]
+    num = np.array([m // gk for gk in g], dtype=object)
+    den = np.array([k // gk * n for k, gk in enumerate(g)], dtype=object)
+    row = entry("%d/%d")
+    for start in range(1, a.size, ARC_CHUNK):
+        qs = q[start : start + ARC_CHUNK]
+        cols = np.empty((qs.size, 6), dtype=object)
+        cols[:, 0] = cols[:, 1] = a[start : start + ARC_CHUNK]
+        cols[:, 2] = cols[:, 5] = qs
+        cols[:, 3] = num[qs]
+        cols[:, 4] = den[qs]
+        yield ",\n" + ",\n".join([row] * qs.size) % tuple(cols.ravel().tolist())
+
+
 def cmd_arcs(cfg: dict) -> int:
     N = cfg.get("N", DEFAULT_N)
     Q = cfg.get("Q", math.ceil(N) - 1)
     if not Q < N:
         raise ConfigError(f"arc denominators must stay below N: Q={Q}, N={N}")
-    pairs = farey(Q)
-    # the text json.dump(indent=2, sort_keys=True) writes for MajorArc.to_json
-    # entries, formatted per arc: indent= forces the pure-Python encoder, and
-    # with the dicts it cost over a second for the 79,596 arcs at N = 512
-    n, m = Fraction(N).as_integer_ratio()
-    N_text = json.dumps(N)
-    arc = (
-        f'    {{\n      "N": {N_text},\n      "a": %d,\n      "center": "%s",\n'
-        '      "distance": null,\n      "halfwidth": "%s",\n      "q": %d\n    }'
-    )
+    a, q = _farey_table(Q)
     path = cfg.get("out", Path("arcs")).with_suffix(".json")
     with open(path, "w") as fh:
-        fh.write(f'{{\n  "N": {N_text},\n  "Q": {Q},\n  "arcs": [\n')
-        fh.writelines(
-            (",\n" if i else "") + arc % (a, _ratio_string(a, q), _ratio_string(m, q * n), q)
-            for i, (a, q) in enumerate(pairs)
-        )
+        fh.write(f'{{\n  "N": {json.dumps(N)},\n  "Q": {Q},\n  "arcs": [\n')
+        fh.writelines(_arc_entries(N, a, q))
         fh.write('\n  ],\n  "schema": 1\n}\n')
-    print(f"{len(pairs)} arcs with q <= {Q} at N={N}: wrote {path}")
+    print(f"{a.size} arcs with q <= {Q} at N={N}: wrote {path}")
     return 0
 
 

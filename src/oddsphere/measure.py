@@ -357,13 +357,16 @@ def lp_norm(field, p: float, region: Region | None = None):
 _STENCIL = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
 
 
-def _refine_steps(th0: float, best: float, h0: float, keep, extra: np.ndarray):
-    """Step-halving around a grid argmax th0 of value best on a grid of step h0.
+def _refine_steps(th0: float, h0: float, keep, extra: np.ndarray):
+    """Step-halving around a grid argmax th0 on a grid of step h0.
 
     The first step also tries the angles extra.  A generator: it yields
-    candidate angles, is sent their |values| and returns the refined sup.
+    candidate angles, is sent their |values| and returns the refined sup,
+    the largest value sent.  The grid value at th0 only chose the start:
+    grid values carry the grid route's rounding, so one may exceed every
+    value of its box.
     """
-    h = h0
+    h, best = h0, 0.0
     for _ in range(60):
         cand = np.mod(th0 + h * _STENCIL, 2.0 * math.pi)
         cand = np.concatenate([cand[keep(cand)], extra])
@@ -434,8 +437,9 @@ def _sweep_owner(field, owners: dict):
 
 def _grid_sups(field, pieces, owners: dict, live: list[_Refinement]) -> dict:
     """The grid sup of each piece of field.  A field that evaluates itself
-    at fresh angles also puts each piece's refinement on live, which writes
-    the refined sup into the returned dict when it ends."""
+    at fresh angles instead puts each piece's refinement, started at the
+    grid argmax, on live, which writes the refined sup into the returned
+    dict when it ends."""
     value = {}
     refine = (
         getattr(field, "evaluate_factor", None) is not None
@@ -454,13 +458,12 @@ def _grid_sups(field, pieces, owners: dict, live: list[_Refinement]) -> dict:
             magnitudes[j] = np.abs(np.asarray(field.factor_values[j]))
         idx = np.flatnonzero(mask)
         k = idx[np.argmax(magnitudes[j][idx])]
-        best = float(magnitudes[j][k])
         if not refine:
-            value[piece] = best
+            value[piece] = float(magnitudes[j][k])
             continue
         h0 = 2.0 * math.pi / field.quad.sizes[j]
         extra = _box_candidates(key, radius, grid[idx])
-        steps = _refine_steps(float(grid[k]), best, h0, _keep(key, radius), extra)
+        steps = _refine_steps(float(grid[k]), h0, _keep(key, radius), extra)
         _advance(_Refinement(owner, time, j, steps, None, value, piece), None, live)
     return value
 
@@ -519,7 +522,8 @@ def _norms(fields, regions, p: float):
 
 
 def sup_norm(field, region: Region | None = None):
-    """Sup of |field| over the region: grid max plus local refinement.
+    """Sup of |field| over the region: local refinement from the grid argmax
+    for a field that evaluates itself, else the grid max.
 
     Only the per-factor pieces the region combines (_pieces) are refined.
 

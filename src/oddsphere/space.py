@@ -163,19 +163,14 @@ def build_space(
     return ProductSpace(tuple(SphereFactor(d, b) for d, b in zip(dims, betas)))
 
 
-def check_multi_index(space: ProductSpace, idx: Sequence[int]) -> tuple[int, ...]:
-    """Validate one lattice point of zonal degrees, one entry per factor."""
+def eigenvalue(space: ProductSpace, idx: Sequence[int]) -> Fraction:
+    """Laplacian eigenvalue -sum_j n_j (n_j + d_j - 1) / beta_j, exact, for
+    one lattice point of zonal degrees (one nonnegative entry per factor)."""
     idx = tuple(int(n) for n in idx)
     if len(idx) != space.r:
         raise ValueError(f"index length {len(idx)} != rank {space.r}")
     if any(n < 0 for n in idx):
         raise ValueError(f"zonal degrees must be nonnegative, got {idx}")
-    return idx
-
-
-def eigenvalue(space: ProductSpace, idx: Sequence[int]) -> Fraction:
-    """Laplacian eigenvalue -sum_j n_j (n_j + d_j - 1) / beta_j, exact."""
-    idx = check_multi_index(space, idx)
     total = Fraction(0)
     for n, f in zip(idx, space.factors):
         total += Fraction(n * (n + f.dim - 1), 1) / f.beta

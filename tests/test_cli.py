@@ -4,12 +4,15 @@ import dataclasses
 import inspect
 import json
 import math
+import tracemalloc
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from oddsphere import verify
-from oddsphere.arcs import MajorArc, farey
-from oddsphere.cli import SCANS, main
+from oddsphere.arcs import MajorArc, _ratio_string, farey
+from oddsphere.cli import SCANS, _arc_entries, main
 from oddsphere.space import build_space
 
 
@@ -87,7 +90,10 @@ def test_arcs_command_geometry(tmp_path):
     assert payload["arcs"][0]["center"] == "0"
 
 
-@pytest.mark.parametrize("flags", [["--n", 512], ["--n", 100.5, "--q", 40], ["--n", 2]])
+@pytest.mark.parametrize(
+    # at N = 7.25 = 29/4, gcd(4, q) takes the values 1, 2 and 4
+    "flags", [["--n", 512], ["--n", 100.5, "--q", 40], ["--n", 2], ["--n", 7.25]]
+)
 def test_arcs_command_writes_the_json_dump_of_each_major_arc(flags, tmp_path):
     assert run(["arcs", *flags, "--out", tmp_path / "arcs"]) == 0
     N = float(flags[1])
@@ -97,6 +103,33 @@ def test_arcs_command_writes_the_json_dump_of_each_major_arc(flags, tmp_path):
     }
     want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     assert (tmp_path / "arcs.json").read_bytes() == want.encode()
+
+
+def test_arc_halfwidths_are_exact_past_int64():
+    # N = 1500.3 = n/m with n near 6.6e15, so (q/g) n passes 2^63 for q >= 1024
+    N = 1500.3
+    n, m = Fraction(N).as_integer_ratio()
+    q = np.repeat(np.arange(1024, 1501), 2)
+    a = np.where(np.arange(q.size) % 2 == 0, 1, q - 1)
+    arcs = json.loads("[" + "".join(_arc_entries(N, np.r_[0, a], np.r_[1, q])) + "]")[1:]
+    assert len(arcs) == q.size
+    assert max(k // math.gcd(m, k) * n for k in q.tolist()) > 2**63
+    for arc, aa, qq in zip(arcs, a.tolist(), q.tolist()):
+        assert (arc["a"], arc["q"], arc["center"]) == (aa, qq, f"{aa}/{qq}")
+        assert arc["halfwidth"] == _ratio_string(m, qq * n)
+        assert Fraction(arc["halfwidth"]) == 1 / (qq * Fraction(N))
+
+
+def test_arcs_listing_memory_stays_bounded(tmp_path):
+    # the N = 512 listing (79,596 arcs) streams from two integer arrays
+    run(["arcs", "--n", 512, "--out", tmp_path / "warm"])
+    tracemalloc.start()
+    try:
+        assert run(["arcs", "--n", 512, "--out", tmp_path / "arcs"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 def test_arcs_command_rejects_q_at_or_above_N(capsys):

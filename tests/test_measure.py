@@ -297,6 +297,37 @@ def test_pole_box_sup_rechecks_every_box_node():
     assert sup_norm(fld, Region.corner(1, radius)) >= true.max() * (1 - 1e-12)
 
 
+def test_refined_sup_is_an_evaluated_value_not_the_grid_value():
+    # a grid value above every value of its box chooses where refinement
+    # starts but is never itself the sup
+    N, radius = 16, 1 / 16
+    quad = TorusQuadrature.for_kernel(S3, N)
+    kern = kernel_product(S3, N, 0.37, quad, Bump())
+    nodes = quad.nodes(0)
+    box = np.flatnonzero(np.abs(nodes - math.pi) <= radius)
+    dense = np.linspace(math.pi - radius, math.pi, 4001)
+    box_max = np.max(np.abs(kern.evaluate_factor(0, dense)))
+    vals = kern.factor_values[0].copy()
+    vals[box[0]] = 1.5 * box_max
+    fld = FieldSample(S3, quad, (vals,), evaluators=(lambda th: kern.evaluate_factor(0, th),))
+    assert sup_norm(fld, Region.corner(1, radius)) <= box_max * (1 + 1e-12)
+
+
+def test_s9_corner_sup_stays_below_its_box_maximum():
+    # S^9, N = 256, t = 0: the FFT grid value at the pole-pi box argmax is
+    # 6.3e-5 above the recurrence's maximum over the box, which a sup floored
+    # at the grid value reported as the corner record
+    sp = space.build_space([9], [1])
+    N, radius = 256, 1 / 256
+    quad = TorusQuadrature.for_kernel(sp, N)
+    fld = kernel_product(sp, N, 0.0, quad, Bump())
+    f = sp.factors[0]
+    dense = np.linspace(math.pi - radius, math.pi, 20001)
+    box_max = np.max(np.abs(kernel_1d(f.lam, f.beta, N, 0.0, dense, Bump())))
+    sup = sup_norm(fld, Region.corner(1, radius))
+    assert box_max * (1 - 1e-4) <= sup <= box_max * (1 + 1e-9)
+
+
 def test_sup_refines_only_the_pieces_the_region_uses():
     N, radius = 16, 1 / 16
     quad = TorusQuadrature.for_kernel(S3, N)
