@@ -237,9 +237,10 @@ def phi_series(lam: int, weights, theta, columns=None) -> np.ndarray:
     if columns is None:
         weights, columns = weights[:, None], np.zeros(theta.shape, dtype=int)
     acc = np.zeros(theta.shape, dtype=complex)
+    live = weights.any(axis=1).tolist()  # degrees with a nonzero weight
     # zip stops on the weights first, so no weights means no sweep
-    for w, cur in zip(weights, _sweep(lam, theta, len(weights) - 1)):
-        if w.any():
+    for w, alive, cur in zip(weights, live, _sweep(lam, theta, len(weights) - 1)):
+        if alive:
             acc += w[columns] * cur
     return acc
 

@@ -507,17 +507,21 @@ def strichartz_zonal_scan(
     space and the normalized time average over one flow period, sampled at
     stratified-random times (the p-th power of the flow is far from
     band-limited in t, so a dense deterministic t grid is infeasible; the
-    stratified estimate is unbiased and seeded).  The angle integral takes
-    the quadrature's half-grid rule, degree-exact at even p and oversampled
-    otherwise (TorusQuadrature.for_kernel), on the open half grid
-    0 < theta < pi, folded exactly onto the quarter grid 0 < theta <= pi/2
-    by the mode parity: phi_n is evaluated only there, one tile of
-    SPACETIME_TILE angles at a time, and every trial passes through a tile
-    before the next is built.  Memory is modes x tile plus 3 x 2T x tile
-    doubles plus 3 x T x modes complex values (T time samples) and the
-    trials x modes drawn coefficients: it grows neither with modes times
-    grid size nor with trials times time samples.  Pass verdict requires
-    the fitted worst-trial exponent at or below d/2 - (d+2)/p plus budget.
+    stratified estimate is unbiased and seeded).  Each N draws its time
+    samples, then its trials, from its own stream keyed by the seed and the
+    exact N, so a record depends on (seed, N, trials, time_samples) alone,
+    whatever the ladder, and never falls when a trial is added.  The angle
+    integral takes the quadrature's half-grid rule, degree-exact at even p
+    and oversampled otherwise (TorusQuadrature.for_kernel), on the open half
+    grid 0 < theta < pi, folded exactly onto the quarter grid
+    0 < theta <= pi/2 by the mode parity: phi_n is evaluated only there,
+    one tile of SPACETIME_TILE angles at a time, and every trial passes
+    through a tile before the next is built.  Memory is modes x tile plus
+    3 x 2T x tile doubles plus 3 x T x modes complex values (T time
+    samples) and the trials x modes drawn coefficients: it grows neither
+    with modes times grid size nor with trials times time samples.  Pass
+    verdict requires the fitted worst-trial exponent at or below
+    d/2 - (d+2)/p plus budget.
     """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
@@ -528,7 +532,6 @@ def strichartz_zonal_scan(
     _check_ladder(N_list, tolerance)
     if space.r != 1:
         raise ValueError("random-data scans are implemented for rank-one spaces")
-    rng = np.random.default_rng(seed)
     f = space.factors[0]
     lam = f.lam
     d = space.d
@@ -558,6 +561,7 @@ def strichartz_zonal_scan(
         n_even = parity.size - int(np.count_nonzero(parity))
         n_sorted = n_shell[order]
         T = time_samples
+        rng = np.random.default_rng((seed, *Fraction(N).as_integer_ratio()))
         t_frac = (np.arange(T) + rng.random(T)) / T
         phase = np.exp(-1j * np.outer(t_frac * T_sec, mu[order]))  # (time, mode)
         # the draws keep the shell's own mode order

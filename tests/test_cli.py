@@ -91,8 +91,12 @@ def test_arcs_command_geometry(tmp_path):
 
 
 @pytest.mark.parametrize(
-    # at N = 7.25 = 29/4, gcd(4, q) takes the values 1, 2 and 4
-    "flags", [["--n", 512], ["--n", 100.5, "--q", 40], ["--n", 2], ["--n", 7.25]]
+    # at N = 7.25 = 29/4, gcd(4, q) takes the values 1, 2 and 4; N = 2.5 is
+    # the smallest table with an entry past 0/1 (one chunk of one entry);
+    # N = 1500.3 has n near 6.6e15, so every half-width is a large int
+    "flags",
+    [["--n", 512], ["--n", 100.5, "--q", 40], ["--n", 2], ["--n", 7.25], ["--n", 2.5],
+     ["--n", 1500.3, "--q", 60]],
 )
 def test_arcs_command_writes_the_json_dump_of_each_major_arc(flags, tmp_path):
     assert run(["arcs", *flags, "--out", tmp_path / "arcs"]) == 0

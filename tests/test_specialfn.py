@@ -194,6 +194,8 @@ def test_phi_series_weight_columns_match_one_call_per_column():
     for lam in (1, 2, 4):
         w = rng.standard_normal((300, 5)) + 1j * rng.standard_normal((300, 5))
         w[:40] = 0.0  # rows below the cutoff's support are skipped
+        w[150:170] = 0.0  # interior rows with no weight in any column
+        w[220:, 3] = 0.0  # live rows that are zero in one column
         theta = rng.uniform(-7.0, 7.0, 60)
         columns = rng.integers(0, 5, theta.size)
         got = phi_series(lam, w, theta, columns)

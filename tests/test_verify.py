@@ -192,11 +192,11 @@ def test_strichartz_deterministic_given_seed():
 
 def dense_strichartz_norms(sp, p, N_list, trials, seed, time_samples, oversample=16):
     """Worst-trial norms from the dense formula: phi_matrix on all M nodes."""
-    rng = np.random.default_rng(seed)
     f = sp.factors[0]
     lam, beta = f.lam, float(f.beta)
     norms = []
     for N in N_list:
+        rng = np.random.default_rng((seed, *Fraction(N).as_integer_ratio()))
         n_shell, _ = mode_weights(lam, beta, N, 0.0, Bump())
         dims = np.array([float(space.harmonic_dim(f.dim, int(k))) for k in n_shell])
         mu = n_shell * (n_shell + 2 * lam) / beta
@@ -316,16 +316,23 @@ def test_strichartz_working_set_does_not_grow_with_trials():
 
 
 def test_strichartz_draws_time_samples_then_trials():
-    # one generator serves the whole ladder, so only its first N shares the
-    # time samples and first k trials between k and k + 1 trials: each N
-    # is put first in turn, where its worst trial can only rise with k
-    kwargs = dict(seed=5, time_samples=16)
-    for N_list in ((16, 32, 64), (32, 64, 16), (64, 16, 32)):
-        worst = [
-            strichartz_zonal_scan(S3, 8.0, N_list, trials=k, **kwargs).records[0].norm
-            for k in range(1, 6)
-        ]
+    # each N draws its time samples, then its trials, from its own stream,
+    # so k + 1 trials add one draw to the k trials of every N
+    runs = [
+        strichartz_zonal_scan(S3, 8.0, (16, 32, 64), trials=k, seed=5, time_samples=16)
+        for k in range(1, 6)
+    ]
+    for i in range(3):
+        worst = [run.records[i].norm for run in runs]
         assert worst == sorted(worst)
+
+
+def test_strichartz_record_does_not_depend_on_the_ladder():
+    kwargs = dict(trials=3, seed=5, time_samples=16)
+    low = strichartz_zonal_scan(S3, 8.0, (16, 32, 64), **kwargs).records[1]
+    high = strichartz_zonal_scan(S3, 8.0, (32, 64, 128), **kwargs).records[0]
+    assert (low.N, high.N) == (32, 32)
+    assert low.norm == high.norm
 
 
 def test_report_serialization(tmp_path):
