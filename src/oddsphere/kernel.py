@@ -152,8 +152,11 @@ def _spectrum(lam: int, beta, N: float, bump: Bump) -> _Spectrum:
     cut = bump(m / bN2)
     keep = cut > 0.0
     n, m, cut = n[keep], m[keep], cut[keep]
-    dims = np.array([float(harmonic_dim(2 * lam + 1, k)) for k in n.tolist()])
-    c1 = np.array([float(math.comb(k + 2 * lam - 1, k)) for k in n.tolist()])
+    # d_n = C_n^lam(1) (n + lam) / lam: both from one exact integer
+    c1, dims = np.empty(n.size), np.empty(n.size)
+    for i, k in enumerate(n.tolist()):
+        c = math.comb(k + 2 * lam - 1, k)
+        c1[i], dims[i] = c, c * (k + lam) // lam
     spec = _Spectrum(n, cut, m / beta_f, dims, c1)
     for arr in spec:
         arr.setflags(write=False)

@@ -277,7 +277,9 @@ def test_strichartz_evaluates_each_quarter_grid_node_once(monkeypatch):
 
 
 # (block, tile) in angles: with 8 and 16 every ladder N ends in a part-block
-# that joins the tile before it; with 16 and 48 every N ends in a part-tile
+# that joins the tile before it; with 16 and 48 every N ends in a part-tile,
+# whose last block is a part-block.  Chunks of 6 time samples end the 16
+# time samples in a part-chunk of 4.
 @pytest.mark.parametrize("block, tile", [(8, 16), (16, 48)])
 def test_strichartz_several_tiles_per_scale(monkeypatch, block, tile):
     N_list = (16, 32, 64)
@@ -285,6 +287,7 @@ def test_strichartz_several_tiles_per_scale(monkeypatch, block, tile):
     whole = strichartz_zonal_scan(S3, 8.0, N_list, **kwargs)
     monkeypatch.setattr(verify, "SPACETIME_BLOCK", block)
     monkeypatch.setattr(verify, "SPACETIME_TILE", tile)
+    monkeypatch.setattr(verify, "SPACETIME_CHUNK", 6)
     calls = record_phi_matrix(monkeypatch)
     tiled = strichartz_zonal_scan(S3, 8.0, N_list, **kwargs)
     assert [rec.norm for rec in tiled.records] == pytest.approx(
@@ -313,6 +316,29 @@ def test_strichartz_working_set_does_not_grow_with_trials():
     modes = mode_weights(1, 1.0, N_list[-1], 0.0, Bump())[0].size
     extra = 38 * (16 * modes + 8 * kwargs["time_samples"])
     assert peaks[40] - peaks[2] <= extra + 2**18
+
+
+def test_strichartz_working_set_per_time_sample():
+    # each added time sample costs a phase row and two rows of A (the stacked
+    # (time, mode) product) per mode, and two rows of each of the block-wide
+    # even and odd sums per block angle: no (time, mode) complex product and
+    # no third (2 time, tile) buffer
+    N_list = (16, 32, 64, 128)
+    kwargs = dict(trials=3, seed=2)
+    strichartz_zonal_scan(S3, 8.0, N_list, time_samples=4, **kwargs)  # fill the caches
+    peaks = {}
+    for time_samples in (64, 256):
+        tracemalloc.start()
+        try:
+            strichartz_zonal_scan(S3, 8.0, N_list, time_samples=time_samples, **kwargs)
+            peaks[time_samples] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    modes = mode_weights(1, 1.0, N_list[-1], 0.0, Bump())[0].size
+    M = TorusQuadrature.for_kernel(S3, N_list[-1], power=8.0, bump=Bump()).sizes[0]
+    block = min(verify.SPACETIME_BLOCK, M // 4)
+    per_sample = 16 * modes + 2 * 8 * modes + 2 * 2 * 8 * block
+    assert peaks[256] - peaks[64] <= 192 * per_sample + 2**18
 
 
 def test_strichartz_draws_time_samples_then_trials():
