@@ -6,7 +6,7 @@ floating point until a kernel gets sampled.
 
 from fractions import Fraction
 
-from oddsphere import build_space, eigenvalue, flow_period, harmonic_dim
+from oddsphere import build_space, eigenvalue, harmonic_dim
 from oddsphere.space import format_rational
 
 print("=" * 70)
@@ -27,7 +27,7 @@ for dims, betas in examples:
     print(f"  dimension d = {sp.d}, rank r = {sp.r}")
     print(f"  integrability floor   s  = {format_rational(sp.s)}")
     print(f"  space-time threshold  p0 = {format_rational(sp.p0)}")
-    print(f"  flow period T = 2*pi * {format_rational(flow_period(sp))}")
+    print(f"  flow period T = 2*pi * {format_rational(sp.period)}")
 
 print("\n" + "=" * 70)
 print("Spectrum on S^3 x S^3 with betas (1, 2/3): exact eigenvalues")
@@ -46,7 +46,7 @@ for d in (3, 5, 7):
     print(f"  S^{d}: {row}")
 
 print("\nPeriodicity sanity: T * (eigenvalue gap) is an even multiple of pi:")
-T = flow_period(sp)
+T = sp.period
 for pair in [((1, 0), (0, 2)), ((4, 1), (2, 3))]:
     gap = eigenvalue(sp, pair[0]) - eigenvalue(sp, pair[1])
     print(f"  T*({format_rational(gap)}) / (2*pi) = {format_rational(T * gap)}")

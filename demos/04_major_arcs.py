@@ -26,7 +26,7 @@ names = ["1/3", "0.337", "0.5001", "e-ish", "pi frac", "golden"]
 for name, tau in zip(names, samples):
     res = classify(tau, 1.0, N)
     if res.is_major:
-        print(f"  {name:>8}: major arc {res.a}/{res.q}, distance {res.distance:.2e}")
+        print(f"  {name:>8}: major arc {res.a}/{res.q}, distance {float(res.distance):.2e}")
     else:
         print(f"  {name:>8}: minor; best approximant {res.best_a}/{res.best_q}")
 
@@ -34,10 +34,14 @@ print("\nEven the golden ratio (the worst-approximable number) is major at")
 print("every large N: its continued-fraction denominators grow by ~1.618 <")
 print("sqrt(5), so one always lands inside (N/sqrt(5), N).")
 
-print("\nA genuine minor time needs exact boundary arithmetic: tau = 1/N")
-res = classify_fraction(Fraction(1, N), N)
-print(f"  tau = 1/{N}: major = {res.is_major}; "
-      f"best approximant {res.best_a}/{res.best_q} at distance {res.distance}")
+print("\nA genuine minor time sits on a window edge, such as tau = c/N with")
+print("gcd(c, N) = 1.  Every time is classified at its exact value, so the")
+print("float 1/N (exactly representable) lands on the edge just as the")
+print("Fraction does:")
+for kind, tau in (("Fraction", Fraction(1, N)), ("float", 1 / N)):
+    res = classify_fraction(tau, N)
+    print(f"  tau = 1/{N} as a {kind}: major = {res.is_major}; "
+          f"best approximant {res.best_a}/{res.best_q} at distance {res.distance}")
 
 print("\nDenominator sums S(a/q, 0, N) ~ 2 N^2 / q at arc centers:")
 print(f"{'q':>4} {'N=64':>10} {'N=256':>10} {'N=1024':>12} {'S*q/N^2 at 1024':>16}")

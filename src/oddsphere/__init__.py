@@ -16,10 +16,9 @@ from .space import (
     SphereFactor,
     build_space,
     eigenvalue,
-    flow_period,
     harmonic_dim,
 )
-from .specialfn import phi, phi_explicit, phi_recurrence
+from .specialfn import phi_explicit, phi_matrix
 from .kernel import (
     Bump,
     KernelField,
@@ -46,8 +45,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ProductSpace", "SphereFactor", "build_space", "eigenvalue",
-    "flow_period", "harmonic_dim",
-    "phi", "phi_explicit", "phi_recurrence",
+    "harmonic_dim",
+    "phi_explicit", "phi_matrix",
     "Bump", "KernelField", "kappa_nu", "kernel_1d", "kernel_direct_multi",
     "kernel_nu", "kernel_product",
     "MajorArc", "MinorArcReport", "classify", "denominator_sum", "farey",

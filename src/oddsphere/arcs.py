@@ -42,7 +42,7 @@ class MajorArc:
     a: int
     q: int
     N: float
-    distance: float | Fraction | None = None
+    distance: Fraction | None = None
 
     def __post_init__(self) -> None:
         if self.q < 1 or not (0 <= self.a < self.q or (self.a == 0 and self.q == 1)):
@@ -84,20 +84,11 @@ class MinorArcReport:
     N: float
     best_a: int
     best_q: int
-    distance: float
+    distance: Fraction
 
     @property
     def is_major(self) -> bool:
         return False
-
-    def to_json(self) -> dict:
-        return {
-            "minor": True,
-            "N": self.N,
-            "best_a": self.best_a,
-            "best_q": self.best_q,
-            "distance": float(self.distance),
-        }
 
 
 def _ratio_string(p: int, q: int) -> str:
@@ -132,6 +123,15 @@ def farey(Q: int) -> list[tuple[int, int]]:
     return list(zip(a.tolist(), q.tolist()))
 
 
+def _exact(x, name: str) -> Fraction:
+    """x as an exact Fraction (a float converts exactly); non-finite x is
+    a ValueError naming the argument."""
+    try:
+        return Fraction(x)
+    except (OverflowError, ValueError):
+        raise ValueError(f"need a finite {name}, got {x!r}") from None
+
+
 def classify_fraction(tau, N: float) -> MajorArc | MinorArcReport:
     """Classify a time already rescaled to the unit circle (tau = t/T).
 
@@ -140,63 +140,45 @@ def classify_fraction(tau, N: float) -> MajorArc | MinorArcReport:
     nearest numerator a = round(tau q) can put tau inside one; a non-reduced
     a/q is skipped, since its reduced form has a smaller q and a wider
     window and was tried first.  The answer is the first hit of one sweep
-    over q = 1, 2, ..., O(N) work per query.  tau may be a float or an
-    exact Fraction; the exact path runs the sweep in integers only.
+    over q = 1, 2, ..., O(N) work per query, in integers only: tau is taken
+    at its exact value (a float converts exactly), so every distance is a
+    Fraction.  The same sweep, run on to q = floor(N), keeps the least
+    distance for the minor report.
 
     With Q = ceil(N) - 1 the major arcs cover the circle (Dirichlet: every
     tau lies within 1/(qN) of some a/q with q < N), so a time is minor only
-    on a window edge, for example a reduced c/N.  Only the exact path can
-    decide such edge times: passed as floats, rounding puts many of them
-    just inside a window (23 of the 32 reduced c/64 come out major at
-    N = 64).
+    on a window edge, for example a reduced c/N, float or Fraction alike.
     """
-    if not N > 1:
-        raise ValueError(f"need N > 1, got {N}")
+    if not (N > 1 and math.isfinite(N)):
+        raise ValueError(f"need a finite N > 1, got {N}")
+    # tau mod 1 = P/R and N = n/m: |P/R - a/q| < 1/(qN) iff |Pq - aR| n < R m
+    P, R = (_exact(tau, "tau") % 1).as_integer_ratio()
+    n, m = Fraction(N).as_integer_ratio()
     Q = math.ceil(N) - 1
-    if isinstance(tau, Fraction):
-        # tau mod 1 = P/R and N = n/m: |P/R - a/q| < 1/(qN) iff |Pq - aR| n < R m
-        P, R = (tau - math.floor(tau)).as_integer_ratio()
-        n, m = Fraction(N).as_integer_ratio()
-        for q in range(1, Q + 1):
-            a = (2 * P * q + R) // (2 * R)
-            gap = abs(P * q - a * R)
-            if gap * n < R * m and math.gcd(a % q, q) == 1:
-                return MajorArc(a % q, q, N, distance=Fraction(gap, R * q))
-        frac = P / R
-    else:
-        frac = float(tau) % 1.0
-        q = np.arange(1, Q + 1)
-        a = np.rint(frac * q)
-        d = np.abs(frac - a / q)
-        a = a.astype(np.int64) % q
-        hit = np.flatnonzero((d * q * N < 1.0) & (np.gcd(a, q) == 1))
-        if hit.size:
-            k = hit[0]
-            return MajorArc(int(a[k]), int(q[k]), N, distance=float(d[k]))
-    # minor arc: best Dirichlet approximant with q <= N by direct scan
-    qs = np.arange(1, math.floor(N) + 1)
-    a_near = np.round(frac * qs)
-    d = np.abs(frac - a_near / qs)
-    k = int(np.argmin(d))
-    q_best = int(qs[k])
-    a_best = int(a_near[k]) % q_best
-    g = math.gcd(a_best, q_best)
-    return MinorArcReport(N, a_best // g, q_best // g, float(d[k]))
+    best_gap, best_q, best_a = R, 1, 0  # the least gap/q so far; every gap < R
+    for q in range(1, math.floor(N) + 1):
+        a = (2 * P * q + R) // (2 * R)
+        gap = abs(P * q - a * R)
+        if q <= Q and gap * n < R * m and math.gcd(a % q, q) == 1:
+            return MajorArc(a % q, q, N, distance=Fraction(gap, R * q))
+        if gap * best_q < best_gap * q:
+            best_gap, best_q, best_a = gap, q, a % q
+    # minor arc: the best approximant with q <= N, the first on ties
+    g = math.gcd(best_a, best_q)
+    return MinorArcReport(N, best_a // g, best_q // g, Fraction(best_gap, R * best_q))
 
 
 def classify(t, T, N: float) -> MajorArc | MinorArcReport:
-    """Classify an absolute time t given the flow period T."""
-    if isinstance(t, Fraction) and isinstance(T, (int, Fraction)):
-        tau = t / Fraction(T)
-    else:
-        tau = float(t) / float(T)
-    return classify_fraction(tau, N)
+    """Classify an absolute time t given the flow period T, exactly."""
+    return classify_fraction(_exact(t, "t") / _exact(T, "T"), N)
 
 
 def denominator_sum(tT: float, x: float, N: float) -> float:
     """sum over |m| <= N of 1 / max(1/N, || m*tT + x ||)."""
-    if not N >= 2:
-        raise ValueError(f"need N >= 2, got {N}")
+    if not (N >= 2 and math.isfinite(N)):
+        raise ValueError(f"need a finite N >= 2, got {N}")
+    if not (math.isfinite(tT) and math.isfinite(x)):
+        raise ValueError(f"need a finite tT and x, got tT={tT}, x={x}")
     m = np.arange(-math.floor(N), math.floor(N) + 1)
     v = m * float(tT) + float(x)
     dist = np.abs(v - np.round(v))

@@ -326,7 +326,7 @@ def kappa_nu(
     if not 0 <= nu <= lam - 1:
         raise ValueError(f"need 0 <= nu <= lam-1 = {lam - 1}, got {nu}")
     n, w = mode_weights(lam, beta, N, t, bump)
-    a = w * get_coeffs(lam, int(n.max(initial=0))).cnv[n, nu]
+    a = w * get_coeffs(lam, int(n.max(initial=0)))[n, nu]
     freq = n - nu + lam
     if isinstance(theta, TorusQuadrature):
         return _cos_sum_grid(a, freq, nu + lam, theta.sizes[0])

@@ -47,7 +47,6 @@ __all__ = [
     "lp_norm",
     "sup_norm",
     "resolution_check",
-    "region_measure",
 ]
 
 DEFAULT_OVERSAMPLE = 16  # grid nodes per unit of kernel bandwidth
@@ -549,17 +548,3 @@ def resolution_check(
     refined = lp_norm(field.resample(field.quad.doubled()), p, region)
     rel = abs(refined - base) / max(abs(refined), np.finfo(float).tiny)
     return rel < tol, rel
-
-
-def region_measure(
-    space: ProductSpace, region: Region, N: float, oversample: int = DEFAULT_OVERSAMPLE
-) -> float:
-    """Probability measure of a region, on grids proportional to N.
-
-    Grid size 2*oversample*N per factor, rounded up to even, keeps the node
-    count inside a radius-1/N box independent of N, so measured volume
-    scaling is free of boundary-snapping noise.
-    """
-    quad = TorusQuadrature(space, (2 * math.ceil(max(oversample * N, 4)),) * space.r)
-    ones = tuple(np.ones(M // 2 + 1) for M in quad.sizes)
-    return lp_norm(FieldSample(space, quad, ones), 1.0, region)

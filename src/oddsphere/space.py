@@ -30,14 +30,8 @@ __all__ = [
     "build_space",
     "eigenvalue",
     "harmonic_dim",
-    "flow_period",
-    "parse_rational",
     "format_rational",
 ]
-
-def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q' or 'p' into an exact rational."""
-    return Fraction(text.strip())
 
 
 def format_rational(x: Fraction) -> str:
@@ -106,8 +100,13 @@ class ProductSpace:
 
     @property
     def period(self) -> Fraction:
-        """Flow period T as a rational multiple of 2*pi."""
-        return flow_period(self)
+        """Period T of exp(it*Lap), returned as T / (2*pi), exact.
+
+        Eigenvalue increments on factor j are integer multiples of 1/beta_j,
+        so T/(2*pi) = lcm of the numerators of the beta_j makes every phase
+        exp(-i t mu) close up.
+        """
+        return Fraction(math.lcm(*(f.beta.numerator for f in self.factors)))
 
     @property
     def period_seconds(self) -> float:
@@ -157,7 +156,7 @@ def build_space(
         raise ValueError("need at least one sphere factor")
     if betas is None:
         betas = [Fraction(1)] * len(dims)
-    betas = [b if isinstance(b, Fraction) else parse_rational(str(b)) for b in betas]
+    betas = [b if isinstance(b, Fraction) else Fraction(str(b)) for b in betas]
     if len(betas) != len(dims):
         raise ValueError(f"got {len(dims)} dims but {len(betas)} betas")
     return ProductSpace(tuple(SphereFactor(d, b) for d, b in zip(dims, betas)))
@@ -188,18 +187,3 @@ def harmonic_dim(dim: int, n: int) -> int:
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     return comb(n + dim, dim) - comb(n + dim - 2, dim)
-
-
-def flow_period(space: ProductSpace) -> Fraction:
-    """Period T of exp(it*Lap), returned as T / (2*pi), exact.
-
-    Eigenvalue increments on factor j are integer multiples of 1/beta_j, so
-    T/(2*pi) = lcm of the denominators of the 1/beta_j makes every phase
-    exp(-i t mu) close up.
-    """
-    denoms = [Fraction(1) / f.beta for f in space.factors]
-    out = 1
-    for q in denoms:
-        out = math.lcm(out, q.denominator)
-    return Fraction(out)
-

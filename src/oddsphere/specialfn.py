@@ -5,11 +5,10 @@ ultraspherical (Gegenbauer) polynomial
 
     phi_n(theta) = C_n^{(lam)}(cos theta) / C_n^{(lam)}(1).
 
-Every evaluation on the scan path (phi_recurrence, phi_series, phi_matrix)
-comes from one sweep of the three-term recurrence in n, run in Reinsch's
-difference form on y = 2 sin^2(theta/2) after folding theta into
-[0, pi/2], so it stays accurate next to both poles.  The second route is
-the closed finite sum
+Every evaluation on the scan path (phi_series, phi_matrix) comes from one
+sweep of the three-term recurrence in n, run in Reinsch's difference form
+on y = 2 sin^2(theta/2) after folding theta into [0, pi/2], so it stays
+accurate next to both poles.  The second route is the closed finite sum
 
     phi_n(theta) = sum_{nu=0}^{lam-1} 2 C_{n,nu}
                    cos((n - nu + lam) theta - (nu + lam) pi/2)
@@ -20,21 +19,20 @@ whose coefficients
     C_{n,nu} = binom(n+2lam-1, n)^{-1} binom(n+lam-1, n) binom(nu+lam-1, nu)
                * (1-lam)(2-lam)...(nu-lam) / [(n+lam-1)(n+lam-2)...(n+lam-nu)]
 
-are assembled in exact rational arithmetic and converted to float once.
-kernel.py uses them for the nu-decomposition's numerator sums (kappa_nu);
-as a pointwise route (phi_explicit, phi) the sum is the independent oracle
-the recurrence is checked against.  It degenerates at the torus corners
-(sin theta -> 0), so the oracle keeps a guard band there, and even outside
-the band it is ill-conditioned where 2 n sin(theta) is small: the nu-terms
-grow like (2 sin theta)^{-(nu+lam)} and cancel down to a value of modulus
-at most one.  The oracle therefore re-evaluates cells whose largest term
+are assembled in exact rational arithmetic (cnv_exact) and converted to
+float once (get_coeffs).  kernel.py uses them for the nu-decomposition's
+numerator sums (kappa_nu); as a pointwise route (phi_explicit) the sum is
+the independent oracle the recurrence is checked against.  It degenerates
+at the torus corners (sin theta -> 0), so the oracle keeps a guard band
+there, and even outside the band it is ill-conditioned where 2 n sin(theta)
+is small: the nu-terms grow like (2 sin theta)^{-(nu+lam)} and cancel down
+to a value of modulus at most one.  The oracle therefore re-evaluates cells whose largest term
 exceeds a condition limit with the same formula in multiprecision, so it
 stays independent of the recurrence at full accuracy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, pi
 from typing import Iterator, Sequence
@@ -43,11 +41,9 @@ import numpy as np
 
 __all__ = [
     "CornerGuardError",
-    "UltrasphericalCoeffs",
+    "cnv_exact",
     "get_coeffs",
-    "phi_recurrence",
     "phi_explicit",
-    "phi",
     "phi_series",
     "phi_matrix",
 ]
@@ -64,7 +60,7 @@ class CornerGuardError(ValueError):
     """Explicit-formula evaluation requested inside the corner guard band."""
 
 
-def _cnv_exact(lam: int, n: int, nu: int) -> Fraction:
+def cnv_exact(lam: int, n: int, nu: int) -> Fraction:
     """Exact C_{n,nu}; the falling products carry nu factors each."""
     num = comb(n + lam - 1, n) * comb(nu + lam - 1, nu)
     val = Fraction(num, comb(n + 2 * lam - 1, n))
@@ -73,42 +69,24 @@ def _cnv_exact(lam: int, n: int, nu: int) -> Fraction:
     return val
 
 
-@dataclass(frozen=True)
-class UltrasphericalCoeffs:
-    """Coefficient tables for the explicit finite-sum route on S^{2*lam+1}.
-
-    cnv[n, nu] is the exact C_{n,nu} rounded once to float.  cnv_exact keeps
-    the rational values for the multiprecision repair.
-    """
-
-    lam: int
-    nmax: int
-    cnv: np.ndarray
-    cnv_exact: tuple[tuple[Fraction, ...], ...]
+_COEFF_CACHE: dict[int, np.ndarray] = {}
 
 
-def _build_coeffs(lam: int, nmax: int) -> UltrasphericalCoeffs:
+def get_coeffs(lam: int, nmax: int) -> np.ndarray:
+    """Cached float table of C_{n,nu} (row n, column nu), each exact value
+    rounded once; it holds at least the rows n = 0..nmax and is grown on
+    demand."""
     if lam < 1:
         raise ValueError(f"need lam >= 1, got {lam}")
     if nmax < 0:
         raise ValueError(f"need nmax >= 0, got {nmax}")
-    exact = tuple(
-        tuple(_cnv_exact(lam, n, nu) for nu in range(lam)) for n in range(nmax + 1)
-    )
-    cnv = np.array([[float(c) for c in row] for row in exact])
-    return UltrasphericalCoeffs(lam, nmax, cnv, exact)
-
-
-_COEFF_CACHE: dict[int, UltrasphericalCoeffs] = {}
-
-
-def get_coeffs(lam: int, nmax: int) -> UltrasphericalCoeffs:
-    """Cached coefficient table, grown on demand."""
     cached = _COEFF_CACHE.get(lam)
-    if cached is None or cached.nmax < nmax:
+    if cached is None or len(cached) <= nmax:
         # grow geometrically so repeated scans do not rebuild per call
-        grow = max(nmax, 2 * cached.nmax if cached else 0, 64)
-        cached = _build_coeffs(lam, grow)
+        grow = max(nmax, 2 * (len(cached) - 1) if cached is not None else 0, 64)
+        cached = np.array(
+            [[float(cnv_exact(lam, n, nu)) for nu in range(lam)] for n in range(grow + 1)]
+        )
         _COEFF_CACHE[lam] = cached
     return cached
 
@@ -146,16 +124,7 @@ def _sweep(lam: int, theta: np.ndarray, nmax: int) -> Iterator[np.ndarray]:
         yield p * sign if k % 2 else p
 
 
-def phi_recurrence(lam: int, n: int, theta):
-    """Normalized Gegenbauer value phi_n(theta) by the recurrence sweep."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    for cur in _sweep(lam, np.asarray(theta, dtype=float), n):
-        pass
-    return cur if cur.ndim else float(cur)
-
-
-def _explicit_cell_mp(lam: int, n: int, theta: float, coeffs: UltrasphericalCoeffs) -> float:
+def _explicit_cell_mp(lam: int, n: int, theta: float) -> float:
     """One ill-conditioned cell of the closed sum, in multiprecision."""
     import mpmath as mp
 
@@ -164,20 +133,14 @@ def _explicit_cell_mp(lam: int, n: int, theta: float, coeffs: UltrasphericalCoef
         two_sin = 2 * mp.sin(th)
         total = mp.mpf(0)
         for nu in range(lam):
-            c = coeffs.cnv_exact[n][nu]
+            c = cnv_exact(lam, n, nu)
             c_mp = mp.mpf(c.numerator) / mp.mpf(c.denominator)
             phase = (n - nu + lam) * th - (nu + lam) * mp.pi / 2
             total += 2 * c_mp * mp.cos(phase) / two_sin ** (nu + lam)
         return float(total)
 
 
-def phi_explicit(
-    lam: int,
-    n: int,
-    theta,
-    *,
-    guard: float = DEFAULT_GUARD,
-):
+def phi_explicit(lam: int, n: int, theta):
     """Closed finite-sum oracle; raises CornerGuardError within the guard band.
 
     Cells whose largest nu-term magnitude exceeds COND_LIMIT are redone in
@@ -190,35 +153,20 @@ def phi_explicit(
     theta = np.asarray(theta, dtype=float)
     th = np.atleast_1d(theta)
     sin_t = np.sin(th)
-    if np.any(np.abs(sin_t) < guard):
+    if np.any(np.abs(sin_t) < DEFAULT_GUARD):
         raise CornerGuardError(
-            f"explicit route needs |sin theta| >= {guard}; use the recurrence"
+            f"explicit route needs |sin theta| >= {DEFAULT_GUARD}; use the recurrence"
         )
-    coeffs = get_coeffs(lam, n)
+    cnv = get_coeffs(lam, n)[n]
     acc = np.zeros(th.shape)
     worst = np.zeros(th.shape)
     for nu in range(lam):
-        weight = coeffs.cnv[n, nu] / (2.0 * sin_t) ** (nu + lam)
+        weight = cnv[nu] / (2.0 * sin_t) ** (nu + lam)
         acc += 2.0 * weight * np.cos((n - nu + lam) * th - (nu + lam) * pi / 2.0)
         np.maximum(worst, np.abs(weight), out=worst)
     for g in np.flatnonzero(worst > COND_LIMIT):
-        acc[g] = _explicit_cell_mp(lam, n, float(th[g]), coeffs)
+        acc[g] = _explicit_cell_mp(lam, n, float(th[g]))
     return acc if theta.ndim else float(acc[0])
-
-
-def phi(lam: int, n: int, theta):
-    """Hybrid evaluation: recurrence inside the guard band, explicit outside."""
-    theta = np.asarray(theta, dtype=float)
-    scalar = theta.ndim == 0
-    theta = np.atleast_1d(theta)
-    out = np.empty(theta.shape)
-    near = np.abs(np.sin(theta)) < DEFAULT_GUARD
-    if near.any():
-        out[near] = phi_recurrence(lam, n, theta[near])
-    far = ~near
-    if far.any():
-        out[far] = phi_explicit(lam, n, theta[far])
-    return float(out[0]) if scalar else out
 
 
 def phi_series(lam: int, weights, theta, columns=None) -> np.ndarray:

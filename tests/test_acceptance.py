@@ -23,8 +23,8 @@ from oddsphere.kernel import (
     mode_weights,
     spectral_l2_norm,
 )
-from oddsphere.measure import Region, TorusQuadrature, lp_norm, region_measure
-from oddsphere.specialfn import phi, phi_explicit, phi_recurrence, phi_series
+from oddsphere.measure import FieldSample, Region, TorusQuadrature, lp_norm
+from oddsphere.specialfn import phi_explicit, phi_matrix, phi_series
 from oddsphere.verify import (
     ScanPlan,
     corner_scan,
@@ -54,13 +54,13 @@ def test_criterion_01_special_function_oracles():
     theta = np.linspace(0.01, math.pi - 0.01, 191)
     worst = 0.0
     for lam in range(1, 6):
-        for n in range(0, 201):
-            dev = np.max(np.abs(phi_explicit(lam, n, theta) - phi_recurrence(lam, n, theta)))
+        for n, row in enumerate(phi_matrix(lam, np.arange(201), theta)):
+            dev = np.max(np.abs(phi_explicit(lam, n, theta) - row))
             worst = max(worst, float(dev))
     closed_worst = 0.0
     for n in range(0, 101):
         closed = np.sin((n + 1) * theta) / ((n + 1) * np.sin(theta))
-        dev = np.max(np.abs(phi(1, n, theta) - closed))
+        dev = np.max(np.abs(phi_explicit(1, n, theta) - closed))
         closed_worst = max(closed_worst, float(dev))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and closed_worst <= 1e-12
@@ -101,13 +101,10 @@ def test_criterion_02_structural_identities():
     corner_worst = 0.0
     theta = np.linspace(0.0, math.pi, 101)
     for lam in (1, 2, 3):
-        for n in (1, 2, 7, 33, 128, 200):
-            dev = np.max(
-                np.abs(
-                    phi_recurrence(lam, n, theta + math.pi)
-                    - (-1.0) ** n * phi_recurrence(lam, n, theta)
-                )
-            )
+        degrees = (1, 2, 7, 33, 128, 200)
+        shifted = phi_matrix(lam, degrees, theta + math.pi)
+        for n, lhs, rhs in zip(degrees, shifted, phi_matrix(lam, degrees, theta)):
+            dev = np.max(np.abs(lhs - (-1.0) ** n * rhs))
             corner_worst = max(corner_worst, float(dev))
     if corner_worst > 1e-10:
         failures.append(f"corner identity {corner_worst:.2e} > 1e-10")
@@ -317,9 +314,13 @@ def test_criterion_10_corner_volume_scaling():
     slopes = {}
     ok = True
     for sp, d in ((S3, 3), (S5, 5)):
-        points = [
-            (N, region_measure(sp, Region.corner(0, 1.0 / N), N)) for N in N_LADDER
-        ]
+        points = []
+        for N in N_LADDER:
+            # the probability measure of the box: the L^1 norm of the constant
+            # 1 on 2 ceil(16 N) nodes, so the box holds as many nodes at every N
+            quad = TorusQuadrature(sp, (2 * math.ceil(16 * N),))
+            ones = FieldSample(sp, quad, (np.ones(quad.sizes[0] // 2 + 1),))
+            points.append((N, lp_norm(ones, 1.0, Region.corner(0, 1.0 / N))))
         slope = fit_loglog(points)[0]
         slopes[d] = slope
         ok = ok and abs(slope + d) < 0.05

@@ -1,6 +1,7 @@
 """Farey/major-arc machinery against brute-force oracles."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -50,32 +51,29 @@ def walk_classify_exact(tau, N, pairs):
 
 
 def farey_arrays(N):
-    """Every reduced a/q with q < N as float arrays, in no particular order."""
+    """Every reduced a/q with q < N as integer arrays, in no particular order."""
     a_parts, q_parts = [], []
     for q in range(1, math.ceil(N)):
         a = np.arange(q)
         a = a[np.gcd(a, q) == 1]
         a_parts.append(a)
         q_parts.append(np.full(a.size, q))
-    return np.concatenate(a_parts).astype(float), np.concatenate(q_parts).astype(float)
+    return np.concatenate(a_parts), np.concatenate(q_parts)
 
 
-def walk_classify_float(tau, N, a_arr, q_arr):
-    """Reference: the float (q, distance)-minimum over every window.
+def window_candidates(tau, N, a_arr, q_arr):
+    """The a/q whose window might hold tau: a float prefilter with a margin
+    of 1e-3 windows, far above rounding, for exact arithmetic to decide."""
+    d = np.abs(float(tau) % 1.0 - a_arr / q_arr)
+    d = np.minimum(d, 1.0 - d)
+    keep = np.flatnonzero(d * q_arr * N < 1.001)
+    return list(zip(a_arr[keep].tolist(), q_arr[keep].tolist()))
 
-    An exhaustive vectorised walk over the whole Farey list, the definition
-    the float path of classify_fraction must reproduce bit for bit.
-    """
-    frac = float(tau) % 1.0
-    d_arr = np.abs(frac - a_arr / q_arr)
-    d_arr = np.minimum(d_arr, 1.0 - d_arr)
-    hit = (d_arr * q_arr * N < 1.0) & (q_arr < N)
-    if not hit.any():
-        return None
-    cand = np.flatnonzero(hit)
-    cand = cand[q_arr[cand] == q_arr[cand].min()]
-    k = cand[np.argmin(d_arr[cand])]
-    return int(a_arr[k]), int(q_arr[k]), float(d_arr[k])
+
+def nearest_distance(tau, N):
+    """Exact distance from tau to the nearest a/q with q <= N."""
+    frac = tau - math.floor(tau)
+    return min(abs(frac - Fraction(round(frac * q), q)) for q in range(1, math.floor(N) + 1))
 
 
 def as_triple(result):
@@ -196,7 +194,8 @@ def test_exact_classification_matches_the_fraction_walk(N):
 @pytest.mark.parametrize("N", [3, 5, 16, 64, 100.5, 1000])
 def test_float_classification_matches_the_farey_walk(N):
     # float times c/N and a/q +- 1/(qN) land on either side of a window
-    # edge by rounding; both paths must round them alike
+    # edge by rounding; each is classified at its exact value, as the
+    # Fraction it equals
     a_arr, q_arr = farey_arrays(N)
     rng = np.random.default_rng(12)
     edges = np.arange(math.ceil(N)) / N
@@ -205,9 +204,42 @@ def test_float_classification_matches_the_farey_walk(N):
         a, q = a_arr[k], q_arr[k]
         w = 1.0 / (q * N)
         taus += [a / q + w, a / q - w, a / q + rng.uniform(-1.0, 1.0) * w]
-    for tau in taus:
-        want = walk_classify_float(tau, N, a_arr, q_arr)
-        assert as_triple(classify_fraction(tau, N)) == want, tau
+    for tau in map(float, taus):
+        got = classify_fraction(tau, N)
+        assert got == classify_fraction(Fraction(tau), N), tau
+        pairs = window_candidates(tau, N, a_arr, q_arr)
+        assert as_triple(got) == walk_classify_exact(Fraction(tau), N, pairs), tau
+
+
+def test_float_window_edges_are_minor():
+    # a reduced c/64 is exactly representable, so as a float it is the same
+    # window edge as the Fraction c/64
+    N = 64
+    for c in range(N):
+        if math.gcd(c, N) == 1:
+            report = classify_fraction(c / N, N)
+            assert not report.is_major, c
+            assert (report.best_a, report.best_q, report.distance) == (c, N, 0)
+
+
+@pytest.mark.parametrize("N", [16, 64, 100.5])
+def test_minor_distance_is_the_exact_least_distance(N):
+    # at an integer N the reduced c/N are the minor times among the c/N; at
+    # N = 100.5 there are none, since Dirichlet gives every tau some
+    # q <= 100 with ||q tau|| <= 1/101 < 1/N
+    minors = 0
+    for c in range(math.ceil(N)):
+        tau = Fraction(c) / Fraction(N)
+        report = classify_fraction(tau, N)
+        if report.is_major:
+            continue
+        minors += 1
+        best = Fraction(report.best_a, report.best_q)
+        assert report.best_q <= N and math.gcd(report.best_a, report.best_q) == 1
+        assert isinstance(report.distance, Fraction)
+        assert report.distance == abs(tau - best) == nearest_distance(tau, N), c
+    reduced = sum(math.gcd(c, N) == 1 for c in range(N)) if N == int(N) else 0
+    assert minors == reduced
 
 
 def test_classify_prefers_smallest_q():
@@ -218,21 +250,22 @@ def test_classify_prefers_smallest_q():
 
 def test_classify_agrees_with_exhaustive_membership():
     N = 64
-    pairs = farey(N - 1)
+    a_arr, q_arr = farey_arrays(N)
     rng = np.random.default_rng(0)
     taus = np.concatenate([rng.uniform(0, 1, 400), [0.0, 0.5, 1 / 3, 0.25, 1.0 / 64.0]])
-    for tau in taus:
-        result = classify_fraction(float(tau), N)
+    for tau in taus.tolist():
+        result = classify_fraction(tau, N)
+        # every window that holds tau, at tau's exact value
         hits = []
-        for a, q in pairs:
-            d = abs(tau - a / q)
+        for a, q in window_candidates(tau, N, a_arr, q_arr):
+            d = abs(Fraction(tau) - Fraction(a, q))
             d = min(d, 1 - d)
             if d * q * N < 1:
                 hits.append((q, d, a))
         if result.is_major:
             assert hits, f"classified major but no window contains {tau}"
             q_best, d_best, a_best = min(hits)
-            assert (result.a, result.q) == (a_best, q_best)
+            assert (result.a, result.q, result.distance) == (a_best, q_best, d_best)
         else:
             assert not hits, f"classified minor but {hits[0]} contains {tau}"
 
@@ -265,16 +298,13 @@ def test_minor_report_carries_best_approximant():
     # almost every time is major (pigeonhole gives some q < N with
     # ||q tau|| < 1/N for irrational tau); tau = 1/N is a genuine minor:
     # every q < N puts it exactly on a window boundary, never inside.
-    # The boundary is decided by exact arithmetic, so use the Fraction path.
     N = 64
     tau = Fraction(1, N)
     report = classify_fraction(tau, N)
     assert isinstance(report, MinorArcReport) and not report.is_major
     # best Dirichlet approximant with q <= N is tau itself
     assert (report.best_a, report.best_q) == (1, 64)
-    assert report.distance == 0.0
-    payload = report.to_json()
-    assert payload["minor"] is True and payload["best_q"] == 64
+    assert report.distance == 0
 
 
 def test_denominator_sum_examples():
@@ -282,6 +312,28 @@ def test_denominator_sum_examples():
     assert denominator_sum(0.0, 0.0, 10) == pytest.approx(210.0)
     with pytest.raises(ValueError):
         denominator_sum(0.0, 0.0, 1)
+
+
+def test_arc_queries_reject_non_finite_input():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for N in (math.inf, -math.inf, math.nan, 1, 0.5):
+            with pytest.raises(ValueError, match="N"):
+                classify_fraction(0.3, N)
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="tau"):
+                classify_fraction(bad, 64)
+            with pytest.raises(ValueError, match="finite t,"):
+                classify(bad, 1.0, 64)
+            with pytest.raises(ValueError, match="finite T,"):
+                classify(0.3, bad, 64)
+            with pytest.raises(ValueError, match="tT"):
+                denominator_sum(bad, 0.0, 64)
+            with pytest.raises(ValueError, match="x="):
+                denominator_sum(0.3, bad, 64)
+        for N in (math.inf, math.nan, 1):
+            with pytest.raises(ValueError, match="N"):
+                denominator_sum(0.3, 0.0, N)
 
 
 def test_denominator_sum_bounds():

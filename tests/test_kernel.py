@@ -22,7 +22,7 @@ from oddsphere.kernel import (
     write_field,
 )
 from oddsphere.measure import TorusQuadrature
-from oddsphere.specialfn import CornerGuardError, phi_recurrence, phi_series
+from oddsphere.specialfn import CornerGuardError, phi_series
 
 
 S3 = space.build_space([3], [1])

@@ -15,16 +15,24 @@ from oddsphere.measure import (
     Region,
     TorusQuadrature,
     lp_norm,
-    region_measure,
     resolution_check,
     sup_norm,
 )
-from oddsphere.specialfn import phi
+from oddsphere.specialfn import phi_matrix
 from oddsphere.verify import fit_loglog
 
 S3 = space.build_space([3], [1])
 S5 = space.build_space([5], [1])
 S3S3 = space.build_space([3, 3], [1, 1])
+
+
+def region_measure(sp, region, N):
+    """Probability measure of a region: the L^1 norm of the constant 1 on
+    2 ceil(16 N) nodes per factor, so a radius-1/N box holds as many nodes
+    at every N and volume scaling is free of boundary-snapping noise."""
+    quad = TorusQuadrature(sp, (2 * math.ceil(16 * N),) * sp.r)
+    ones = tuple(np.ones(M // 2 + 1) for M in quad.sizes)
+    return lp_norm(FieldSample(sp, quad, ones), 1.0, region)
 
 
 def random_field(sp, quad, rng, modes=12):
@@ -162,7 +170,7 @@ def test_pure_mode_norm_exact():
     for n in (3, 11):
         d_n = (n + 1) ** 2
         quad = TorusQuadrature(S3, (16 * (2 * n + 1),))
-        fld = FieldSample(S3, quad, (d_n * phi(1, n, quad.nodes(0)),))
+        fld = FieldSample(S3, quad, (d_n * phi_matrix(1, [n], quad.nodes(0))[0],))
         assert lp_norm(fld, 2) == pytest.approx(math.sqrt(d_n), rel=1e-9)
 
 
@@ -243,7 +251,7 @@ def test_sup_norm_attained_at_identity_for_t0():
 def test_sup_norm_pure_mode():
     n, d_n = 5, 36
     quad = TorusQuadrature(S3, (512,))
-    fld = FieldSample(S3, quad, (d_n * phi(1, n, quad.nodes(0)),))
+    fld = FieldSample(S3, quad, (d_n * phi_matrix(1, [n], quad.nodes(0))[0],))
     assert sup_norm(fld) == pytest.approx(d_n, rel=1e-9)
 
 

@@ -9,10 +9,8 @@ import pytest
 from oddsphere.space import (
     build_space,
     eigenvalue,
-    flow_period,
     format_rational,
     harmonic_dim,
-    parse_rational,
 )
 
 
@@ -99,14 +97,15 @@ def test_harmonic_dim_is_polynomial_of_degree_dim_minus_one(dim):
 
 
 def test_flow_period_examples():
-    assert flow_period(build_space([3], [1])) == 1
-    assert flow_period(build_space([3, 3], [1, Fraction(2, 3)])) == 2
-    assert flow_period(build_space([5], [Fraction(1, 2)])) == 1
+    assert build_space([3], [1]).period == 1
+    assert build_space([3, 3], [1, Fraction(2, 3)]).period == 2
+    assert build_space([5], [Fraction(1, 2)]).period == 1
+    assert build_space([3, 5, 3], [Fraction(3, 7), Fraction(2, 3), 2]).period == 6
 
 
 def test_flow_period_closes_every_phase():
     sp = build_space([3, 5, 3], [Fraction(3, 7), Fraction(2, 3), 2])
-    T = flow_period(sp)
+    T = sp.period
     rng = random.Random(11)
     for _ in range(100):
         a = tuple(rng.randrange(0, 40) for _ in range(3))
@@ -127,8 +126,9 @@ def test_s_factor_decreases_with_dimension():
 
 def test_rational_serialization_round_trip():
     for text in ("3", "-5", "2/3", "-7/4"):
-        assert format_rational(parse_rational(text)) == text
-    assert parse_rational("4/6") == Fraction(2, 3)
+        assert format_rational(Fraction(text)) == text
+    assert format_rational(Fraction(4, 6)) == "2/3"
+    assert build_space([3], [" 4/6 "]).betas == (Fraction(2, 3),)
 
 
 def test_describe_and_str():

@@ -12,10 +12,8 @@ from oddsphere.space import build_space
 from oddsphere.specialfn import (
     CornerGuardError,
     get_coeffs,
-    phi,
     phi_explicit,
     phi_matrix,
-    phi_recurrence,
     phi_series,
 )
 
@@ -25,23 +23,28 @@ def s3_closed_form(n, theta):
     return np.sin((n + 1) * theta) / ((n + 1) * np.sin(theta))
 
 
+def recurrence(lam, n, theta):
+    """phi_n(theta) from the recurrence sweep, one row of phi_matrix."""
+    return phi_matrix(lam, [n], theta)[0]
+
+
 def test_recurrence_base_cases():
-    assert phi_recurrence(3, 0, 0.7) == 1.0
+    assert recurrence(3, 0, 0.7)[0] == 1.0
     for lam in (1, 2, 4):
-        assert_allclose(phi_recurrence(lam, 1, 0.9), math.cos(0.9), rtol=1e-15)
+        assert_allclose(recurrence(lam, 1, 0.9), math.cos(0.9), rtol=1e-15)
 
 
 def test_recurrence_normalization_exact_at_zero():
     for lam in range(1, 7):
-        for n in (0, 1, 2, 10, 100, 500):
-            assert phi_recurrence(lam, n, 0.0) == 1.0
+        rows = phi_matrix(lam, [0, 1, 2, 10, 100, 500], 0.0)
+        assert rows.ravel().tolist() == [1.0] * 6
 
 
 def test_recurrence_s3_values():
-    assert_allclose(phi_recurrence(1, 2, math.pi / 2), -1.0 / 3.0, atol=1e-15)
+    assert_allclose(recurrence(1, 2, math.pi / 2), -1.0 / 3.0, atol=1e-15)
     theta = np.linspace(0.05, math.pi - 0.05, 301)
     for n in (1, 5, 40, 100):
-        assert_allclose(phi_recurrence(1, n, theta), s3_closed_form(n, theta), atol=1e-12)
+        assert_allclose(recurrence(1, n, theta), s3_closed_form(n, theta), atol=1e-12)
 
 
 def test_boundedness_on_grid():
@@ -52,11 +55,12 @@ def test_boundedness_on_grid():
 
 
 def test_weyl_symmetry():
+    # the closed sum on both sides (every angle lies outside the guard band)
     theta = np.linspace(0.1, math.pi - 0.1, 57)
     for lam in (1, 2, 3):
         for n in (3, 17, 64):
             assert_allclose(
-                phi(lam, n, 2 * math.pi - theta), phi(lam, n, theta), atol=1e-12
+                phi_explicit(lam, n, 2 * math.pi - theta), phi_explicit(lam, n, theta), atol=1e-12
             )
 
 
@@ -64,8 +68,8 @@ def test_corner_translation_identity():
     theta = np.linspace(0.0, math.pi, 41)
     for lam in (1, 2, 3, 4):
         for n in (1, 2, 9, 50, 201):
-            lhs = phi_recurrence(lam, n, theta + math.pi)
-            rhs = (-1.0) ** n * phi_recurrence(lam, n, theta)
+            lhs = recurrence(lam, n, theta + math.pi)
+            rhs = (-1.0) ** n * recurrence(lam, n, theta)
             assert_allclose(lhs, rhs, atol=1e-10)
 
 
@@ -75,12 +79,12 @@ def test_explicit_matches_s3_closed_form():
 
 
 def test_explicit_matches_recurrence():
-    assert_allclose(phi_explicit(2, 7, 2.0), phi_recurrence(2, 7, 2.0), rtol=1e-10)
+    assert_allclose(phi_explicit(2, 7, 2.0), recurrence(2, 7, 2.0), rtol=1e-10)
     theta = np.linspace(0.02, math.pi - 0.02, 97)
     for lam in (1, 2, 3, 4, 5):
         for n in (0, 1, 2, 3, 11, 47, 150):
             a = phi_explicit(lam, n, theta)
-            b = phi_recurrence(lam, n, theta)
+            b = recurrence(lam, n, theta)
             assert_allclose(a, b, atol=1e-10)
 
 
@@ -89,23 +93,20 @@ def test_explicit_guard():
         phi_explicit(1, 3, 1e-6)
     with pytest.raises(CornerGuardError):
         phi_explicit(2, 3, math.pi - 1e-5)
-    # custom guard widens the forbidden band
-    with pytest.raises(CornerGuardError):
-        phi_explicit(1, 3, 0.05, guard=0.1)
 
 
-def test_hybrid_dispatch_and_overlap():
-    assert phi(3, 0, 0.02) == pytest.approx(1.0, abs=1e-11)
-    # recurrence branch near the corner stays finite
-    val = phi(2, 50, math.pi - 0.0005)
+def test_routes_meet_at_the_guard_band():
+    assert phi_explicit(3, 0, 0.02) == pytest.approx(1.0, abs=1e-11)
+    # the recurrence inside the band, next to the corner, stays finite
+    val = recurrence(2, 50, math.pi - 0.0005)[0]
     assert np.isfinite(val) and abs(val) <= 1.0 + 1e-12
-    # overlap band: both branches agree
-    assert_allclose(phi_explicit(1, 4, math.pi / 3), phi_recurrence(1, 4, math.pi / 3), atol=1e-10)
-    # dispatch output is continuous across the guard boundary
+    # overlap band: both routes agree
+    assert_allclose(phi_explicit(1, 4, math.pi / 3), recurrence(1, 4, math.pi / 3), atol=1e-10)
+    # the recurrence just inside the band meets the closed sum just outside
     guard = 1e-3
     eps = 1e-9
-    below = phi(2, 30, guard - eps)
-    above = phi(2, 30, guard + eps)
+    below = recurrence(2, 30, guard - eps)[0]
+    above = phi_explicit(2, 30, guard + eps)
     assert abs(below - above) < 1e-6
 
 
@@ -128,7 +129,7 @@ def test_phi_series_matches_direct_sum():
     w = rng.standard_normal(40) + 1j * rng.standard_normal(40)
     theta = np.array([0.0, 0.4, math.pi / 2, math.pi, 5.0])
     got = phi_series(2, w, theta)
-    want = sum(w[n] * phi_recurrence(2, n, theta) for n in range(40))
+    want = sum(w[n] * row for n, row in enumerate(phi_matrix(2, np.arange(40), theta)))
     assert_allclose(got, want, atol=1e-11)
 
 
@@ -162,26 +163,24 @@ def test_high_degree_against_multiprecision_next_to_the_poles(lam):
     band = np.arcsin(np.geomspace(1e-3, 1e-1, 5))
     theta = np.concatenate([grid[nodes], band, math.pi - band, math.pi + band])
     want = np.array([_phi_reference(lam, n, th) for th in theta])
-    assert np.max(np.abs(phi_recurrence(lam, n, theta) - want)) <= 1e-12
     assert np.max(np.abs(phi_matrix(lam, [n], theta)[0] - want)) <= 1e-12
 
 
 def test_coeff_table_invariants():
     for lam in (1, 2, 3, 4):
         coeffs = get_coeffs(lam, 50)
-        assert np.all(np.isfinite(coeffs.cnv))
+        assert coeffs.shape[0] > 50 and coeffs.shape[1] == lam
+        assert np.all(np.isfinite(coeffs))
         # lam = 1 collapses to the single Dirichlet-type term 1/(n+1)
         if lam == 1:
-            assert_allclose(coeffs.cnv[:51, 0], 1.0 / (np.arange(51) + 1.0), rtol=1e-15)
+            assert_allclose(coeffs[:51, 0], 1.0 / (np.arange(51) + 1.0), rtol=1e-15)
 
 
 def test_input_validation():
     with pytest.raises(ValueError):
-        phi_recurrence(0, 3, 0.5)
-    with pytest.raises(ValueError):
-        phi_recurrence(1, -1, 0.5)
-    with pytest.raises(ValueError):
         phi_explicit(1, -2, 0.5)
+    with pytest.raises(ValueError):
+        get_coeffs(0, 5)
     with pytest.raises(ValueError):
         phi_matrix(0, [3], [0.5])
     with pytest.raises(ValueError):
