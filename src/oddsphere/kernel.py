@@ -20,13 +20,15 @@ product of spheres the kernel with a per-factor mollifier is the pointwise
 product of the factor kernels; the literal joint-frequency (radial) mollifier
 is kept as a brute-force diagnostic.
 
-Each factor kernel depends on cos theta alone, so it is even in theta;
-kernel_product sums its cosine expansion sum_f F_f cos(f theta) on the half
-grid theta_k = 2 pi k / M, k = 0..M/2, of a measure.TorusQuadrature by one
-pair of real inverse transforms, over the real and the imaginary parts of
-F.  The coefficients come from the Fourier series of the Gegenbauer
-polynomials (Szego, Orthogonal Polynomials, 4.9), in which each phi_n is a cosine sum with positive coefficients adding up to one, so
-no cancellation is amplified.  The coefficients take O(lam n_max) steps:
+Each factor kernel depends on cos theta alone, so it is even in theta.
+kernel_product returns a KernelField, which sums the cosine expansion
+sum_f F_f cos(f theta) on the half grid theta_k = 2 pi k / M, k = 0..M/2, of
+a measure.TorusQuadrature by one pair of real inverse transforms, over the
+real and the imaginary parts of F, when a norm first reads its grid values;
+a pole-box sup never does.  The coefficients come from the Fourier series
+of the Gegenbauer polynomials (Szego, Orthogonal Polynomials, 4.9), in
+which each phi_n is a cosine sum with positive coefficients adding up to
+one, so no cancellation is amplified.  The coefficients take O(lam n_max) steps:
 Vandermonde's identity splits each product of Fourier coefficients into lam
 polynomial terms, whose sums against the weights are repeated tail sums
 along the parity chains f, f + 2, f + 4, ... of the frequencies, and only
@@ -48,7 +50,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -366,22 +368,30 @@ def kernel_nu(
 
 @dataclass
 class KernelField:
-    """Sampled kernel on a quadrature's half grids at fixed (N, t).
+    """A kernel at fixed (N, t) on a quadrature's half grids.
 
     Values are stored factored (one complex array per factor, on nodes
     0..M/2); the product-grid value is the outer product.  spectra are the
-    time-free mode data the factors were sampled from.  evaluate_factor
-    re-evaluates one factor kernel at fresh angles, which lets norm
-    refinement zoom in without resampling the whole grid.
+    time-free mode data of the factors.  factor_values is sampled from them
+    through the grid route on first read and kept, so a norm that never
+    reads the grid (a pole-box sup) never pays its transforms.
+    evaluate_factor evaluates one factor kernel at fresh angles by the
+    recurrence, which lets sup refinement zoom in without the grid.
     """
 
     space: ProductSpace
     N: float
     t: float
     quad: TorusQuadrature
-    factor_values: tuple[np.ndarray, ...]
     bump: Bump
     spectra: tuple[_Spectrum, ...]
+
+    @cached_property
+    def factor_values(self) -> tuple[np.ndarray, ...]:
+        return tuple(
+            _kernel_grid(f.lam, spec, self.t, M)
+            for f, spec, M in zip(self.space.factors, self.spectra, self.quad.sizes)
+        )
 
     def evaluate_factor(self, j: int, theta, t=None) -> np.ndarray:
         """Factor j's kernel at fresh angles, at the field's time.
@@ -405,14 +415,12 @@ def kernel_product(
     quad: TorusQuadrature,
     bump: Bump = Bump(),
 ) -> KernelField:
-    """Product-space kernel with the per-factor mollifier on quad's half grids, stored factored."""
+    """Product-space kernel with the per-factor mollifier on quad's half
+    grids, stored factored and sampled on first read."""
     if quad.space != space:
         raise ValueError(f"a quadrature on {quad.space} cannot sample a kernel on {space}")
     spectra = tuple(_spectrum(f.lam, f.beta, N, bump) for f in space.factors)
-    values = tuple(
-        _kernel_grid(f.lam, spec, t, M) for f, spec, M in zip(space.factors, spectra, quad.sizes)
-    )
-    return KernelField(space, N, t, quad, values, bump, spectra)
+    return KernelField(space, N, t, quad, bump, spectra)
 
 
 def kernel_direct_multi(

@@ -356,43 +356,41 @@ def lp_norm(field, p: float, region: Region | None = None):
 _STENCIL = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
 
 
-def _refine_steps(th0: float, h0: float, keep, extra: np.ndarray):
-    """Step-halving around a grid argmax th0 on a grid of step h0.
+def _refine_steps(cand: np.ndarray, h0: float, keep):
+    """Step-halving on a grid of step h0, from the first candidate angles cand.
 
-    The first step also tries the angles extra.  A generator: it yields
-    candidate angles, is sent their |values| and returns the refined sup,
-    the largest value sent.  The grid value at th0 only chose the start:
-    grid values carry the grid route's rounding, so one may exceed every
-    value of its box.
+    A generator: it yields candidate angles, is sent their |values| and
+    returns the refined sup, the largest value sent.  Each later step tries
+    the stencil at half the previous step around the best angle so far.
     """
-    h, best = h0, 0.0
+    h, best, th0 = h0, 0.0, None
     for _ in range(60):
-        cand = np.mod(th0 + h * _STENCIL, 2.0 * math.pi)
-        cand = np.concatenate([cand[keep(cand)], extra])
-        extra = extra[:0]
-        if cand.size == 0:
-            h *= 0.5
-            continue
-        vals = yield cand
-        i = int(np.argmax(vals))
-        new = float(vals[i])
-        moved_best = max(new, best)
-        if moved_best <= best * (1.0 + SUP_REFINE_TOL) and h < h0 / 4:
-            return moved_best
-        th0 = float(cand[i]) if new >= best else th0
-        best = moved_best
+        if cand.size:
+            vals = yield cand
+            i = int(np.argmax(vals))
+            new = float(vals[i])
+            moved_best = max(new, best)
+            if moved_best <= best * (1.0 + SUP_REFINE_TOL) and h < h0 / 4:
+                return moved_best
+            th0 = float(cand[i]) if new >= best else th0
+            best = moved_best
         h *= 0.5
         if h < 1e-12:
             break
+        cand = _stencil(th0, h, keep)
     return best
 
 
-def _box_candidates(key: str, radius: float | None, box: np.ndarray) -> np.ndarray:
-    """First-step angles of a sup piece: a pole box's nodes and its edges
-    pole +- radius, so neither grid rounding nor a sup on the edge hides the
-    box maximum (a radius-1/N box holds a few nodes); none for the rest."""
-    if not key.startswith("pole"):
-        return np.empty(0)
+def _stencil(th0: float, h: float, keep) -> np.ndarray:
+    """The candidates th0 + h * _STENCIL that lie in a piece's node set."""
+    cand = np.mod(th0 + h * _STENCIL, 2.0 * math.pi)
+    return cand[keep(cand)]
+
+
+def _box_candidates(key: str, radius: float, box: np.ndarray) -> np.ndarray:
+    """First-step angles of a pole-box sup piece: every box node and the
+    edges pole +- radius, so neither grid rounding nor a sup on the edge
+    hides the box maximum (a radius-1/N box holds a few nodes)."""
     edges = math.pi * int(key[-1]) + np.array([-radius, radius])
     return np.concatenate([box, np.mod(edges, 2.0 * math.pi)])
 
@@ -423,22 +421,24 @@ def _sweep_owner(field, owners: dict):
     """The field whose evaluate_factor serves field, and the time to pass it.
 
     A kernel field evaluates every kernel of its space, scale and cutoff
-    given one time per angle, so those share one owner: a copy of the first
-    of them without its grid values.  Any other field evaluates only itself.
+    given one time per angle, so those share one owner: a plain copy of the
+    first of them, whose grid is never sampled.  Any other field evaluates
+    only itself.
     """
     if not hasattr(field, "t"):
         return field, None
     key = (field.space, field.N, field.bump)
     if key not in owners:
-        owners[key] = replace(field, factor_values=())
+        owners[key] = replace(field)
     return owners[key], field.t
 
 
 def _grid_sups(field, pieces, owners: dict, live: list[_Refinement]) -> dict:
     """The grid sup of each piece of field.  A field that evaluates itself
-    at fresh angles instead puts each piece's refinement, started at the
-    grid argmax, on live, which writes the refined sup into the returned
-    dict when it ends."""
+    at fresh angles instead puts each piece's refinement on live, which
+    writes the refined sup into the returned dict when it ends: a pole-box
+    piece starts from the values at its nodes and edges and reads no grid
+    value, a full or away piece from the stencil around its grid argmax."""
     value = {}
     refine = (
         getattr(field, "evaluate_factor", None) is not None
@@ -453,16 +453,20 @@ def _grid_sups(field, pieces, owners: dict, live: list[_Refinement]) -> dict:
         if not mask.any():
             value[piece] = 0.0
             continue
-        if j not in magnitudes:
-            magnitudes[j] = np.abs(np.asarray(field.factor_values[j]))
         idx = np.flatnonzero(mask)
-        k = idx[np.argmax(magnitudes[j][idx])]
-        if not refine:
-            value[piece] = float(magnitudes[j][k])
-            continue
         h0 = 2.0 * math.pi / field.quad.sizes[j]
-        extra = _box_candidates(key, radius, grid[idx])
-        steps = _refine_steps(float(grid[k]), h0, _keep(key, radius), extra)
+        keep = _keep(key, radius)
+        if refine and key.startswith("pole"):
+            first = _box_candidates(key, radius, grid[idx])
+        else:
+            if j not in magnitudes:
+                magnitudes[j] = np.abs(np.asarray(field.factor_values[j]))
+            k = idx[np.argmax(magnitudes[j][idx])]
+            if not refine:
+                value[piece] = float(magnitudes[j][k])
+                continue
+            first = _stencil(float(grid[k]), h0, keep)
+        steps = _refine_steps(first, h0, keep)
         _advance(_Refinement(owner, time, j, steps, None, value, piece), None, live)
     return value
 
@@ -493,10 +497,11 @@ def _norms(fields, regions, p: float):
     """The L^p norms (sups at p = inf) of every field over every region.
 
     Each field gives the value of every distinct piece its regions combine
-    once, its integral of |K_j|^p or its grid sup, and is then let go, its
-    grid values with it, before the next field is built.  The sup pieces of
-    all fields are then refined together.  A single field and region give
-    a single norm.
+    once, its integral of |K_j|^p or its sup, and is then let go, its grid
+    values with it (a kernel field samples them only if a piece reads
+    them), before the next field is built.  The sup pieces of all fields
+    are then refined together.  A single field and region give a single
+    norm.
     """
     if regions is None or isinstance(regions, Region):
         return _norms([fields], [regions or Region.full()], p)[0][0]
@@ -521,10 +526,14 @@ def _norms(fields, regions, p: float):
 
 
 def sup_norm(field, region: Region | None = None):
-    """Sup of |field| over the region: local refinement from the grid argmax
-    for a field that evaluates itself, else the grid max.
+    """Sup of |field| over the region: the grid max, or local refinement
+    for a field that evaluates itself.
 
     Only the per-factor pieces the region combines (_pieces) are refined.
+    A pole-box piece starts from the values at every box node and both box
+    edges, evaluated afresh, and reads no grid value, so a kernel field
+    whose norms are all corner sups never samples its grid; a full or away
+    piece starts from its grid argmax.
 
     Given an iterable of fields and a list of regions instead, returns one
     list of sups per field, one per region.  All their pieces, each refined

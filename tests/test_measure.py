@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oddsphere import measure, space
+from oddsphere import kernel, measure, space
 from oddsphere.kernel import Bump, KernelField, kernel_1d, kernel_product, spectral_l2_norm
 from oddsphere.measure import (
     FieldSample,
@@ -319,6 +319,52 @@ def test_refined_sup_is_an_evaluated_value_not_the_grid_value():
     vals[box[0]] = 1.5 * box_max
     fld = FieldSample(S3, quad, (vals,), evaluators=(lambda th: kern.evaluate_factor(0, th),))
     assert sup_norm(fld, Region.corner(1, radius)) <= box_max * (1 + 1e-12)
+
+
+def test_pole_box_sup_reads_no_grid_value():
+    # a pole-box sup starts from the recurrence values at the box nodes and
+    # edges, so grid values that are not numbers change nothing
+    N, radius = 16, 1 / 16
+    quad = TorusQuadrature.for_kernel(S3, N)
+    kern = kernel_product(S3, N, 0.37, quad, Bump())
+    nodes = quad.nodes(0)
+    box = np.abs(nodes - math.pi) <= radius
+    vals = kern.factor_values[0].copy()
+    vals[box] = np.nan
+    fld = FieldSample(S3, quad, (vals,), evaluators=(lambda th: kern.evaluate_factor(0, th),))
+    first = np.concatenate([nodes[box], [math.pi - radius, math.pi + radius]])
+    sup = sup_norm(fld, Region.corner(1, radius))
+    assert sup >= np.max(np.abs(kern.evaluate_factor(0, first)))
+    assert sup == sup_norm(kern, Region.corner(1, radius))
+
+
+def test_corner_sups_never_sample_the_grid(monkeypatch):
+    # a kernel field samples its grid on first read, and a p = inf corner
+    # norm never reads it, for one field or a lockstep batch; full and away
+    # sups sample each factor once
+    sp = space.build_space([3, 5], [1, Fraction(2, 3)])
+    N, radius = 32, 1 / 32
+    quad = TorusQuadrature.for_kernel(sp, N)
+    times = (0.0, 0.37, 1.9)
+    calls = []
+    original = kernel._kernel_grid
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(kernel, "_kernel_grid", counted)
+    corners = [Region.corner(poles, radius) for poles in np.ndindex(2, 2)]
+    single = sup_norm(kernel_product(sp, N, 0.37, quad, Bump()), corners[1])
+    batch = sup_norm((kernel_product(sp, N, t, quad, Bump()) for t in times), corners)
+    assert calls == [] and batch[1][1] == single
+    for region in (Region.full(), Region.away(radius)):
+        calls.clear()
+        sup_norm((kernel_product(sp, N, t, quad, Bump()) for t in times), [region])
+        assert len(calls) == sp.r * len(times)
+    calls.clear()
+    fld = kernel_product(sp, N, 0.37, quad, Bump())
+    assert fld.factor_values is fld.factor_values and len(calls) == sp.r
 
 
 def test_s9_corner_sup_stays_below_its_box_maximum():
