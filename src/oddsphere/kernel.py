@@ -37,9 +37,9 @@ every node, corners included, the absolute error is of the order of
 eps * sum_n |w_n| for the mode weights w_n, and the sum costs
 O(lam n_max + M log M).  At bare angles (kernel_1d, and
 KernelField.evaluate_factor) the kernel always comes from the recurrence
-sweep phi_series, at O(#modes * #angles).  Sup refinement asks for a few
+sweep phi_series, at O(#modes * #angles).  A sup proxy asks for a few
 angles per field at a time, so evaluate_factor also takes one time per
-angle: the candidates of every kernel of one space, scale and cutoff then
+angle: the angles of every kernel of one space, scale and cutoff then
 share one sweep, with one weight column per distinct time.  The nu-pieces
 are kept as the paper's numerator sums (kappa_nu, kernel_nu), not as an
 evaluation route.
@@ -376,7 +376,7 @@ class KernelField:
     through the grid route on first read and kept, so a norm that never
     reads the grid (a pole-box sup) never pays its transforms.
     evaluate_factor evaluates one factor kernel at fresh angles by the
-    recurrence, which lets sup refinement zoom in without the grid.
+    recurrence, which gives a sup's Chebyshev proxy values off the grid.
     """
 
     space: ProductSpace

@@ -23,6 +23,9 @@ of each factor; "away" is the complement of the union of all corner boxes.
 Every region combines per-factor pieces (a pole box, the whole circle or the
 rest of it): corner and full norms multiply across factors, away integrals
 come from inclusion-exclusion and away sups from the best single factor.
+A field that evaluates itself at fresh angles (a kernel field) takes each
+piece's sup from a Chebyshev proxy of |K_j|^2 on the piece's interval, in
+two recurrence sweeps for all pieces of all fields of a scale (sup_norm).
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from math import comb
-from typing import Callable, Generator
+from typing import Callable
 
 import numpy as np
 
@@ -50,7 +53,6 @@ __all__ = [
 ]
 
 DEFAULT_OVERSAMPLE = 16  # grid nodes per unit of kernel bandwidth
-SUP_REFINE_TOL = 1e-4
 RESOLUTION_TOL = 1e-5
 
 
@@ -313,14 +315,6 @@ def _combine(r: int, region: Region, value: dict, sup: bool) -> float:
     return max(math.prod(full) - boxes, 0.0)
 
 
-def _keep(key: str, radius: float | None) -> Callable[[np.ndarray], np.ndarray]:
-    """The node set of a piece as a test on any angles (refinement candidates):
-    the whole circle, a pole box or the rest."""
-    if key == "full":
-        return lambda th: np.ones(th.shape, dtype=bool)
-    return lambda th: _factor_masks(th, radius)[key]
-
-
 def _integrals(field, p: float, pieces) -> dict:
     """The integral of |K_j|^p over each piece's nodes; |K_j|^p is taken
     once per factor and let go on return."""
@@ -352,99 +346,44 @@ def lp_norm(field, p: float, region: Region | None = None):
     return _norms(field, region, p)
 
 
-# candidate offsets of one refinement step, in units of the current step h
-_STENCIL = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-
-
-def _refine_steps(cand: np.ndarray, h0: float, keep):
-    """Step-halving on a grid of step h0, from the first candidate angles cand.
-
-    A generator: it yields candidate angles, is sent their |values| and
-    returns the refined sup, the largest value sent.  Each later step tries
-    the stencil at half the previous step around the best angle so far.
-    """
-    h, best, th0 = h0, 0.0, None
-    for _ in range(60):
-        if cand.size:
-            vals = yield cand
-            i = int(np.argmax(vals))
-            new = float(vals[i])
-            moved_best = max(new, best)
-            if moved_best <= best * (1.0 + SUP_REFINE_TOL) and h < h0 / 4:
-                return moved_best
-            th0 = float(cand[i]) if new >= best else th0
-            best = moved_best
-        h *= 0.5
-        if h < 1e-12:
-            break
-        cand = _stencil(th0, h, keep)
-    return best
-
-
-def _stencil(th0: float, h: float, keep) -> np.ndarray:
-    """The candidates th0 + h * _STENCIL that lie in a piece's node set."""
-    cand = np.mod(th0 + h * _STENCIL, 2.0 * math.pi)
-    return cand[keep(cand)]
-
-
-def _box_candidates(key: str, radius: float, box: np.ndarray) -> np.ndarray:
-    """First-step angles of a pole-box sup piece: every box node and the
-    edges pole +- radius, so neither grid rounding nor a sup on the edge
-    hides the box maximum (a radius-1/N box holds a few nodes)."""
-    edges = math.pi * int(key[-1]) + np.array([-radius, radius])
-    return np.concatenate([box, np.mod(edges, 2.0 * math.pi)])
+# A sup proxy interpolates |K_j|^2 at the Chebyshev-Lobatto points cos(pi i / m),
+# m = SUP_NODES - 1; row i of _DCT (a DCT-I) is point i's share of each coefficient.
+SUP_NODES = 16
+SUP_CERT_TOL = 1e-6  # a larger tail certificate samples the piece densely
+SUP_DENSE = 257  # evenly spaced angles of that dense sample
+_LOBATTO = np.cos(math.pi * np.arange(SUP_NODES) / (SUP_NODES - 1))
+_HALF = np.where(np.arange(SUP_NODES) % (SUP_NODES - 1), 1.0, 0.5)
+_DCT = np.cos(math.pi / (SUP_NODES - 1) * np.outer(np.arange(SUP_NODES), np.arange(SUP_NODES)))
+_DCT *= (2.0 / (SUP_NODES - 1)) * np.outer(_HALF, _HALF)
 
 
 @dataclass
-class _Refinement:
-    """One sup piece under refinement and the field that evaluates it."""
+class _SupPiece:
+    """A sup piece (factor, node set, radius), its interval and its evaluator."""
 
-    owner: object  # its evaluate_factor computes the candidates' values
+    owner: object  # its evaluate_factor computes the piece's values
     time: float | None  # the piece's time, when the owner takes one per angle
-    j: int
-    steps: Generator
-    cand: np.ndarray | None
-    sup: dict
+    lo: float
+    hi: float
+    first: np.ndarray  # angles the first sweep adds to the proxy's points
+    sup: dict  # where the piece's sup is written
     piece: tuple
 
 
-def _advance(ref: _Refinement, vals, live: list[_Refinement]) -> None:
-    """Send a piece its candidates' |values|: keep it live or record its sup."""
-    try:
-        ref.cand = ref.steps.send(vals)
-        live.append(ref)
-    except StopIteration as done:
-        ref.sup[ref.piece] = done.value
-
-
-def _sweep_owner(field, owners: dict):
-    """The field whose evaluate_factor serves field, and the time to pass it.
-
-    A kernel field evaluates every kernel of its space, scale and cutoff
-    given one time per angle, so those share one owner: a plain copy of the
-    first of them, whose grid is never sampled.  Any other field evaluates
-    only itself.
-    """
-    if not hasattr(field, "t"):
-        return field, None
-    key = (field.space, field.N, field.bump)
-    if key not in owners:
-        owners[key] = replace(field)
-    return owners[key], field.t
-
-
-def _grid_sups(field, pieces, owners: dict, live: list[_Refinement]) -> dict:
+def _grid_sups(field, pieces, owners: dict, pending: list[_SupPiece]) -> dict:
     """The grid sup of each piece of field.  A field that evaluates itself
-    at fresh angles instead puts each piece's refinement on live, which
-    writes the refined sup into the returned dict when it ends: a pole-box
-    piece starts from the values at its nodes and edges and reads no grid
-    value, a full or away piece from the stencil around its grid argmax."""
+    instead puts each piece on pending, with its interval and first angles
+    (sup_norm), and _proxy_sups writes its sup into the returned dict."""
     value = {}
-    refine = (
+    proxy = (
         getattr(field, "evaluate_factor", None) is not None
         and getattr(field, "evaluators", True) is not None
     )
-    owner, time = _sweep_owner(field, owners) if refine else (None, None)
+    owner, time = field, None
+    if hasattr(field, "t"):
+        # every kernel of one space, scale and cutoff evaluates given one time
+        # per angle, so all share one owner: a copy of the first, never sampled
+        owner, time = owners.setdefault((field.space, field.N, field.bump), replace(field)), field.t
     magnitudes: dict[int, np.ndarray] = {}
     for piece in pieces:
         j, key, radius = piece
@@ -454,43 +393,97 @@ def _grid_sups(field, pieces, owners: dict, live: list[_Refinement]) -> dict:
             value[piece] = 0.0
             continue
         idx = np.flatnonzero(mask)
-        h0 = 2.0 * math.pi / field.quad.sizes[j]
-        keep = _keep(key, radius)
-        if refine and key.startswith("pole"):
-            first = _box_candidates(key, radius, grid[idx])
+        if proxy and key.startswith("pole"):
+            lo, hi = (0.0, radius) if key == "pole0" else (math.pi - radius, math.pi)
+            first = grid[idx]
         else:
             if j not in magnitudes:
                 magnitudes[j] = np.abs(np.asarray(field.factor_values[j]))
             k = idx[np.argmax(magnitudes[j][idx])]
-            if not refine:
+            if not proxy:
                 value[piece] = float(magnitudes[j][k])
                 continue
-            first = _stencil(float(grid[k]), h0, keep)
-        steps = _refine_steps(first, h0, keep)
-        _advance(_Refinement(owner, time, j, steps, None, value, piece), None, live)
+            h, edge = 2.0 * math.pi / field.quad.sizes[j], radius or 0.0
+            lo, hi = max(grid[k] - h, edge), min(grid[k] + h, math.pi - edge)
+            first = grid[k : k + 1]
+        pending.append(_SupPiece(owner, time, lo, hi, first, value, piece))
     return value
 
 
-def _refine(live: list[_Refinement]) -> None:
-    """Run every refinement to its end in lockstep: each step evaluates the
-    candidates of all live pieces in one evaluate_factor call per owner and
-    factor."""
-    while live:
-        batches: dict[tuple[int, int], list[_Refinement]] = {}
-        for ref in live:
-            batches.setdefault((id(ref.owner), ref.j), []).append(ref)
-        live = []
-        for batch in batches.values():
-            owner, j = batch[0].owner, batch[0].j
-            sizes = [ref.cand.size for ref in batch]
-            theta = np.concatenate([ref.cand for ref in batch])
-            if batch[0].time is None:
-                vals = owner.evaluate_factor(j, theta)
-            else:
-                vals = owner.evaluate_factor(j, theta, np.repeat([ref.time for ref in batch], sizes))
-            vals = np.abs(vals)
-            for ref, part in zip(batch, np.split(vals, np.cumsum(sizes)[:-1])):
-                _advance(ref, part, live)
+def _sweep(pending: list[_SupPiece], angles: list[np.ndarray]) -> list[np.ndarray]:
+    """|values| of each pending piece at its angles, by one evaluate_factor
+    call per owner and factor for all of them."""
+    batches: dict[tuple[int, int], list[int]] = {}
+    for i, ref in enumerate(pending):
+        batches.setdefault((id(ref.owner), ref.piece[0]), []).append(i)
+    out: list = [None] * len(pending)
+    for batch in batches.values():
+        ref = pending[batch[0]]
+        sizes = [angles[i].size for i in batch]
+        args = [ref.piece[0], np.concatenate([angles[i] for i in batch])]
+        if ref.time is not None:
+            args.append(np.repeat([pending[i].time for i in batch], sizes))
+        vals = ref.owner.evaluate_factor(*args)
+        for i, part in zip(batch, np.split(np.abs(vals), np.cumsum(sizes)[:-1])):
+            out[i] = part
+    return out
+
+
+def _clenshaw(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k c[i, k] T_k(x[i, l]) for every row i of c and column l of x."""
+    b1 = b2 = np.zeros_like(x)
+    for k in range(c.shape[1] - 1, 0, -1):
+        b1, b2 = c[:, k, None] + 2.0 * x * b1 - b2, b1
+    return c[:, :1] + x * b1 - b2
+
+
+def _derivative(c: np.ndarray) -> np.ndarray:
+    """The Chebyshev coefficients of the derivative of each row's series."""
+    d = np.zeros((c.shape[0], c.shape[1] + 1))
+    for k in range(c.shape[1] - 1, 0, -1):
+        d[:, k - 1] = d[:, k + 1] + 2.0 * k * c[:, k]
+    return d[:, :-2] * _HALF[: c.shape[1] - 1]
+
+
+def _proxy_argmax(c: np.ndarray) -> np.ndarray:
+    """The argmax on [-1, 1] of each row's Chebyshev series: the best of 65
+    evenly spaced points, moved by Newton steps on the derivative wherever
+    the series is concave, and kept only if the series is no lower there."""
+    coarse = np.linspace(-1.0, 1.0, 65)
+    vals = _clenshaw(c, np.broadcast_to(coarse, (c.shape[0], coarse.size)))
+    x = coarse[np.argmax(vals, axis=1), None]
+    d1 = _derivative(c)
+    d2 = _derivative(d1)
+    y = x
+    for _ in range(4):
+        curv = _clenshaw(d2, y)
+        y = np.clip(y - _clenshaw(d1, y) / np.where(curv < 0.0, curv, -np.inf), -1.0, 1.0)
+    return np.where(_clenshaw(c, y) >= vals.max(axis=1, keepdims=True), y, x)[:, 0]
+
+
+def _proxy_sups(pending: list[_SupPiece]) -> None:
+    """Write the sup of every pending piece from two sweeps (see sup_norm).
+    The proxy arithmetic is elementwise across pieces, so no piece's sup
+    depends on the others."""
+    if not pending:
+        return
+    lo = np.array([ref.lo for ref in pending])[:, None]
+    hi = np.array([ref.hi for ref in pending])[:, None]
+    cheb = lo + (hi - lo) * (1.0 + _LOBATTO) / 2.0
+    cheb[:, :1], cheb[:, -1:] = hi, lo
+    first = _sweep(pending, [np.concatenate([row, ref.first]) for row, ref in zip(cheb, pending)])
+    g = np.stack([vals[:SUP_NODES] for vals in first]) ** 2
+    c = np.zeros_like(g)
+    for i in range(SUP_NODES):
+        c += g[:, i, None] * _DCT[i]
+    flagged = np.abs(c[:, -2:]).max(axis=1) > SUP_CERT_TOL * np.abs(c).max(axis=1)
+    at = lo[:, 0] + (hi - lo)[:, 0] * (1.0 + _proxy_argmax(c)) / 2.0
+    second = [
+        np.append(a, np.linspace(ref.lo, ref.hi, SUP_DENSE) if flag else [])
+        for a, flag, ref in zip(at, flagged, pending)
+    ]
+    for ref, one, two in zip(pending, first, _sweep(pending, second)):
+        ref.sup[ref.piece] = float(max(one.max(), two.max()))
 
 
 def _norms(fields, regions, p: float):
@@ -499,8 +492,8 @@ def _norms(fields, regions, p: float):
     Each field gives the value of every distinct piece its regions combine
     once, its integral of |K_j|^p or its sup, and is then let go, its grid
     values with it (a kernel field samples them only if a piece reads
-    them), before the next field is built.  The sup pieces of all fields
-    are then refined together.  A single field and region give a single
+    them), before the next field is built.  The sups of all fields' pieces
+    are then taken together.  A single field and region give a single
     norm.
     """
     if regions is None or isinstance(regions, Region):
@@ -508,39 +501,45 @@ def _norms(fields, regions, p: float):
     regions = list(regions)
     sup = p == math.inf
     owners: dict = {}
-    live: list[_Refinement] = []
+    pending: list[_SupPiece] = []
     results = []
     for field in fields:
         r = field.space.r
         pieces = dict.fromkeys(piece for reg in regions for piece in _pieces(r, reg, sup))
         if sup:
-            value = _grid_sups(field, pieces, owners, live)
+            value = _grid_sups(field, pieces, owners, pending)
         else:
             _resolution_floor(field)
             value = _integrals(field, p, pieces)
         results.append((r, value))
         del field  # before the next field is built
-    _refine(live)
+    _proxy_sups(pending)
     norms = [[_combine(r, reg, value, sup) for reg in regions] for r, value in results]
     return norms if sup else [[power ** (1.0 / p) for power in row] for row in norms]
 
 
 def sup_norm(field, region: Region | None = None):
-    """Sup of |field| over the region: the grid max, or local refinement
-    for a field that evaluates itself.
+    """Sup of |field| over the region: the grid max, or for a field that
+    evaluates itself the largest value at angles a Chebyshev proxy chooses.
 
-    Only the per-factor pieces the region combines (_pieces) are refined.
-    A pole-box piece starts from the values at every box node and both box
-    edges, evaluated afresh, and reads no grid value, so a kernel field
-    whose norms are all corner sups never samples its grid; a full or away
-    piece starts from its grid argmax.
+    Each piece the region combines (_pieces) spans an interval: a pole box
+    [pole, pole +- radius], as a kernel is even about its poles, and a full
+    or away piece its grid argmax +- one grid step, clipped to the piece.
+    Sweep 1 evaluates SUP_NODES Chebyshev-Lobatto points of the interval,
+    its ends among them, and every box node (or the grid argmax).  The
+    Chebyshev coefficients of |K_j|^2 there give an interpolant and a tail
+    certificate, the larger of the last two against the largest.  Sweep 2
+    evaluates the interpolant's argmax and, where the certificate exceeds
+    SUP_CERT_TOL (a box at the recurrence's rounding floor, whose proxy
+    follows noise), the dense fallback: SUP_DENSE evenly spaced angles.
+    The sup is the largest value evaluated, never a grid value.  A pole box
+    reads no grid value, so corner sups never sample a kernel field's grid.
 
     Given an iterable of fields and a list of regions instead, returns one
-    list of sups per field, one per region.  All their pieces, each refined
-    once however many regions share it, advance in lockstep: one
-    evaluate_factor call per factor per step serves every kernel field of
-    one space and scale.  The values are those of one call per field and
-    region.
+    list of sups per field, one per region.  Each piece is measured once
+    however many regions share it, and each sweep is one evaluate_factor
+    call per factor for the pieces of all kernel fields of one space and
+    scale.  The values are those of one call per field and region.
     """
     return _norms(field, region, math.inf)
 

@@ -93,8 +93,7 @@ def test_rule_weights_are_computed_once_and_read_only():
 
 
 def test_node_masks_are_built_once_per_rule_factor_and_radius(monkeypatch):
-    # every field of one rule shares its pole-box and away masks (sup
-    # refinement still tests its few candidate angles one step at a time)
+    # every field of one rule shares its pole-box and away masks
     built = []
     original = measure._factor_masks
 
@@ -257,7 +256,7 @@ def test_sup_norm_pure_mode():
 
 def test_sup_refinement_converges():
     # oscillatory kernel away from refocusing times: grid max alone is off
-    # by O((N h)^2); refinement must converge to 1e-4
+    # by O((N h)^2); the proxy sup must not move with the base grid
     bump = Bump()
     N = 128
     quad = TorusQuadrature.for_kernel(S3, N, oversample=16)
@@ -395,6 +394,72 @@ def test_sup_refines_only_the_pieces_the_region_uses():
     fld = FieldSample(S3, kern.quad, kern.factor_values, evaluators=(evaluate,))
     assert sup_norm(fld, Region.corner(1, radius)) == sup_norm(kern, Region.corner(1, radius))
     assert probed and all(abs(th - math.pi) <= radius for th in probed)
+
+
+def _probed(quad, evaluate):
+    """A field of evaluate on quad's grid that records every angle it is asked for."""
+    probed = []
+
+    def ev(theta):
+        probed.extend(np.atleast_1d(theta))
+        return evaluate(theta)
+
+    return FieldSample(S3, quad, (evaluate(quad.nodes(0)),), evaluators=(ev,)), probed
+
+
+@pytest.mark.parametrize("pole", [0, 1])
+@pytest.mark.parametrize("at", [0.13, 0.37, 0.61])
+def test_proxy_sup_finds_an_interior_box_maximum(pole, at):
+    # a maximum between the box nodes is found to rounding, where
+    # step-halving stopped 1.6e-6 to 1.6e-5 below it
+    N, radius = 16, 1 / 16
+    quad = TorusQuadrature.for_kernel(S3, N)
+    peak = pole * math.pi + (1 - 2 * pole) * at * radius
+    fld, _ = _probed(quad, lambda th: 3.0 + np.cos(math.pi * (th - peak) / (0.8 * radius)))
+    assert sup_norm(fld, Region.corner(pole, radius)) == pytest.approx(4.0, rel=1e-12)
+
+
+def test_proxy_sup_finds_an_interior_maximum_of_the_full_circle():
+    # the proxy spans the grid argmax +- one grid step
+    quad = TorusQuadrature(S3, (64,))
+    fld, probed = _probed(quad, lambda th: 3.0 + np.cos(th - 1.2345))
+    assert sup_norm(fld) == pytest.approx(4.0, rel=1e-12)
+    argmax = quad.nodes(0)[np.argmax(fld.factor_values[0])]
+    assert all(abs(th - argmax) <= 2.0 * math.pi / 64 * (1 + 1e-12) for th in probed)
+
+
+def _box_probes(evaluate):
+    N, radius = 16, 1 / 16
+    quad = TorusQuadrature.for_kernel(S3, N)
+    fld, probed = _probed(quad, evaluate)
+    sup = sup_norm(fld, Region.corner(1, radius))
+    box = np.flatnonzero(quad.mask(0, "pole1", radius))
+    return sup, probed, np.abs(evaluate(quad.nodes(0)[box])), radius
+
+
+def test_smooth_box_is_not_flagged():
+    # sweep 1 takes the Chebyshev points and the box nodes, sweep 2 the
+    # proxy's argmax alone
+    kern = kernel_product(S3, 16, 0.37, TorusQuadrature.for_kernel(S3, 16), Bump())
+    sup, probed, nodes, _ = _box_probes(lambda th: kern.evaluate_factor(0, th))
+    assert len(probed) == measure.SUP_NODES + nodes.size + 1
+    assert sup >= nodes.max()
+
+
+def test_rippled_box_is_flagged_and_sampled_densely():
+    # a 1e-3 ripple the proxy cannot resolve leaves a tail above the
+    # certificate threshold, and the box is sampled evenly as well
+    rng = np.random.default_rng(11)
+    freq, phase = rng.uniform(200, 400, 3) * 16, rng.uniform(0, 2 * math.pi, 3)
+
+    def rippled(th):
+        th = np.asarray(th, dtype=float)
+        return 2.0 + np.cos(th) + 1e-3 * np.sin(np.multiply.outer(th, freq) + phase).sum(axis=-1)
+
+    sup, probed, nodes, radius = _box_probes(rippled)
+    assert len(probed) == measure.SUP_NODES + nodes.size + 1 + measure.SUP_DENSE
+    assert sup >= nodes.max()
+    assert all(math.pi - radius <= th <= math.pi for th in probed)
 
 
 def _resolution_passes(N, p, oversample):
