@@ -101,16 +101,20 @@ def _farey_table(Q: int) -> tuple[np.ndarray, np.ndarray]:
     """All reduced fractions a/q with 0 <= a < q <= Q as two integer arrays
     (a, q), sorted by value.
 
-    Each q keeps the numerators np.gcd finds coprime to it, and one argsort
-    of the float values a/q orders the table.  That sort is exact: two
-    distinct reduced fractions with denominators at most Q differ by at
-    least 1/Q^2, far above the rounding of a/q.
+    A boolean (Q + 1) x Q table marks a >= q and, for each prime p, the
+    cells (q, a) p divides; the unmarked cells are the reduced fractions.
+    A row's a = 0 cell is marked once a smaller prime divides q, so it
+    sieves the primes.  One argsort of a/q is exact: distinct reduced
+    fractions with q <= Q differ by at least 1/Q^2.
     """
     if Q < 1:
         raise ValueError(f"need Q >= 1, got {Q}")
-    a = [np.flatnonzero(np.gcd(np.arange(q), q) == 1) for q in range(1, Q + 1)]
-    q = np.repeat(np.arange(1, Q + 1), [part.size for part in a])
-    a = np.concatenate(a)
+    shared = np.less_equal.outer(np.arange(Q + 1), np.arange(Q))
+    for p in range(2, Q + 1):
+        if not shared[p, 0]:
+            shared[p::p, ::p] = True
+    q, a = np.divmod(np.flatnonzero(np.logical_not(shared, out=shared)), Q)
+    del shared  # let the table go before the sort
     order = np.argsort(a / q)
     a = a[order]  # the unsorted a is let go before q is permuted
     return a, q[order]

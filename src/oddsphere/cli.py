@@ -265,40 +265,35 @@ def _arc_entries(N: float, a: np.ndarray, q: np.ndarray):
     the text json.dump(indent=2, sort_keys=True) writes for the
     MajorArc.to_json entries (indent= forces the pure-Python encoder).
 
-    An entry's text is a head shared by all entries, a segment that depends
-    only on a (the "a" value and the centre's numerator) and a tail that
-    depends only on q (the centre's denominator, the half-width and "q").
-    The Q segments and Q + 1 tails are formatted once per listing, and each
-    chunk of ARC_CHUNK entries is one join of [head, seg[a], tail[q]] per
-    entry: no formatting runs per arc.  At N = 512 (79,596 entries) the
-    text takes about 15 ms at a 0.8 MB traced peak (2 vCPUs).
-
-    Past 0/1 (centre "0") every centre a/q is reduced with q >= 2.  With
-    N = n/m and g = gcd(m, q) the half-width 1/(qN) = m/(qn) reduces to
-    (m/g) / ((q/g) n), since m and n are coprime.  Both parts are Python
-    ints, so they stay exact where (q/g) n passes 2^63.
+    An entry's text is a shared head, a segment set by a and a tail set by
+    q, each formatted once per listing; a chunk of entries is two gathers
+    into an object array of [head, seg, tail] slots and one join.  With
+    N = n/m and g = gcd(m, q) the half-width 1/(qN) is (m/g) / ((q/g) n),
+    in Python ints, exact where (q/g) n passes 2^63.
     """
     n, m = Fraction(N).as_integer_ratio()
     Q = int(q.max())
     head = f',\n    {{\n      "N": {json.dumps(N)},\n      "a": '
-    seg = [f'{k},\n      "center": "{k}' for k in range(Q)]
-    tail = [
+    seg = np.array([f'{k},\n      "center": "{k}' for k in range(Q)], dtype=object)
+    tail = np.array([
         f'/{k}",\n      "distance": null,\n      "halfwidth": "{m // g}/{k // g * n}",\n'
         f'      "q": {k}\n    }}'
         for k, g in ((k, math.gcd(m, k)) for k in range(Q + 1))
-    ]
+    ], dtype=object)
     yield head[2:] + seg[0] + tail[1][2:]  # 0/1: centre "0", no "/1"
+    rows = np.full(3 * ARC_CHUNK, head, dtype=object)
     for start in range(1, a.size, ARC_CHUNK):
         chunk = slice(start, start + ARC_CHUNK)
-        a_chunk = a[chunk].tolist()
-        rows = [head, "", ""] * len(a_chunk)
-        rows[1::3] = map(seg.__getitem__, a_chunk)
-        rows[2::3] = map(tail.__getitem__, q[chunk].tolist())
-        yield "".join(rows)
+        stop = 3 * min(ARC_CHUNK, a.size - start)
+        rows[1:stop:3] = seg[a[chunk]]
+        rows[2:stop:3] = tail[q[chunk]]
+        yield "".join(rows[:stop].tolist())
 
 
 def cmd_arcs(cfg: dict) -> int:
     N = cfg.get("N", DEFAULT_N)
+    if not N > 1:
+        raise ConfigError(f"need N > 1, got {N}")
     Q = cfg.get("Q", math.ceil(N) - 1)
     if not Q < N:
         raise ConfigError(f"arc denominators must stay below N: Q={Q}, N={N}")

@@ -85,7 +85,7 @@ def test_farey_examples():
     assert farey(3) == [(0, 1), (1, 3), (1, 2), (2, 3)]
 
 
-@pytest.mark.parametrize("Q", [1, 2, 5, 12, 40, 200])
+@pytest.mark.parametrize("Q", [1, 2, 3, 4, 5, 12, 40, 49, 64, 97, 200, 210])
 def test_farey_against_double_loop_oracle(Q):
     assert farey(Q) == brute_force_farey(Q)
 

@@ -133,12 +133,18 @@ def test_arcs_listing_memory_stays_bounded(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4_000_000
+    assert peak < 3_000_000
 
 
 def test_arcs_command_rejects_q_at_or_above_N(capsys):
     assert run(["arcs", "--q", 10, "--n", 10]) == 2
     assert "below N" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("N", ["1", "0", "-3"])
+def test_arcs_command_rejects_N_at_most_1(N, tmp_path, capsys):
+    assert run(["arcs", "--n", N, "--out", tmp_path / "x"]) == 2
+    assert f"need N > 1, got {float(N)}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [["arcs"], ["kernel", "--dims", "3"]])
