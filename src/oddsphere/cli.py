@@ -105,7 +105,10 @@ def _time(text: str) -> Time:
     """Seconds, or a fraction of the flow period written 'T', 'T/3' or 'T*2/5'."""
     text = text.strip()
     if not text.upper().startswith("T"):
-        return Time(float(text), False, text)
+        seconds = float(text)
+        if not math.isfinite(seconds):
+            raise ConfigError(f"time must be finite, got {seconds}")
+        return Time(seconds, False, text)
     rest = text[1:].strip()
     if rest.startswith("/"):
         frac = _rational(f"1/{rest[1:]}")

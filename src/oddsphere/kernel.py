@@ -50,7 +50,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -460,25 +460,12 @@ def kernel_direct_multi(
         rows = phi_matrix(f.lam, n, np.array([th]))[:, 0]
         dims = np.array([float(harmonic_dim(f.dim, int(k))) for k in n])
         dphis.append(dims * rows)
-    shape = [len(x) for x in xs]
-    x_joint = np.zeros(shape)
-    mu_joint = np.zeros(shape)
-    prod = np.ones(shape, dtype=complex)
-    for axis, (x, mu, dphi) in enumerate(zip(xs, mus, dphis)):
-        sl = [None] * space.r
-        sl[axis] = slice(None)
-        idx = tuple(sl)
-        x_joint = x_joint + x[idx]
-        mu_joint = mu_joint + mu[idx]
-        prod = prod * dphi[idx]
+    mu_joint = reduce(np.add.outer, mus)
+    prod = reduce(np.multiply.outer, dphis)
     if radial:
-        cut = bump(x_joint)
+        cut = bump(reduce(np.add.outer, xs))
     else:
-        cut = np.ones(shape)
-        for axis, x in enumerate(xs):
-            sl = [None] * space.r
-            sl[axis] = slice(None)
-            cut = cut * bump(x)[tuple(sl)]
+        cut = reduce(np.multiply.outer, [bump(x) for x in xs])
     return complex(np.sum(cut * np.exp(-1j * t * mu_joint) * prod))
 
 

@@ -54,6 +54,7 @@ __all__ = [
 
 DEFAULT_OVERSAMPLE = 16  # grid nodes per unit of kernel bandwidth
 RESOLUTION_TOL = 1e-5
+GRID_GUARD = 2**31  # largest oversampled nominal size per factor
 
 
 class QuadratureError(RuntimeError):
@@ -167,6 +168,8 @@ class TorusQuadrature:
         integrates exactly on more nodes than that: each size is capped at
         _fft_size(p n_top + d), taken no lower than the aliasing floor
         (_floor_size).  Any other power keeps the oversampled sizes.
+
+        An oversampled nominal size above GRID_GUARD is a ValueError.
         """
         if oversample < 1:
             raise ValueError(f"need oversample >= 1, got {oversample}")
@@ -175,10 +178,15 @@ class TorusQuadrature:
             raise ValueError("a degree-exact rule needs the kernel's bump")
         sizes = []
         for f in space.factors:
-            M = _fft_size(math.ceil(oversample * (2.0 * N + f.lam) * max(1.0, math.sqrt(f.beta))))
+            nominal = oversample * (2.0 * N + f.lam) * max(1.0, math.sqrt(f.beta))
+            if not nominal <= GRID_GUARD:  # also catches an inf or nan size
+                raise ValueError(f"N = {N} needs {nominal:g} nodes per factor > {GRID_GUARD}")
+            M = _fft_size(math.ceil(nominal))
             if exact:
                 degree = int(power) * bump.top_degree(f.lam, f.beta, N) + f.dim
-                M = min(M, _fft_size(max(degree, _floor_size(f, bump, N))))
+                cap = max(degree, _floor_size(f, bump, N))
+                if cap < M:  # min(M, _fft_size(cap)), as _fft_size is monotone
+                    M = _fft_size(cap)
             sizes.append(M)
         return cls(space, tuple(sizes))
 

@@ -14,21 +14,22 @@ accurate next to both poles.  The second route is the closed finite sum
                    cos((n - nu + lam) theta - (nu + lam) pi/2)
                    / (2 sin theta)^{nu + lam},
 
-whose coefficients
+whose coefficients are the products
 
-    C_{n,nu} = binom(n+2lam-1, n)^{-1} binom(n+lam-1, n) binom(nu+lam-1, nu)
-               * (1-lam)(2-lam)...(nu-lam) / [(n+lam-1)(n+lam-2)...(n+lam-nu)]
+    C_{n,nu} = binom(nu+lam-1, nu) prod_{j=lam}^{2lam-1} j / (n+j)
+               prod_{k=1}^{nu} (k-lam) / (n+lam-k)
 
-are assembled in exact rational arithmetic (cnv_exact) and converted to
-float once (get_coeffs).  kernel.py uses them for the nu-decomposition's
-numerator sums (kappa_nu); as a pointwise route (phi_explicit) the sum is
-the independent oracle the recurrence is checked against.  It degenerates
-at the torus corners (sin theta -> 0), so the oracle keeps a guard band
+of at most 2 lam - 1 factors, exact in cnv_exact and rounded per factor
+in get_coeffs.  kernel.py uses them for the nu-decomposition's numerator
+sums (kappa_nu); as a pointwise route (phi_explicit) the sum is the
+independent oracle the recurrence is checked against.  It degenerates at
+the torus corners (sin theta -> 0), so the oracle keeps a guard band
 there, and even outside the band it is ill-conditioned where 2 n sin(theta)
 is small: the nu-terms grow like (2 sin theta)^{-(nu+lam)} and cancel down
-to a value of modulus at most one.  The oracle therefore re-evaluates cells whose largest term
-exceeds a condition limit with the same formula in multiprecision, so it
-stays independent of the recurrence at full accuracy.
+to a value of modulus at most one.  The oracle therefore re-evaluates
+cells whose largest term exceeds a condition limit with the same formula
+in multiprecision, so it stays independent of the recurrence at full
+accuracy.
 """
 
 from __future__ import annotations
@@ -69,26 +70,23 @@ def cnv_exact(lam: int, n: int, nu: int) -> Fraction:
     return val
 
 
-_COEFF_CACHE: dict[int, np.ndarray] = {}
-
-
 def get_coeffs(lam: int, nmax: int) -> np.ndarray:
-    """Cached float table of C_{n,nu} (row n, column nu), each exact value
-    rounded once; it holds at least the rows n = 0..nmax and is grown on
-    demand."""
+    """Float C_{n,nu} (row n = 0..nmax, column nu) by the product formula;
+    at lam = 1 this is 1/(n+1), rounded once."""
     if lam < 1:
         raise ValueError(f"need lam >= 1, got {lam}")
     if nmax < 0:
         raise ValueError(f"need nmax >= 0, got {nmax}")
-    cached = _COEFF_CACHE.get(lam)
-    if cached is None or len(cached) <= nmax:
-        # grow geometrically so repeated scans do not rebuild per call
-        grow = max(nmax, 2 * (len(cached) - 1) if cached is not None else 0, 64)
-        cached = np.array(
-            [[float(cnv_exact(lam, n, nu)) for nu in range(lam)] for n in range(grow + 1)]
-        )
-        _COEFF_CACHE[lam] = cached
-    return cached
+    n = np.arange(nmax + 1, dtype=float)
+    prod = np.ones_like(n)
+    for j in range(lam, 2 * lam):
+        prod *= j / (n + j)
+    out = np.empty((nmax + 1, lam))
+    for nu in range(lam):
+        if nu:
+            prod *= (nu - lam) / (n + lam - nu)
+        out[:, nu] = comb(nu + lam - 1, nu) * prod
+    return out
 
 
 def _sweep(lam: int, theta: np.ndarray, nmax: int) -> Iterator[np.ndarray]:

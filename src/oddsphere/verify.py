@@ -236,12 +236,12 @@ def bound_denominator(q: int, N: float, dist: float, r: int) -> float:
 
 
 def _arc_time_points(
-    arcs: Sequence[tuple[int, int]], offsets: Sequence[Fraction], N: int
+    arcs: Sequence[tuple[int, int]], offsets: Sequence[Fraction], N: float
 ) -> list[tuple[int, int, Fraction, float]]:
-    """(a, q, tau, dist) for every arc at every within-arc offset."""
+    """(a, q, tau, dist) for every arc at every within-arc offset, N exact."""
     points = []
     for a, q in arcs:
-        halfwidth = Fraction(1, q * N)
+        halfwidth = 1 / (q * Fraction(N))
         for off in offsets:
             delta = Fraction(off) * halfwidth
             points.append((a, q, Fraction(a, q) + delta, float(delta)))

@@ -154,6 +154,13 @@ def test_non_finite_N_is_a_usage_error(command, bad, tmp_path, capsys):
     assert "N must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+def test_non_finite_time_is_a_usage_error(bad, tmp_path, capsys):
+    assert run(["kernel", "--dims", "3", f"--t={bad}", "--out", tmp_path / "x"]) == 2
+    assert "t: time must be finite" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_scan_decay_exit_codes_and_determinism(tmp_path):
     base = tmp_path / "scan"
     args = [

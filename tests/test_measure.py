@@ -1,6 +1,7 @@
 """Quadrature, regional norms, and their spectral oracles."""
 
 import math
+import re
 import weakref
 from fractions import Fraction
 
@@ -539,6 +540,24 @@ def test_for_kernel_sizes_follow_beta(dims):
         sp = space.build_space(dims, [4] * len(dims))
         for M, nom in zip(TorusQuadrature.for_kernel(sp, N).sizes, nominal):
             check_fft_size(M, 2 * nom)
+
+
+@pytest.mark.parametrize("N", [1e9, 1e308, math.inf, math.nan])
+def test_for_kernel_rejects_a_grid_above_the_guard(N):
+    with pytest.raises(ValueError, match=re.escape(f"N = {N} ")):
+        TorusQuadrature.for_kernel(S3, N)
+
+
+def test_for_kernel_skips_a_degree_exact_cap_above_the_oversampled_size(monkeypatch):
+    fft_size = measure._fft_size
+
+    def bounded(nominal):
+        assert nominal <= 10**7, nominal
+        return fft_size(nominal)
+
+    monkeypatch.setattr(measure, "_fft_size", bounded)
+    quad = TorusQuadrature.for_kernel(S3, 16, power=1e12, bump=Bump())
+    assert quad.sizes == TorusQuadrature.for_kernel(S3, 16).sizes
 
 
 def test_resolution_check_doubles_to_an_fft_size(monkeypatch):

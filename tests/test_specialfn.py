@@ -1,6 +1,7 @@
 """Spherical-function oracle tests: recurrence vs explicit sum."""
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -11,6 +12,7 @@ from oddsphere.measure import TorusQuadrature
 from oddsphere.space import build_space
 from oddsphere.specialfn import (
     CornerGuardError,
+    cnv_exact,
     get_coeffs,
     phi_explicit,
     phi_matrix,
@@ -167,13 +169,17 @@ def test_high_degree_against_multiprecision_next_to_the_poles(lam):
 
 
 def test_coeff_table_invariants():
-    for lam in (1, 2, 3, 4):
-        coeffs = get_coeffs(lam, 50)
-        assert coeffs.shape[0] > 50 and coeffs.shape[1] == lam
-        assert np.all(np.isfinite(coeffs))
-        # lam = 1 collapses to the single Dirichlet-type term 1/(n+1)
-        if lam == 1:
-            assert_allclose(coeffs[:51, 0], 1.0 / (np.arange(51) + 1.0), rtol=1e-15)
+    for lam in (1, 2, 3, 4, 5, 6):
+        coeffs = get_coeffs(lam, 4096)
+        assert coeffs.shape == (4097, lam)
+        # each entry is a product of at most 2 lam - 1 rounded factors
+        tol = Fraction(2 * lam, 2**52)
+        for n, row in enumerate(coeffs.tolist()):
+            for nu, c in enumerate(row):
+                exact = cnv_exact(lam, n, nu)
+                assert abs(Fraction(c) - exact) <= tol * abs(exact), (lam, n, nu)
+                # lam = 1 is the single term 1/(n+1), rounded once
+                assert lam > 1 or c == float(exact), n
 
 
 def test_input_validation():

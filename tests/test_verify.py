@@ -125,6 +125,12 @@ def test_corner_scan_covers_all_corners():
     assert labels == {"corner00", "corner01", "corner10", "corner11"}
 
 
+def test_arc_scan_takes_a_float_N_at_its_exact_value():
+    exact = corner_scan(S3, 4.0, (Fraction(33, 2), 32, 64), SMALL_ARCS)
+    as_float = corner_scan(S3, 4.0, (16.5, 32, 64), SMALL_ARCS)
+    assert as_float.records == exact.records
+
+
 def test_corner_sups_on_s9_respect_the_mode_bound():
     # |phi_n| <= 1 caps every kernel value by sum_n bump(x_n) d_n
     s9 = space.build_space([9])
