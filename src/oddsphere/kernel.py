@@ -94,21 +94,18 @@ def _smoothstep(u: np.ndarray) -> np.ndarray:
 class Bump:
     """Frequency cutoff in the normalized variable x = -eigenvalue / N^2.
 
-    smooth: C-infinity, supported on [lo, hi], identically 1 on [2*lo, hi/2].
+    smooth: C-infinity, supported on the fixed dyadic window [lo, hi] =
+            [1/4, 4], identically 1 on [2*lo, hi/2].
     sharp:  indicator of [lo, hi], for oracle comparisons.
     """
 
     kind: str = "smooth"
-    lo: float = 0.25
-    hi: float = 4.0
+    lo = 0.25
+    hi = 4.0
 
     def __post_init__(self) -> None:
         if self.kind not in ("smooth", "sharp"):
             raise ValueError(f"bump kind must be 'smooth' or 'sharp', got {self.kind!r}")
-        if not (0.0 < self.lo < self.hi):
-            raise ValueError(f"need 0 < lo < hi, got [{self.lo}, {self.hi}]")
-        if self.kind == "smooth" and 2.0 * self.lo > self.hi / 2.0:
-            raise ValueError("smooth bump needs 2*lo <= hi/2 for its plateau")
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -284,17 +281,13 @@ def _kernel_grid(lam: int, spec: _Spectrum, t: float, M: int) -> np.ndarray:
 def _kernel_values(lam: int, spec: _Spectrum, theta, t) -> np.ndarray:
     """The factor kernel at angles theta, at time t or at time t[i] for angle i.
 
-    One recurrence sweep, with a weight column per distinct time.
+    One recurrence sweep, with a weight column per distinct time (one for a scalar t).
     """
     theta = np.asarray(theta, dtype=float)
-    if np.ndim(t):
-        times, columns = np.unique(t, return_inverse=True)
-        w = np.stack([spec.weights(float(s)) for s in times], axis=1)
-    else:
-        w, columns = spec.weights(t), None
-    wfull = np.zeros((int(spec.n.max(initial=0)) + 1,) + w.shape[1:], dtype=complex)
-    wfull[spec.n] = w
-    out = phi_series(lam, wfull, np.atleast_1d(theta), columns)
+    times, columns = np.unique(np.broadcast_to(t, theta.shape), return_inverse=True)
+    w = np.zeros((int(spec.n.max(initial=0)) + 1, times.size), dtype=complex)
+    w[spec.n] = np.stack([spec.weights(float(s)) for s in times], axis=1)
+    out = phi_series(lam, w, np.atleast_1d(theta), np.atleast_1d(columns))
     return out[0] if theta.ndim == 0 else out
 
 

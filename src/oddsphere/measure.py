@@ -23,9 +23,9 @@ of each factor; "away" is the complement of the union of all corner boxes.
 Every region combines per-factor pieces (a pole box, the whole circle or the
 rest of it): corner and full norms multiply across factors, away integrals
 come from inclusion-exclusion and away sups from the best single factor.
-A field that evaluates itself at fresh angles (a kernel field) takes each
-piece's sup from a Chebyshev proxy of |K_j|^2 on the piece's interval, in
-two recurrence sweeps for all pieces of all fields of a scale (sup_norm).
+Every piece's sup comes from a Chebyshev proxy of |K_j|^2 on the piece's
+interval, evaluated at fresh angles by the field itself, in two sweeps for
+all pieces of all fields of a scale (sup_norm).
 """
 
 from __future__ import annotations
@@ -121,6 +121,8 @@ def _fft_size(nominal: int) -> int:
     From 926 on the result is at most 3.5% above nominal, and at most 0.44%
     on the scan ladders N = 512, 1024, ..., 16384 with lam <= 5.
     """
+    if nominal < 1:
+        raise ValueError(f"need a positive grid size, got {nominal}")
     M = nominal + nominal % 2
     while True:
         rest = M
@@ -169,10 +171,12 @@ class TorusQuadrature:
         _fft_size(p n_top + d), taken no lower than the aliasing floor
         (_floor_size).  Any other power keeps the oversampled sizes.
 
-        An oversampled nominal size above GRID_GUARD is a ValueError.
+        N < 1 or an oversampled nominal size above GRID_GUARD is a ValueError.
         """
         if oversample < 1:
             raise ValueError(f"need oversample >= 1, got {oversample}")
+        if N < 1:
+            raise ValueError(f"need N >= 1, got {N}")
         exact = power is not None and float(power).is_integer() and int(power) % 2 == 0
         if exact and bump is None:
             raise ValueError("a degree-exact rule needs the kernel's bump")
@@ -239,7 +243,8 @@ class TorusQuadrature:
 
 @dataclass
 class FieldSample:
-    """Factored half-grid samples of a zonal function, with optional re-evaluator."""
+    """Factored half-grid samples of a zonal function, with optional
+    per-factor evaluators at fresh angles, which a sup needs (sup_norm)."""
 
     space: ProductSpace
     quad: TorusQuadrature
@@ -328,11 +333,12 @@ def _integrals(field, p: float, pieces) -> dict:
     once per factor and let go on return."""
     value = {}
     for j in range(field.space.r):
-        contrib = field.quad.weights(j) * np.abs(field.factor_values[j]) ** p
-        for piece in pieces:
-            if piece[0] == j:
-                part = contrib if piece[1] == "full" else contrib[field.quad.mask(*piece)]
-                value[piece] = float(np.sum(part))
+        with np.errstate(over="ignore", invalid="ignore"):  # _norms rejects a non-finite norm
+            contrib = field.quad.weights(j) * np.abs(field.factor_values[j]) ** p
+            for piece in pieces:
+                if piece[0] == j:
+                    part = contrib if piece[1] == "full" else contrib[field.quad.mask(*piece)]
+                    value[piece] = float(np.sum(part))
     return value
 
 
@@ -340,7 +346,8 @@ def lp_norm(field, p: float, region: Region | None = None):
     """Regional L^p norm of a factored field under the probability measure.
 
     p = inf delegates to sup_norm.  Raises QuadratureError when the field's
-    grid is below the aliasing floor for its frequency scale.
+    grid is below the aliasing floor for its frequency scale, and ValueError
+    naming p (and N) when a norm is not finite: |K|^p overflows at large p.
 
     Given an iterable of fields and a list of regions instead, returns one
     list of norms per field, one per region: each field's |K_j|^p is taken
@@ -379,20 +386,15 @@ class _SupPiece:
 
 
 def _grid_sups(field, pieces, owners: dict, pending: list[_SupPiece]) -> dict:
-    """The grid sup of each piece of field.  A field that evaluates itself
-    instead puts each piece on pending, with its interval and first angles
-    (sup_norm), and _proxy_sups writes its sup into the returned dict."""
+    """Put each piece of field on pending, with its interval and first
+    angles (sup_norm), for _proxy_sups to write its sup into the returned
+    dict; a piece with no node is 0.  No grid value is ever a sup."""
     value = {}
-    proxy = (
-        getattr(field, "evaluate_factor", None) is not None
-        and getattr(field, "evaluators", True) is not None
-    )
     owner, time = field, None
     if hasattr(field, "t"):
         # every kernel of one space, scale and cutoff evaluates given one time
         # per angle, so all share one owner: a copy of the first, never sampled
         owner, time = owners.setdefault((field.space, field.N, field.bump), replace(field)), field.t
-    magnitudes: dict[int, np.ndarray] = {}
     for piece in pieces:
         j, key, radius = piece
         grid = field.quad.nodes(j)
@@ -401,16 +403,11 @@ def _grid_sups(field, pieces, owners: dict, pending: list[_SupPiece]) -> dict:
             value[piece] = 0.0
             continue
         idx = np.flatnonzero(mask)
-        if proxy and key.startswith("pole"):
+        if key.startswith("pole"):
             lo, hi = (0.0, radius) if key == "pole0" else (math.pi - radius, math.pi)
             first = grid[idx]
         else:
-            if j not in magnitudes:
-                magnitudes[j] = np.abs(np.asarray(field.factor_values[j]))
-            k = idx[np.argmax(magnitudes[j][idx])]
-            if not proxy:
-                value[piece] = float(magnitudes[j][k])
-                continue
+            k = idx[np.argmax(np.abs(np.asarray(field.factor_values[j])[idx]))]
             h, edge = 2.0 * math.pi / field.quad.sizes[j], radius or 0.0
             lo, hi = max(grid[k] - h, edge), min(grid[k] + h, math.pi - edge)
             first = grid[k : k + 1]
@@ -519,16 +516,21 @@ def _norms(fields, regions, p: float):
         else:
             _resolution_floor(field)
             value = _integrals(field, p, pieces)
-        results.append((r, value))
+        results.append((r, value, getattr(field, "N", None)))
         del field  # before the next field is built
     _proxy_sups(pending)
-    norms = [[_combine(r, reg, value, sup) for reg in regions] for r, value in results]
-    return norms if sup else [[power ** (1.0 / p) for power in row] for row in norms]
+    norms = [[_combine(r, reg, value, sup) for reg in regions] for r, value, _ in results]
+    norms = norms if sup else [[power ** (1.0 / p) for power in row] for row in norms]
+    for row, (_, _, N) in zip(norms, results):
+        if not all(map(math.isfinite, row)):
+            at = "" if N is None else f", N = {N}"
+            raise ValueError(f"the L^p norm at p = {p:g}{at} is not finite")
+    return norms
 
 
 def sup_norm(field, region: Region | None = None):
-    """Sup of |field| over the region: the grid max, or for a field that
-    evaluates itself the largest value at angles a Chebyshev proxy chooses.
+    """Sup of |field| over the region: the largest value the field's own
+    evaluate_factor gives at angles a Chebyshev proxy chooses.
 
     Each piece the region combines (_pieces) spans an interval: a pole box
     [pole, pole +- radius], as a kernel is even about its poles, and a full
@@ -540,8 +542,9 @@ def sup_norm(field, region: Region | None = None):
     evaluates the interpolant's argmax and, where the certificate exceeds
     SUP_CERT_TOL (a box at the recurrence's rounding floor, whose proxy
     follows noise), the dense fallback: SUP_DENSE evenly spaced angles.
-    The sup is the largest value evaluated, never a grid value.  A pole box
-    reads no grid value, so corner sups never sample a kernel field's grid.
+    The sup is the largest value evaluated, never a grid value, so a
+    FieldSample without evaluators is a ValueError.  A pole box reads no
+    grid value, so corner sups never sample a kernel field's grid.
 
     Given an iterable of fields and a list of regions instead, returns one
     list of sups per field, one per region.  Each piece is measured once

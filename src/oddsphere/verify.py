@@ -588,29 +588,32 @@ def strichartz_zonal_scan(
         sums = np.empty((2, 2 * T * block_max))
         pair = np.empty((2, 2 * chunk * block_max))
         power = np.zeros((trials, T))  # integral of |u|^p over angles
-        for start, stop in zip(starts, stops):
-            rows = phi_matrix(lam, n_sorted, theta[start:stop])
-            for acc, g in zip(power, scaled):
-                for c in range(0, T, chunk):
-                    k = min(chunk, T - c)
-                    part = np.multiply(phase[c : c + k], g, out=product[:k])
-                    A[2 * c : 2 * c + k] = part.real
-                    A[2 * c + k : 2 * (c + k)] = part.imag
-                for b in range(start, stop, SPACETIME_BLOCK):
-                    w = min(SPACETIME_BLOCK, stop - b)
-                    even, odd = (buf[: 2 * T * w].reshape(2 * T, w) for buf in sums)
-                    cols = slice(b - start, b - start + w)
-                    np.matmul(A[:, :n_even], rows[:n_even, cols], out=even)
-                    np.matmul(A[:, n_even:], rows[n_even:, cols], out=odd)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            for start, stop in zip(starts, stops):
+                rows = phi_matrix(lam, n_sorted, theta[start:stop])
+                for acc, g in zip(power, scaled):
                     for c in range(0, T, chunk):
                         k = min(chunk, T - c)
-                        near, far = (buf[: 2 * k * w].reshape(2 * k, w) for buf in pair)
-                        e, o = even[2 * c : 2 * (c + k)], odd[2 * c : 2 * (c + k)]
-                        u = _abs_power(np.add(e, o, out=near), p)  # theta_k
-                        u += _abs_power(np.subtract(e, o, out=far), p)  # theta_{H-k}
-                        acc[c : c + k] += u @ weights[b : b + w]
-            del rows  # else the next tile's rows would be built beside it
-        worst_norm = max(float(np.mean(f_t)) ** (1.0 / p) for f_t in power)
+                        part = np.multiply(phase[c : c + k], g, out=product[:k])
+                        A[2 * c : 2 * c + k] = part.real
+                        A[2 * c + k : 2 * (c + k)] = part.imag
+                    for b in range(start, stop, SPACETIME_BLOCK):
+                        w = min(SPACETIME_BLOCK, stop - b)
+                        even, odd = (buf[: 2 * T * w].reshape(2 * T, w) for buf in sums)
+                        cols = slice(b - start, b - start + w)
+                        np.matmul(A[:, :n_even], rows[:n_even, cols], out=even)
+                        np.matmul(A[:, n_even:], rows[n_even:, cols], out=odd)
+                        for c in range(0, T, chunk):
+                            k = min(chunk, T - c)
+                            near, far = (buf[: 2 * k * w].reshape(2 * k, w) for buf in pair)
+                            e, o = even[2 * c : 2 * (c + k)], odd[2 * c : 2 * (c + k)]
+                            u = _abs_power(np.add(e, o, out=near), p)  # theta_k
+                            u += _abs_power(np.subtract(e, o, out=far), p)  # theta_{H-k}
+                            acc[c : c + k] += u @ weights[b : b + w]
+                del rows  # else the next tile's rows would be built beside it
+            worst_norm = max(float(np.mean(f_t)) ** (1.0 / p) for f_t in power)
+        if not math.isfinite(worst_norm):
+            raise ValueError(f"the space-time L^p norm at p = {p:g}, N = {N} is not finite")
         yield ScanRecord(
             N=N,
             tau="[0,1)",

@@ -4,12 +4,17 @@ import dataclasses
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oddsphere
 from oddsphere import verify
 from oddsphere.arcs import MajorArc, _ratio_string, farey
 from oddsphere.cli import SCANS, _arc_entries, main
@@ -152,6 +157,38 @@ def test_arcs_command_rejects_N_at_most_1(N, tmp_path, capsys):
 def test_non_finite_N_is_a_usage_error(command, bad, tmp_path, capsys):
     assert run(command + ["--n", bad, "--out", tmp_path / "x"]) == 2
     assert "N must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("N", ["-5", "-0.5"])
+def test_kernel_rejects_negative_N_without_hanging(N, tmp_path):
+    # in a child process, so a hang fails the test instead of the suite
+    src = str(Path(oddsphere.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "oddsphere.cli", "kernel", "--dims", "3", f"--n={N}",
+         "--out", str(tmp_path / "x")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 2, done.stderr
+    assert f"need N >= 1, got {float(N)}" in done.stderr
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "args,where",
+    [
+        (["--mode", "corner", "--p", "1e6"], "p = 1e+06, N = 16"),
+        (["--mode", "decay", "--p", 400], "p = 400, N = 16"),
+        (["--mode", "strichartz", "--p", "1e12", "--trials", 2, "--time-samples", 8],
+         "p = 1e+12, N = 16"),
+    ],
+    ids=["corner", "decay", "strichartz"],
+)
+def test_a_norm_that_overflows_is_a_usage_error(args, where, tmp_path, capsys):
+    base = ["scan", "--dims", "3", "--nlist", "16,32,64", "--out", tmp_path / "x"]
+    assert run(base + args) == 2
+    assert f"{where} is not finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])

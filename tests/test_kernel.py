@@ -1,5 +1,6 @@
 """Kernel structural identities, each checked against an independent route."""
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -59,8 +60,9 @@ def test_bump_shapes():
     assert_allclose(sharp(np.array([0.2, 0.25, 1.0, 4.0, 4.1])), [0, 1, 1, 1, 0])
     with pytest.raises(ValueError):
         Bump("boxcar")
-    with pytest.raises(ValueError):
-        Bump(lo=2.0, hi=1.0)
+    # the dyadic window is fixed: kind is the one setting
+    assert [f.name for f in dataclasses.fields(Bump)] == ["kind"]
+    assert (Bump.lo, Bump.hi) == (0.25, 4.0)
 
 
 def test_kernel_at_identity_with_sharp_bump_is_dimension_count():
@@ -77,8 +79,9 @@ def test_kernel_at_identity_with_sharp_bump_is_dimension_count():
 
 
 def test_single_mode_bump_reduces_to_one_term():
-    # support containing only n = 1 (x_1 = 3 at N = 1 on the 3-sphere)
-    one = Bump("sharp", lo=2.0, hi=4.0)
+    # at N = 1 on the 3-sphere x_0 = 0, x_1 = 3 and x_2 = 8, so the window
+    # [1/4, 4] holds n = 1 alone
+    one = Bump("sharp")
     theta = np.linspace(0, 2 * math.pi, 11)
     t = 0.733
     got = kernel_1d(1, 1, 1, t, theta, one)
@@ -393,7 +396,24 @@ def test_field_serialization(tmp_path):
         assert float(line.split(",")[3]) == 0.0
     header = json.loads(json_path.read_text())
     assert header["schema"] == 1
-    assert header["N"] == 8 and header["bump"]["kind"] == "smooth"
+    assert header["N"] == 8 and header["bump"] == {"kind": "smooth", "lo": 0.25, "hi": 4.0}
+
+
+@pytest.mark.parametrize("lam", [1, 3])
+def test_scalar_time_is_the_per_angle_sweep_bit_for_bit(lam):
+    # a scalar t runs the arithmetic of one weight column for every angle:
+    # that of phi_series with 1-D weights, and of one time per angle
+    N, t = 32, 0.37
+    theta = np.linspace(0.0, math.pi, 41)
+    got = kernel_1d(lam, 1, N, t, theta, Bump())
+    assert np.array_equal(got, recurrence_route_kernel(lam, 1, N, t, theta, Bump()))
+    sp = space.build_space([2 * lam + 1])
+    fld = kernel_product(sp, N, t, TorusQuadrature.for_kernel(sp, N), Bump())
+    per_angle = fld.evaluate_factor(0, theta, np.full(theta.shape, t))
+    assert np.array_equal(fld.evaluate_factor(0, theta), per_angle)
+    grid = theta.reshape(1, -1)
+    assert np.array_equal(kernel_1d(lam, 1, N, t, grid, Bump()), got.reshape(grid.shape))
+    assert kernel_1d(lam, 1, N, t, theta[7], Bump()) == got[7]
 
 
 @pytest.mark.parametrize("lam", [1, 2, 4, 5])

@@ -251,8 +251,22 @@ def test_sup_norm_attained_at_identity_for_t0():
 def test_sup_norm_pure_mode():
     n, d_n = 5, 36
     quad = TorusQuadrature(S3, (512,))
-    fld = FieldSample(S3, quad, (d_n * phi_matrix(1, [n], quad.nodes(0))[0],))
+
+    def mode(theta):
+        return d_n * phi_matrix(1, [n], theta)[0]
+
+    fld = FieldSample(S3, quad, (mode(quad.nodes(0)),), evaluators=(mode,))
     assert sup_norm(fld) == pytest.approx(d_n, rel=1e-9)
+
+
+def test_sup_of_a_sample_without_evaluators_raises():
+    # a sup is an evaluated value, never a grid value
+    quad = TorusQuadrature(S3, (512,))
+    fld = FieldSample(S3, quad, (np.ones(quad.sizes[0] // 2 + 1),))
+    for region in (Region.full(), Region.away(0.1), Region.corner(1, 0.1)):
+        with pytest.raises(ValueError, match="carries no evaluator"):
+            sup_norm(fld, region)
+    assert lp_norm(fld, 2.0) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_sup_refinement_converges():
@@ -546,6 +560,32 @@ def test_for_kernel_sizes_follow_beta(dims):
 def test_for_kernel_rejects_a_grid_above_the_guard(N):
     with pytest.raises(ValueError, match=re.escape(f"N = {N} ")):
         TorusQuadrature.for_kernel(S3, N)
+
+
+@pytest.mark.parametrize("N", [0, 0.5, -0.5, -5])
+def test_for_kernel_rejects_N_below_1(N):
+    with pytest.raises(ValueError, match=re.escape(f"need N >= 1, got {N}")):
+        TorusQuadrature.for_kernel(S3, N)
+
+
+@pytest.mark.parametrize("nominal", [0, -1, -10])
+def test_fft_size_rejects_a_size_below_1(nominal):
+    with pytest.raises(ValueError, match="positive grid size"):
+        measure._fft_size(nominal)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", [400.0, 1e6, 1e12])
+def test_a_norm_that_overflows_raises_naming_p_and_N(p):
+    # |K|^p overflows float64: no warning, but an error naming p (and N)
+    N = 16
+    quad = TorusQuadrature.for_kernel(S3, N)
+    regions = [Region.full(), Region.corner(0, 1 / N), Region.away(1 / N)]
+    with pytest.raises(ValueError, match=re.escape(f"p = {p:g}, N = 16 is not finite")):
+        lp_norm([kernel_product(S3, N, 0.37, quad, Bump())], p, regions)
+    big = FieldSample(S3, quad, (np.full(quad.sizes[0] // 2 + 1, 1e300),))
+    with pytest.raises(ValueError, match=re.escape(f"p = {p:g} is not finite")):
+        lp_norm(big, p)
 
 
 def test_for_kernel_skips_a_degree_exact_cap_above_the_oversampled_size(monkeypatch):

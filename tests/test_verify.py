@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -164,6 +165,14 @@ def test_threshold_check_mechanics():
     assert any("below the away-region floor" in w for w in low.warnings)
     with pytest.raises(ValueError):
         threshold_check(S3S3, 3.0, SMALL_NS, SMALL_ARCS)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", [1e12, 1001.0])
+def test_strichartz_norm_that_overflows_raises_naming_p_and_N(p):
+    # |u|^p overflows float64 at N = 16: no warning, but an error naming p and N
+    with pytest.raises(ValueError, match=re.escape(f"p = {p:g}, N = 16 is not finite")):
+        strichartz_zonal_scan(S3, p, (16, 32, 64), trials=2, time_samples=8)
 
 
 def test_strichartz_preconditions_and_flags():
