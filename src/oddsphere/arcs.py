@@ -13,8 +13,8 @@ The denominator sum
 
     S(tau, x, N) = sum_{|m| <= N} 1 / max(1/N, || m tau + x ||)
 
-is the quantity controlling squared Weyl sums after differencing; scans fit
-its growth at arc centers.
+is the quantity controlling squared Weyl sums after differencing.  No scan
+calls it; demos/04_major_arcs.py tabulates it at arc centres against q.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+
+from .measure import GRID_GUARD
 
 __all__ = [
     "MajorArc",
@@ -105,10 +107,12 @@ def _farey_table(Q: int) -> tuple[np.ndarray, np.ndarray]:
     cells (q, a) p divides; the unmarked cells are the reduced fractions.
     A row's a = 0 cell is marked once a smaller prime divides q, so it
     sieves the primes.  One argsort of a/q is exact: distinct reduced
-    fractions with q <= Q differ by at least 1/Q^2.
-    """
+    fractions with q <= Q differ by at least 1/Q^2.  Past GRID_GUARD cells
+    the table is a ValueError, raised before anything is allocated."""
     if Q < 1:
         raise ValueError(f"need Q >= 1, got {Q}")
+    if (Q + 1) * Q > GRID_GUARD:
+        raise ValueError(f"the Farey table of Q = {Q} has {(Q + 1) * Q} cells > {GRID_GUARD}")
     shared = np.less_equal.outer(np.arange(Q + 1), np.arange(Q))
     for p in range(2, Q + 1):
         if not shared[p, 0]:

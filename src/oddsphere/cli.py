@@ -300,7 +300,10 @@ def cmd_arcs(cfg: dict) -> int:
     Q = cfg.get("Q", math.ceil(N) - 1)
     if not Q < N:
         raise ConfigError(f"arc denominators must stay below N: Q={Q}, N={N}")
-    a, q = _farey_table(Q)
+    try:
+        a, q = _farey_table(Q)
+    except ValueError as exc:
+        raise ConfigError(f"arcs at N = {N}: {exc}") from None
     path = cfg.get("out", Path("arcs")).with_suffix(".json")
     with open(path, "w") as fh:
         fh.write(f'{{\n  "N": {json.dumps(N)},\n  "Q": {Q},\n  "arcs": [\n')

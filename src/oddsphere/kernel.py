@@ -56,7 +56,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .measure import TorusQuadrature
-from .space import ProductSpace, harmonic_dim
+from .space import SHELL_WINDOW, ProductSpace, harmonic_dim, top_degree
 from .specialfn import (
     DEFAULT_GUARD,
     CornerGuardError,
@@ -95,13 +95,13 @@ class Bump:
     """Frequency cutoff in the normalized variable x = -eigenvalue / N^2.
 
     smooth: C-infinity, supported on the fixed dyadic window [lo, hi] =
-            [1/4, 4], identically 1 on [2*lo, hi/2].
+            space.SHELL_WINDOW = [1/4, 4], identically 1 on [2*lo, hi/2].
     sharp:  indicator of [lo, hi], for oracle comparisons.
+    Both vanish past space.top_degree, so no grid size depends on the kind.
     """
 
     kind: str = "smooth"
-    lo = 0.25
-    hi = 4.0
+    lo, hi = SHELL_WINDOW
 
     def __post_init__(self) -> None:
         if self.kind not in ("smooth", "sharp"):
@@ -114,15 +114,6 @@ class Bump:
         up = _smoothstep((x - self.lo) / self.lo)
         down = _smoothstep((self.hi - x) / (self.hi / 2.0))
         return up * down
-
-    def top_degree(self, lam: int, beta, N: float) -> int:
-        """Degree past which the cutoff vanishes on S^{2 lam + 1}, plus two.
-
-        x_n <= hi means n (n + 2 lam) <= hi beta N^2; the two spare degrees
-        absorb the rounding of the square root.
-        """
-        bN2 = float(beta) * N * N
-        return int(math.floor(math.sqrt(self.hi * bN2 + lam * lam) - lam)) + 2
 
 
 class _Spectrum(NamedTuple):
@@ -142,11 +133,9 @@ class _Spectrum(NamedTuple):
 @cache
 def _spectrum(lam: int, beta, N: float, bump: Bump) -> _Spectrum:
     """One read-only _Spectrum per factor, scale and cutoff: it has no time in it."""
-    if N < 1:
-        raise ValueError(f"need N >= 1, got {N}")
     beta_f = float(beta)
     bN2 = beta_f * N * N
-    n = np.arange(0, max(bump.top_degree(lam, beta, N), 0) + 1)
+    n = np.arange(0, top_degree(lam, beta, N) + 1)
     m = n * (n + 2 * lam)
     cut = bump(m / bN2)
     keep = cut > 0.0
@@ -435,10 +424,8 @@ def kernel_direct_multi(
     point = np.asarray(point, dtype=float)
     if point.shape != (space.r,):
         raise ValueError(f"point must have one angle per factor, got {point.shape}")
-    tops = [bump.top_degree(f.lam, f.beta, N) for f in space.factors]
-    total = 1
-    for top in tops:
-        total *= top + 1
+    tops = [top_degree(f.lam, f.beta, N) for f in space.factors]
+    total = math.prod(top + 1 for top in tops)
     if total > ENUMERATION_GUARD:
         raise ValueError(
             f"lattice enumeration of {total} points exceeds guard {ENUMERATION_GUARD}"

@@ -6,7 +6,8 @@ normalized to a probability measure per factor, so constants never leak
 into fitted exponents.  The rule is the periodic trapezoid rule on the
 grid 2 pi k / M, exact for every trigonometric polynomial of degree below
 M.  On an odd sphere the density is one, of degree d - 1, and for an even
-integer p so is |K|^p, of degree p n_top for a kernel of top degree n_top:
+integer p so is |K|^p, of degree p n_top for a kernel of top degree n_top
+(space.top_degree, set by the scale N alone, whatever the cutoff's shape):
 a whole-circle L^p integral at even p is exact once M > p n_top + d - 1,
 and TorusQuadrature.for_kernel(power=p) sizes the grid just past that.
 Everywhere else the grid is oversampled (DEFAULT_OVERSAMPLE nodes per unit
@@ -38,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .space import ProductSpace
+from .space import ProductSpace, top_degree
 
 __all__ = [
     "DEFAULT_OVERSAMPLE",
@@ -155,7 +156,6 @@ class TorusQuadrature:
         oversample: int = DEFAULT_OVERSAMPLE,
         *,
         power: float | None = None,
-        bump=None,
     ) -> "TorusQuadrature":
         """Grid sized oversample times the kernel bandwidth per factor.
 
@@ -164,9 +164,9 @@ class TorusQuadrature:
         to the next even integer with no prime factor above 11 (_fft_size).
 
         An even integer power p says that the rule integrates |K|^p over
-        whole circles, for kernels of scale N under the cutoff bump.  Then
+        whole circles, for kernels of scale N under any cutoff.  Then
         |K_j|^p |sin theta|^(d-1) is a cosine polynomial of degree
-        p n_top + d - 1, n_top = bump.top_degree, which the trapezoid rule
+        p n_top + d - 1, n_top = space.top_degree, which the trapezoid rule
         integrates exactly on more nodes than that: each size is capped at
         _fft_size(p n_top + d), taken no lower than the aliasing floor
         (_floor_size).  Any other power keeps the oversampled sizes.
@@ -178,8 +178,6 @@ class TorusQuadrature:
         if N < 1:
             raise ValueError(f"need N >= 1, got {N}")
         exact = power is not None and float(power).is_integer() and int(power) % 2 == 0
-        if exact and bump is None:
-            raise ValueError("a degree-exact rule needs the kernel's bump")
         sizes = []
         for f in space.factors:
             nominal = oversample * (2.0 * N + f.lam) * max(1.0, math.sqrt(f.beta))
@@ -187,8 +185,8 @@ class TorusQuadrature:
                 raise ValueError(f"N = {N} needs {nominal:g} nodes per factor > {GRID_GUARD}")
             M = _fft_size(math.ceil(nominal))
             if exact:
-                degree = int(power) * bump.top_degree(f.lam, f.beta, N) + f.dim
-                cap = max(degree, _floor_size(f, bump, N))
+                degree = int(power) * top_degree(f.lam, f.beta, N) + f.dim
+                cap = max(degree, _floor_size(f, N))
                 if cap < M:  # min(M, _fft_size(cap)), as _fft_size is monotone
                     M = _fft_size(cap)
             sizes.append(M)
@@ -264,23 +262,23 @@ def _factor_masks(grid: np.ndarray, radius: float) -> dict[str, np.ndarray]:
     return {"pole0": near0, "pole1": near1, "away": ~(near0 | near1)}
 
 
-def _floor_size(f, bump, N: float) -> int:
+def _floor_size(f, N: float) -> int:
     """The fewest nodes factor f's grid may have for a scale-N kernel.
 
-    |K|^2 has bandwidth 2 (n_max + lam), n_max ~ 2N sqrt(beta) from the
-    cutoff and never taken below 2N; add the density.
+    |K|^2 has bandwidth 2 (n_max + lam), n_max ~ 2N sqrt(beta) the
+    shell's top degree, never taken below 2N; add the density.
     """
-    n_max = max(bump.top_degree(f.lam, f.beta, N), math.ceil(2.0 * N))
+    n_max = max(top_degree(f.lam, f.beta, N), math.ceil(2.0 * N))
     return 2 * (n_max + f.lam) + f.dim
 
 
 def _resolution_floor(field) -> None:
-    """Reject grids below twice the field bandwidth (Parseval would alias)."""
+    """Reject grids below twice the bandwidth of scale field.N (Parseval would alias)."""
     N = getattr(field, "N", None)
     if N is None:
         return
     for j, f in enumerate(field.space.factors):
-        need = _floor_size(f, field.bump, N)
+        need = _floor_size(f, N)
         if field.quad.sizes[j] < need:
             raise QuadratureError(
                 f"factor {j}: grid of {field.quad.sizes[j]} nodes under-resolves "

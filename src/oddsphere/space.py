@@ -31,7 +31,10 @@ __all__ = [
     "eigenvalue",
     "harmonic_dim",
     "format_rational",
+    "top_degree",
 ]
+
+SHELL_WINDOW = (0.25, 4.0)  # P_N's fixed dyadic window of x_n = n (n + 2 lam) / (beta N^2)
 
 
 def format_rational(x: Fraction) -> str:
@@ -152,8 +155,6 @@ def build_space(
     ultraspherical expansion of the kind used here), and nonpositive betas.
     """
     dims = list(dims)
-    if not dims:
-        raise ValueError("need at least one sphere factor")
     if betas is None:
         betas = [Fraction(1)] * len(dims)
     betas = [b if isinstance(b, Fraction) else Fraction(str(b)) for b in betas]
@@ -174,6 +175,16 @@ def eigenvalue(space: ProductSpace, idx: Sequence[int]) -> Fraction:
     for n, f in zip(idx, space.factors):
         total += Fraction(n * (n + f.dim - 1), 1) / f.beta
     return -total
+
+
+def top_degree(lam: int, beta, N: float) -> int:
+    """The degree past which the scale-N shell of S^{2 lam + 1} is empty, plus two
+    spare degrees for the rounding of the square root: x_n <= 4 means
+    n (n + 2 lam) <= 4 beta N^2.  Every grid is sized from it; N < 1 is a ValueError."""
+    if N < 1:
+        raise ValueError(f"need N >= 1, got {N}")
+    bN2 = float(beta) * N * N
+    return int(math.floor(math.sqrt(SHELL_WINDOW[1] * bN2 + lam * lam) - lam)) + 2
 
 
 def harmonic_dim(dim: int, n: int) -> int:

@@ -144,8 +144,6 @@ def phi_explicit(lam: int, n: int, theta):
     Cells whose largest nu-term magnitude exceeds COND_LIMIT are redone in
     multiprecision; everything else is plain float64.
     """
-    if lam < 1:
-        raise ValueError(f"need lam >= 1, got {lam}")
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     theta = np.asarray(theta, dtype=float)

@@ -256,7 +256,7 @@ def _tau_label(a: int, q: int, tau: Fraction) -> str:
 
 
 def _grid_rule(
-    space: ProductSpace, N: int, oversample: int, power: float | None, bump: Bump, grids: list
+    space: ProductSpace, N: int, oversample: int, power: float | None, grids: list
 ) -> TorusQuadrature:
     """The rule of scale N, degree-exact for an even power (for_kernel).
 
@@ -264,7 +264,7 @@ def _grid_rule(
     oversampled size, or the degree-exact cap where that is smaller.
     """
     oversampled = TorusQuadrature.for_kernel(space, N, oversample)
-    quad = TorusQuadrature.for_kernel(space, N, oversample, power=power, bump=bump)
+    quad = TorusQuadrature.for_kernel(space, N, oversample, power=power)
     grids.append(
         {
             "N": N,
@@ -339,7 +339,7 @@ def _arc_scan(
         regions = regions_for_N(N)
         whole = kernel and all(region.kind == "full" for region in regions)
         power = plan.p if whole else None
-        quad = _grid_rule(space, N, plan.oversample, power, plan.bump, grids)
+        quad = _grid_rule(space, N, plan.oversample, power, grids)
         points = _arc_time_points(plan.arcs, plan.offsets, N)
         fields = (field_at(N, quad, float(tau) * space.period_seconds) for _, _, tau, _ in points)
         norms = measure.lp_norm(fields, plan.p, regions)
@@ -419,8 +419,6 @@ def kappa_scan(space: ProductSpace, nu: int, *args, **settings) -> ScalingReport
         raise ValueError("kappa scans are per sphere factor; pass a rank-one space")
     f = space.factors[0]
     lam = f.lam
-    if not 0 <= nu <= lam - 1:
-        raise ValueError(f"need 0 <= nu <= lam-1 = {lam - 1}, got {nu}")
     plan = ScanPlan(space, math.inf, *args, **settings)
 
     def field_at(N, quad, t_sec):
@@ -549,7 +547,7 @@ def strichartz_zonal_scan(
     def measure_N(N: int):
         spec = _spectrum(lam, f.beta, N, bump)
         n_shell, dims, mu = spec.n, spec.dims, spec.mu
-        quad = _grid_rule(space, N, oversample, p, bump, grids)
+        quad = _grid_rule(space, N, oversample, p, grids)
         # the rule's half grid 2 pi k / M, k = 0..H = M/2, already folds node
         # M - k onto node k; phi_n(pi - theta) = (-1)^n phi_n(theta) folds
         # half-grid node H - k onto node k with the odd modes negated.

@@ -15,6 +15,7 @@ from oddsphere.arcs import (
     denominator_sum,
     farey,
 )
+from oddsphere.measure import GRID_GUARD
 from oddsphere.space import format_rational
 from oddsphere.verify import fit_loglog
 
@@ -111,6 +112,9 @@ def test_farey_count_is_totient_sum():
 def test_farey_rejects_bad_input():
     with pytest.raises(ValueError):
         farey(0)
+    # the (Q + 1) x Q table of N = 1e6 would take 931 GiB: refused before it is allocated
+    with pytest.raises(ValueError, match=f"Q = 999999 has 999999000000 cells > {GRID_GUARD}"):
+        farey(999_999)
 
 
 def test_major_arc_geometry():

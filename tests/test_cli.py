@@ -25,6 +25,17 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def run_child(args):
+    """The CLI in a child process with a timeout, so a hang or a crash
+    fails the test instead of the suite."""
+    src = str(Path(oddsphere.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-m", "oddsphere.cli", *map(str, args)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
 def test_space_info(capsys):
     assert run(["space-info", "--dims", "3"]) == 0
     out = capsys.readouterr().out
@@ -139,6 +150,7 @@ def test_arcs_listing_memory_stays_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 3_000_000
+    assert len(json.loads((tmp_path / "arcs.json").read_text())["arcs"]) == 79_596
 
 
 def test_arcs_command_rejects_q_at_or_above_N(capsys):
@@ -161,16 +173,18 @@ def test_non_finite_N_is_a_usage_error(command, bad, tmp_path, capsys):
 
 @pytest.mark.parametrize("N", ["-5", "-0.5"])
 def test_kernel_rejects_negative_N_without_hanging(N, tmp_path):
-    # in a child process, so a hang fails the test instead of the suite
-    src = str(Path(oddsphere.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run(
-        [sys.executable, "-m", "oddsphere.cli", "kernel", "--dims", "3", f"--n={N}",
-         "--out", str(tmp_path / "x")],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    done = run_child(["kernel", "--dims", "3", f"--n={N}", "--out", tmp_path / "x"])
     assert done.returncode == 2, done.stderr
     assert f"need N >= 1, got {float(N)}" in done.stderr
+
+
+def test_arcs_command_refuses_a_farey_table_past_the_guard(tmp_path):
+    # N = 1e6 needs a 1e6 x 1e6 table (931 GiB): a usage error, before any allocation
+    done = run_child(["arcs", "--n", "1e6", "--out", tmp_path / "x"])
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert "N = 1000000.0" in done.stderr and "Q = 999999" in done.stderr
+    assert not (tmp_path / "x.json").exists()
 
 
 @pytest.mark.filterwarnings("error")

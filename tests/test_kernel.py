@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 from fractions import Fraction
 
 import mpmath as mp
@@ -360,6 +361,13 @@ def test_direct_multi_radial_shell_count():
 def test_direct_multi_enumeration_guard():
     with pytest.raises(ValueError, match="guard"):
         kernel_direct_multi(S3S3, 2.0 * 10**4, 0.0, [0.0, 0.0], Bump())
+
+
+@pytest.mark.parametrize("N", [0, 0.5, -3])
+def test_direct_multi_rejects_N_below_1(N):
+    # the shell's top degree refuses the scale, as every kernel route does
+    with pytest.raises(ValueError, match=re.escape(f"need N >= 1, got {N}")):
+        kernel_direct_multi(S3, N, 0.0, [0.1], Bump())
 
 
 def test_radial_vs_product_mollifier_differ():

@@ -596,7 +596,7 @@ def test_for_kernel_skips_a_degree_exact_cap_above_the_oversampled_size(monkeypa
         return fft_size(nominal)
 
     monkeypatch.setattr(measure, "_fft_size", bounded)
-    quad = TorusQuadrature.for_kernel(S3, 16, power=1e12, bump=Bump())
+    quad = TorusQuadrature.for_kernel(S3, 16, power=1e12)
     assert quad.sizes == TorusQuadrature.for_kernel(S3, 16).sizes
 
 
@@ -707,7 +707,7 @@ def test_lockstep_lets_each_field_go():
 
 
 def exact_rule(sp, N, p):
-    return TorusQuadrature.for_kernel(sp, N, power=p, bump=Bump())
+    return TorusQuadrature.for_kernel(sp, N, power=p)
 
 
 @pytest.mark.parametrize("d", [3, 5, 7, 9, 11])
@@ -750,7 +750,7 @@ def test_degree_exact_rule_holds_the_top_degree(d):
         sp = space.build_space([d], [beta])
         f = sp.factors[0]
         for N in (16, 64):
-            n_top = Bump().top_degree(f.lam, f.beta, N)
+            n_top = space.top_degree(f.lam, f.beta, N)
             for p in (2.0, 4.0, 6.0, 8.0):
                 norms = []
                 for quad in (exact_rule(sp, N, p), TorusQuadrature.for_kernel(sp, N, 16)):
@@ -781,8 +781,8 @@ def test_degree_exact_sizes_lie_between_the_floor_and_the_oversampled_rule(sp):
         for p in (2, 4.0, 6, 8.0, 12.0, 16.0, 64.0):
             capped = exact_rule(sp, N, p)
             for f, M, M_wide in zip(sp.factors, capped.sizes, wide.sizes):
-                floor = measure._floor_size(f, bump, N)
-                exact = int(p) * bump.top_degree(f.lam, f.beta, N) + f.dim
+                floor = measure._floor_size(f, N)
+                exact = int(p) * space.top_degree(f.lam, f.beta, N) + f.dim
                 assert floor <= M <= M_wide and is_fft_size(M)
                 assert M == min(M_wide, max(check_size(exact), check_size(floor)))
             if p <= 8:  # the rule clears the floor lp_norm enforces
@@ -793,12 +793,11 @@ def test_floor_binds_at_p2_on_small_grids():
     # the bare degree 2 n_top + d falls below the aliasing floor at p = 2:
     # S^3 at N = 16 needs 71 nodes where 2 n_top + 3 = 69; in S^3 x S^5 with
     # betas 2/3, 1 the floors are 69 (2 n_top + 3 = 57) and 73 (69)
-    bump = Bump()
     for sp in (S3, space.build_space([3, 5], [Fraction(2, 3), 1])):
         capped = exact_rule(sp, 16, 2.0)
         for f, M in zip(sp.factors, capped.sizes):
-            floor = measure._floor_size(f, bump, 16)
-            assert 2 * bump.top_degree(f.lam, f.beta, 16) + f.dim < floor <= M
+            floor = measure._floor_size(f, 16)
+            assert 2 * space.top_degree(f.lam, f.beta, 16) + f.dim < floor <= M
             assert M == check_size(floor)
 
 
@@ -808,16 +807,9 @@ def test_other_powers_keep_the_oversampled_rule(sp):
         for oversample in (3, 16):
             wide = TorusQuadrature.for_kernel(sp, N, oversample)
             for p in (0.5, 1.0, 2.1, 3.0, 7.5, math.inf, 32.0, 64.0):
-                assert TorusQuadrature.for_kernel(
-                    sp, N, oversample, power=p, bump=Bump()
-                ) == wide, p
+                assert TorusQuadrature.for_kernel(sp, N, oversample, power=p) == wide, p
     # p = 16 on S^3 is the smallest even power whose cap does not bind
     for N in (16, 100.5, 1024):
         wide = TorusQuadrature.for_kernel(S3, N)
         assert exact_rule(S3, N, 16.0) == wide
         assert exact_rule(S3, N, 14.0).sizes[0] < wide.sizes[0]
-
-
-def test_exact_rule_needs_the_bump():
-    with pytest.raises(ValueError, match="bump"):
-        TorusQuadrature.for_kernel(S3, 16, power=4)

@@ -11,6 +11,7 @@ from oddsphere.space import (
     eigenvalue,
     format_rational,
     harmonic_dim,
+    top_degree,
 )
 
 
@@ -138,3 +139,15 @@ def test_describe_and_str():
     assert "S^5[beta=2/3]" in str(sp)
     # 1/beta = 3/2 for the second factor, so phases close after two turns
     assert math.isclose(sp.period_seconds, 2 * math.pi * 2)
+
+
+def test_top_degree_is_two_past_the_last_shell_degree():
+    # x_n = n (n + 2 lam) / (beta N^2) <= 4 iff (n + lam)^2 <= 4 beta N^2 + lam^2;
+    # the float square root lands on the exact last degree on these inputs
+    for lam in (1, 2, 5):
+        for beta in (Fraction(1), Fraction(2, 3), Fraction(144, 89)):
+            for N in (*range(1, 130), 100.5, 1024):
+                bound = 4 * beta * Fraction(N) ** 2 + lam * lam
+                last = math.isqrt(math.floor(bound)) - lam
+                assert (last + lam) ** 2 <= bound < (last + lam + 1) ** 2
+                assert top_degree(lam, beta, N) == last + 2, (lam, beta, N)

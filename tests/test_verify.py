@@ -273,13 +273,13 @@ def assert_each_quarter_grid_node_once(calls, N_list):
     assert all(np.all((th > 0.0) & (th <= math.pi / 2.0)) for _, th in calls)
     for N in N_list:
         modes = mode_weights(1, 1.0, N, 0.0, Bump())[0].size
-        M = TorusQuadrature.for_kernel(S3, N, power=8.0, bump=Bump()).sizes[0]
+        M = TorusQuadrature.for_kernel(S3, N, power=8.0).sizes[0]
         theta = np.concatenate([th for n, th in calls if n == modes])
         k = theta * M / (2.0 * math.pi)
         assert np.allclose(k, np.round(k), rtol=0.0, atol=1e-9)
         assert sorted(np.round(k).astype(int)) == list(range(1, M // 4 + 1))
     assert sum(th.size for _, th in calls) == sum(
-        TorusQuadrature.for_kernel(S3, N, power=8.0, bump=Bump()).sizes[0] // 4 for N in N_list
+        TorusQuadrature.for_kernel(S3, N, power=8.0).sizes[0] // 4 for N in N_list
     )
 
 
@@ -350,7 +350,7 @@ def test_strichartz_working_set_per_time_sample():
         finally:
             tracemalloc.stop()
     modes = mode_weights(1, 1.0, N_list[-1], 0.0, Bump())[0].size
-    M = TorusQuadrature.for_kernel(S3, N_list[-1], power=8.0, bump=Bump()).sizes[0]
+    M = TorusQuadrature.for_kernel(S3, N_list[-1], power=8.0).sizes[0]
     block = min(verify.SPACETIME_BLOCK, M // 4)
     per_sample = 16 * modes + 2 * 8 * modes + 2 * 2 * 8 * block
     assert peaks[256] - peaks[64] <= 192 * per_sample + 2**18
@@ -406,7 +406,7 @@ def test_reports_record_each_grid_and_its_rule(tmp_path):
     sp = space.build_space([3, 5], [1, Fraction(2, 3)])
 
     def assert_grids(report, sp, power, rule):
-        want = [TorusQuadrature.for_kernel(sp, N, power=power, bump=Bump()) for N in SMALL_NS]
+        want = [TorusQuadrature.for_kernel(sp, N, power=power) for N in SMALL_NS]
         assert report.params["grids"] == [
             {"N": N, "sizes": list(quad.sizes), "rules": [rule] * sp.r}
             for N, quad in zip(SMALL_NS, want)
@@ -428,6 +428,19 @@ def test_reports_record_each_grid_and_its_rule(tmp_path):
     write_report(report, tmp_path / "r.json")
     payload = json.loads((tmp_path / "r.json").read_text())
     assert payload["params"]["grids"] == report.params["grids"]
+
+
+def test_grids_do_not_depend_on_the_cutoff_shape():
+    # every grid is sized from the scale's top degree alone: the smooth and
+    # the sharp cutoff share the window, so their scans share every grid
+    sp = space.build_space([3, 5], [1, Fraction(2, 3)])
+    grids = {}
+    for kind in ("smooth", "sharp"):
+        bump = Bump(kind)
+        decay = decay_scan(ScanPlan(sp, 4.0, SMALL_NS, SMALL_ARCS, bump=bump))
+        spacetime = strichartz_zonal_scan(S3, 8.0, SMALL_NS, trials=1, time_samples=4, bump=bump)
+        grids[kind] = (decay.params["grids"], spacetime.params["grids"])
+    assert grids["smooth"] == grids["sharp"]
 
 
 def test_bound_denominator_formula():
