@@ -242,12 +242,15 @@ class TorusQuadrature:
 @dataclass
 class FieldSample:
     """Factored half-grid samples of a zonal function, with optional
-    per-factor evaluators at fresh angles, which a sup needs (sup_norm)."""
+    per-factor evaluators at fresh angles, which a sup needs (sup_norm),
+    and an optional frequency scale N, whose aliasing floor a norm that
+    reads the samples then checks the grid against (lp_norm)."""
 
     space: ProductSpace
     quad: TorusQuadrature
     factor_values: tuple[np.ndarray, ...]
     evaluators: tuple[Callable[[np.ndarray], np.ndarray], ...] | None = None
+    N: float | None = None
 
     def evaluate_factor(self, j: int, theta) -> np.ndarray:
         if self.evaluators is None:
@@ -344,7 +347,8 @@ def lp_norm(field, p: float, region: Region | None = None):
     """Regional L^p norm of a factored field under the probability measure.
 
     p = inf delegates to sup_norm.  Raises QuadratureError when the field's
-    grid is below the aliasing floor for its frequency scale, and ValueError
+    grid is below the aliasing floor for its frequency scale N (a field
+    without N is not checked), and ValueError
     naming p (and N) when a norm is not finite: |K|^p overflows at large p.
 
     Given an iterable of fields and a list of regions instead, returns one
@@ -409,6 +413,8 @@ def _grid_sups(field, pieces, owners: dict, pending: list[_SupPiece]) -> dict:
             h, edge = 2.0 * math.pi / field.quad.sizes[j], radius or 0.0
             lo, hi = max(grid[k] - h, edge), min(grid[k] + h, math.pi - edge)
             first = grid[k : k + 1]
+            if key == "away":  # |K| may still be falling from the boxes there
+                first = np.append(first, (edge, math.pi - edge))
         pending.append(_SupPiece(owner, time, lo, hi, first, value, piece))
     return value
 
@@ -509,10 +515,11 @@ def _norms(fields, regions, p: float):
     for field in fields:
         r = field.space.r
         pieces = dict.fromkeys(piece for reg in regions for piece in _pieces(r, reg, sup))
+        if not sup or any(not key.startswith("pole") for _, key, _ in pieces):
+            _resolution_floor(field)  # the pieces read grid values
         if sup:
             value = _grid_sups(field, pieces, owners, pending)
         else:
-            _resolution_floor(field)
             value = _integrals(field, p, pieces)
         results.append((r, value, getattr(field, "N", None)))
         del field  # before the next field is built
@@ -534,15 +541,19 @@ def sup_norm(field, region: Region | None = None):
     [pole, pole +- radius], as a kernel is even about its poles, and a full
     or away piece its grid argmax +- one grid step, clipped to the piece.
     Sweep 1 evaluates SUP_NODES Chebyshev-Lobatto points of the interval,
-    its ends among them, and every box node (or the grid argmax).  The
+    its ends among them, and every box node (or the grid argmax, and for an
+    away piece both edges of the region, where |K| may still be falling
+    from the boxes).  The
     Chebyshev coefficients of |K_j|^2 there give an interpolant and a tail
     certificate, the larger of the last two against the largest.  Sweep 2
     evaluates the interpolant's argmax and, where the certificate exceeds
     SUP_CERT_TOL (a box at the recurrence's rounding floor, whose proxy
     follows noise), the dense fallback: SUP_DENSE evenly spaced angles.
     The sup is the largest value evaluated, never a grid value, so a
-    FieldSample without evaluators is a ValueError.  A pole box reads no
-    grid value, so corner sups never sample a kernel field's grid.
+    FieldSample without evaluators is a ValueError.  A full or away piece
+    reads grid values for its argmax, so its grid must clear the aliasing
+    floor, as an integral's must (lp_norm).  A pole box reads no grid
+    value, so corner sups never sample a kernel field's grid.
 
     Given an iterable of fields and a list of regions instead, returns one
     list of sups per field, one per region.  Each piece is measured once

@@ -60,16 +60,22 @@ DEFAULT_TOLERANCE = 0.30
 # SPACETIME_BLOCK quarter-grid angles (each serves twice as many half-grid
 # nodes), a fixed order that keeps its records bit-stable.  It evaluates
 # phi_n one tile of SPACETIME_TILE angles at a time (a last part-block joins
-# the tile before it) and runs every trial through a tile before the next.
-# Per block, two GEMMs give the even and odd sums over all T time samples;
-# the (time, mode) product that feeds them, and |E +- O|^p, are formed one
-# chunk of SPACETIME_CHUNK time samples at a time.  So its memory is
-# modes x tile plus 2 x 2T x block doubles plus 2 x T x modes complex values
-# (the phase and the stacked product), and buffers of one chunk, with no
-# trials factor; the trials' drawn coefficients add only trials x modes.
+# the tile before it).  Within a tile it runs the T time samples in groups
+# of SPACETIME_GROUP, a whole number of chunks (the last group may be a
+# part-group): a group's phases are computed once, then every trial runs
+# through the tile, two GEMMs per block giving the even and odd sums over
+# the group's samples; the (time, mode) product that feeds them, and
+# |E +- O|^p, are formed one chunk of SPACETIME_CHUNK time samples at a
+# time.  So its memory is modes x tile plus the buffers of one group (G x
+# modes complex phases, 2G x modes doubles of A, 2 x 2G x block doubles of
+# sums) and of one chunk; only the trials x T power rows and the T drawn
+# times grow with T, and the trials' drawn coefficients add trials x modes.
+# Groups of 64 keep the GEMMs at 128 rows, where BLAS runs near its peak;
+# groups of 32 made the N = 16..512 scan 8-21% slower on 2 vCPUs.
 SPACETIME_BLOCK = 512
 SPACETIME_TILE = 2 * SPACETIME_BLOCK
 SPACETIME_CHUNK = 32
+SPACETIME_GROUP = 2 * SPACETIME_CHUNK
 
 
 def fit_loglog(pairs: Sequence[tuple[float, float]]) -> tuple[float, float, float]:
@@ -132,14 +138,18 @@ class ScanPlan:
             raise ValueError(f"need p > 0, got {self.p}")
         _check_ladder(self.N_list, self.tolerance)
         n_min = min(self.N_list)
-        for a, q in self.arcs:
+        for i, (a, q) in enumerate(self.arcs):
+            if (a, q) in self.arcs[:i]:
+                raise ValueError(f"arcs must be distinct, got {a}/{q} twice")
             if math.gcd(a, q) != 1 or not (0 <= a < q or (a, q) == (0, 1)):
                 raise ValueError(f"arc {a}/{q} is not a reduced fraction in [0,1)")
             if not q < n_min:
                 raise ValueError(f"arc denominator {q} must stay below min N = {n_min}")
-        for off in self.offsets:
+        for i, off in enumerate(self.offsets):
             if not (0 <= off < 1):
                 raise ValueError(f"offsets are fractions of the half-width, got {off}")
+            if off in self.offsets[:i]:
+                raise ValueError(f"offsets must be distinct, got {off} twice")
 
 
 # the fields of a record in report order: the CSV columns and the JSON keys
@@ -425,7 +435,7 @@ def kappa_scan(space: ProductSpace, nu: int, *args, **settings) -> ScalingReport
         def evaluator(th):
             return kappa_nu(lam, N, nu, t_sec, th, plan.bump, beta=f.beta)
 
-        return FieldSample(space, quad, (evaluator(quad),), evaluators=(evaluator,))
+        return FieldSample(space, quad, (evaluator(quad),), evaluators=(evaluator,), N=N)
 
     return _arc_scan(
         plan, "kappa", lam - nu + 1.0, lambda N: [Region.full()],
@@ -517,14 +527,18 @@ def strichartz_zonal_scan(
     and oversampled otherwise (TorusQuadrature.for_kernel), on the open half
     grid 0 < theta < pi, folded exactly onto the quarter grid
     0 < theta <= pi/2 by the mode parity: phi_n is evaluated only there,
-    one tile of SPACETIME_TILE angles at a time, and every trial passes
-    through a tile before the next is built.  Memory is modes x tile plus
-    2 x 2T x block doubles plus 2 x T x modes complex values (T time
-    samples, block = SPACETIME_BLOCK angles), buffers of one chunk of
-    SPACETIME_CHUNK time samples and the trials x modes drawn coefficients:
-    it grows neither with modes times grid size nor with trials times time
-    samples.  On S^3 at p = 8 with 20 trials and 192 time samples, traced
-    allocations peak at 15.0 MiB on N = 16..512 and 26.5 MiB on 16..1024.
+    one tile of SPACETIME_TILE angles at a time, and within a tile the
+    time samples run in groups of SPACETIME_GROUP, each group's phases
+    computed once and every trial passing through the tile before the next
+    group.  Memory is modes x tile plus the buffers of one group (its
+    complex phases, its 2 x group x modes product A and 2 x 2 x group x
+    block even and odd sums, block = SPACETIME_BLOCK angles), buffers of
+    one chunk of SPACETIME_CHUNK time samples, the trials x modes drawn
+    coefficients and the trials x T power rows: it grows neither with
+    modes times grid size nor with trials or modes times time samples.  On
+    S^3 at p = 8 with 20 trials and 192 time samples, traced allocations
+    peak at 10.0 MiB on N = 16..512 (10.2 MiB with 768 time samples) and
+    18.6 MiB on 16..1024.
     Pass verdict requires the fitted worst-trial exponent at or below
     d/2 - (d+2)/p plus budget.
     """
@@ -567,47 +581,59 @@ def strichartz_zonal_scan(
         n_sorted = n_shell[order]
         T = time_samples
         rng = np.random.default_rng((seed, *Fraction(N).as_integer_ratio()))
-        t_frac = (np.arange(T) + rng.random(T)) / T
-        phase = np.exp(-1j * np.outer(t_frac * T_sec, mu[order]))  # (time, mode)
+        t_sec = (np.arange(T) + rng.random(T)) / T * T_sec
+        mu_sorted = mu[order]
         # the draws keep the shell's own mode order
         scaled = [(_random_shell_state(rng, n_shell, dims) * dims)[order] for _ in range(trials)]
-        # reused per trial and tile: A, one trial's (time, mode) product filled
-        # a chunk of time samples at a time, each chunk's real parts over its
-        # imaginary parts; per block, the even and odd sums (rows in A's
-        # order); per chunk of those, E + O and E - O
+        # reused per tile and group of time samples: its phases; per trial,
+        # A, the group's (time, mode) product filled a chunk of time samples
+        # at a time, each chunk's real parts over its imaginary parts; per
+        # block, the even and odd sums (rows in A's order); per chunk of
+        # those, E + O and E - O.  A group is a whole number of chunks, so
+        # chunks start where they would in one group of all T samples.
+        group = min(SPACETIME_GROUP, T)
         chunk = min(SPACETIME_CHUNK, T)
+        phase = np.empty((group, n_sorted.size), dtype=complex)
         product = np.empty((chunk, n_sorted.size), dtype=complex)
-        A = np.empty((2 * T, n_sorted.size))
+        A = np.empty((2 * group, n_sorted.size))
         starts = list(range(0, theta.size, SPACETIME_TILE))
         if len(starts) > 1 and theta.size - starts[-1] < SPACETIME_BLOCK:
             del starts[-1]  # a last part-block joins the tile before it
         stops = starts[1:] + [theta.size]
         block_max = min(SPACETIME_BLOCK, theta.size)
-        sums = np.empty((2, 2 * T * block_max))
+        sums = np.empty((2, 2 * group * block_max))
         pair = np.empty((2, 2 * chunk * block_max))
         power = np.zeros((trials, T))  # integral of |u|^p over angles
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             for start, stop in zip(starts, stops):
                 rows = phi_matrix(lam, n_sorted, theta[start:stop])
-                for acc, g in zip(power, scaled):
-                    for c in range(0, T, chunk):
-                        k = min(chunk, T - c)
-                        part = np.multiply(phase[c : c + k], g, out=product[:k])
-                        A[2 * c : 2 * c + k] = part.real
-                        A[2 * c + k : 2 * (c + k)] = part.imag
-                    for b in range(start, stop, SPACETIME_BLOCK):
-                        w = min(SPACETIME_BLOCK, stop - b)
-                        even, odd = (buf[: 2 * T * w].reshape(2 * T, w) for buf in sums)
-                        cols = slice(b - start, b - start + w)
-                        np.matmul(A[:, :n_even], rows[:n_even, cols], out=even)
-                        np.matmul(A[:, n_even:], rows[n_even:, cols], out=odd)
-                        for c in range(0, T, chunk):
-                            k = min(chunk, T - c)
-                            near, far = (buf[: 2 * k * w].reshape(2 * k, w) for buf in pair)
-                            e, o = even[2 * c : 2 * (c + k)], odd[2 * c : 2 * (c + k)]
-                            u = _abs_power(np.add(e, o, out=near), p)  # theta_k
-                            u += _abs_power(np.subtract(e, o, out=far), p)  # theta_{H-k}
-                            acc[c : c + k] += u @ weights[b : b + w]
+                for g0 in range(0, T, group):
+                    G = min(group, T - g0)
+                    # exp(-i t mu) in place: 0 + i (-t mu), then exp
+                    ph = phase[:G]
+                    np.multiply.outer(t_sec[g0 : g0 + G], mu_sorted, out=ph.imag)
+                    np.negative(ph.imag, out=ph.imag)
+                    ph.real = 0.0
+                    np.exp(ph, out=ph)
+                    for acc, g in zip(power[:, g0 : g0 + G], scaled):
+                        for c in range(0, G, chunk):
+                            k = min(chunk, G - c)
+                            part = np.multiply(ph[c : c + k], g, out=product[:k])
+                            A[2 * c : 2 * c + k] = part.real
+                            A[2 * c + k : 2 * (c + k)] = part.imag
+                        for b in range(start, stop, SPACETIME_BLOCK):
+                            w = min(SPACETIME_BLOCK, stop - b)
+                            even, odd = (buf[: 2 * G * w].reshape(2 * G, w) for buf in sums)
+                            cols = slice(b - start, b - start + w)
+                            np.matmul(A[: 2 * G, :n_even], rows[:n_even, cols], out=even)
+                            np.matmul(A[: 2 * G, n_even:], rows[n_even:, cols], out=odd)
+                            for c in range(0, G, chunk):
+                                k = min(chunk, G - c)
+                                near, far = (buf[: 2 * k * w].reshape(2 * k, w) for buf in pair)
+                                e, o = even[2 * c : 2 * (c + k)], odd[2 * c : 2 * (c + k)]
+                                u = _abs_power(np.add(e, o, out=near), p)  # theta_k
+                                u += _abs_power(np.subtract(e, o, out=far), p)  # theta_{H-k}
+                                acc[c : c + k] += u @ weights[b : b + w]
                 del rows  # else the next tile's rows would be built beside it
             worst_norm = max(float(np.mean(f_t)) ** (1.0 / p) for f_t in power)
         if not math.isfinite(worst_norm):

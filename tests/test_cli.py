@@ -270,6 +270,18 @@ def test_scan_modes_validate(tmp_path, capsys):
          "--nlist", "16,32,64", "--out", tmp_path / "coarse"]
     ) == 2
     assert "under-resolves" in capsys.readouterr().err
+    # and so is one under a sup that reads grid values
+    for mode in (["--mode", "threshold", "--p", "inf", "--nlist", "16,32,64"],
+                 ["--mode", "kappa", "--nu", 0]):
+        assert run(["scan", "--dims", "3", *mode, "--oversample", 1,
+                    "--out", tmp_path / "coarse"]) == 2
+        assert "under-resolves" in capsys.readouterr().err
+    decay = ["scan", "--dims", "3", "--mode", "decay", "--p", 4, "--nlist", "16,32,64",
+             "--out", tmp_path / "repeat"]
+    for bad, message in ((["--arcs", "0/1,0/1"], "got 0/1 twice"),
+                         (["--offsets", "0,0"], "got 0 twice")):
+        assert run(decay + bad) == 2
+        assert message in capsys.readouterr().err
     assert not list(tmp_path.glob("*.json"))
 
 

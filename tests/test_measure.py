@@ -514,6 +514,15 @@ def test_lp_norm_rejects_under_resolved_grid():
         lp_norm(fld, 2)
 
 
+def test_sups_that_read_grid_values_reject_under_resolved_grid():
+    N = 64
+    fld = kernel_product(S3, N, 0.0, TorusQuadrature(S3, (32,)), Bump())
+    for region in (Region.full(), Region.away(1 / N)):
+        with pytest.raises(QuadratureError, match="under-resolves"):
+            sup_norm(fld, region)
+    assert sup_norm(fld, Region.corner(0, 1 / N)) > 0  # reads no grid value
+
+
 @pytest.mark.parametrize("beta", [16, 64])
 def test_lp_norm_floor_follows_beta(beta):
     # n_max ~ 2N sqrt(beta): 100 nodes (the beta = 1 grid at oversample 3)

@@ -14,6 +14,8 @@ from oddsphere.kernel import Bump, kappa_nu, kernel_product, mode_weights
 from oddsphere.measure import FieldSample, Region, TorusQuadrature, density_normalizer
 from oddsphere.specialfn import phi_matrix
 from oddsphere.verify import (
+    DEFAULT_ARCS,
+    DEFAULT_OFFSETS,
     ScanPlan,
     bound_denominator,
     corner_scan,
@@ -78,6 +80,11 @@ def test_scan_plan_validation():
     for p in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError):
             ScanPlan(S3, p)
+    # a repeated arc or offset would sample every kernel twice
+    with pytest.raises(ValueError, match="arcs must be distinct, got 0/1 twice"):
+        ScanPlan(S3, 4.0, arcs=((0, 1), (1, 2), (0, 1)))
+    with pytest.raises(ValueError, match="offsets must be distinct, got 1/4 twice"):
+        ScanPlan(S3, 4.0, offsets=(0.25, Fraction(0), Fraction(1, 4)))
     with pytest.raises(ValueError):
         corner_scan(S3, 0.0, SMALL_NS, SMALL_ARCS)
     with pytest.raises(ValueError):
@@ -154,6 +161,41 @@ def test_kappa_scan_preconditions():
         kappa_scan(S5, 0, SMALL_NS, ((1, 9),))  # q >= min N
     with pytest.raises(ValueError):
         kappa_scan(S5, 0, SMALL_NS, SMALL_ARCS, offsets=(Fraction(3, 2),))
+
+
+def test_away_sups_evaluate_the_region_edges():
+    # |K| can be largest at an edge of the away region, still falling from
+    # the pole box, where a coarse grid's nearest node reads lower: at N = 32,
+    # tau = 1/2 + 1/256 the node reads 793.77 and the edge 1859.83
+    N_list = (16, 32, 64, 128)
+    coarse = threshold_check(S3, math.inf, N_list, oversample=4)
+    fine = threshold_check(S3, math.inf, N_list)
+    assert [rec.norm for rec in coarse.records] == pytest.approx(
+        [rec.norm for rec in fine.records], rel=1e-12, abs=0
+    )
+    records = iter(coarse.records)
+    for N in N_list:
+        quad = TorusQuadrature.for_kernel(S3, N, 4)
+        for a, q, tau, _ in verify._arc_time_points(DEFAULT_ARCS, DEFAULT_OFFSETS, N):
+            rec = next(records)
+            kern = kernel_product(S3, N, float(tau) * S3.period_seconds, quad, Bump())
+            edges = np.abs(kern.evaluate_factor(0, np.array([1 / N, math.pi - 1 / N])))
+            assert rec.norm >= edges.max()
+            if (N, rec.tau) == (32, "1/2+1/256"):
+                assert rec.norm == pytest.approx(1859.83, abs=0.01)
+    assert next(records, None) is None
+
+
+def test_sups_that_read_the_grid_check_the_aliasing_floor():
+    # 36 nodes at N = 16 against a floor of 71: full and away sups (kernel
+    # and kappa fields) are refused; corner sups read no grid value and run
+    with pytest.raises(measure.QuadratureError, match="under-resolves"):
+        threshold_check(S3, math.inf, (16, 32, 64), oversample=1)
+    with pytest.raises(measure.QuadratureError, match="under-resolves"):
+        decay_scan(ScanPlan(S3, math.inf, (16, 32, 64), oversample=1))
+    with pytest.raises(measure.QuadratureError, match="under-resolves"):
+        kappa_scan(S3, 0, (16, 32, 64), oversample=1)
+    corner_scan(S3, math.inf, (16, 32, 64), oversample=1)
 
 
 def test_threshold_check_mechanics():
@@ -334,10 +376,9 @@ def test_strichartz_working_set_does_not_grow_with_trials():
 
 
 def test_strichartz_working_set_per_time_sample():
-    # each added time sample costs a phase row and two rows of A (the stacked
-    # (time, mode) product) per mode, and two rows of each of the block-wide
-    # even and odd sums per block angle: no (time, mode) complex product and
-    # no third (2 time, tile) buffer
+    # time samples run in groups of SPACETIME_GROUP, whose phases, products
+    # and even and odd sums are reused: an added time sample costs only its
+    # power row entry per trial and its drawn time
     N_list = (16, 32, 64, 128)
     kwargs = dict(trials=3, seed=2)
     strichartz_zonal_scan(S3, 8.0, N_list, time_samples=4, **kwargs)  # fill the caches
@@ -349,11 +390,22 @@ def test_strichartz_working_set_per_time_sample():
             peaks[time_samples] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    modes = mode_weights(1, 1.0, N_list[-1], 0.0, Bump())[0].size
-    M = TorusQuadrature.for_kernel(S3, N_list[-1], power=8.0).sizes[0]
-    block = min(verify.SPACETIME_BLOCK, M // 4)
-    per_sample = 16 * modes + 2 * 8 * modes + 2 * 2 * 8 * block
-    assert peaks[256] - peaks[64] <= 192 * per_sample + 2**18
+    assert peaks[256] - peaks[64] <= 192 * (8 * kwargs["trials"] + 8) + 2**18
+
+
+# one chunk per group, one group of all 100 time samples, and groups of
+# three chunks (the last a part-group of 4 samples), on blocks and tiles
+# small enough that every N spans several of both
+@pytest.mark.parametrize("group", [32, 100, 96], ids=["chunk", "all", "part"])
+def test_strichartz_records_do_not_depend_on_the_time_groups(monkeypatch, group):
+    N_list = (16, 32, 64)
+    kwargs = dict(trials=3, seed=2, time_samples=100)
+    monkeypatch.setattr(verify, "SPACETIME_BLOCK", 16)
+    monkeypatch.setattr(verify, "SPACETIME_TILE", 48)
+    grouped = strichartz_zonal_scan(S3, 7.5, N_list, **kwargs)
+    monkeypatch.setattr(verify, "SPACETIME_GROUP", group)
+    regrouped = strichartz_zonal_scan(S3, 7.5, N_list, **kwargs)
+    assert [rec.norm for rec in regrouped.records] == [rec.norm for rec in grouped.records]
 
 
 def test_strichartz_draws_time_samples_then_trials():
