@@ -407,16 +407,45 @@ def _grid_sups(field, pieces, owners: dict, pending: list[_SupPiece]) -> dict:
         idx = np.flatnonzero(mask)
         if key.startswith("pole"):
             lo, hi = (0.0, radius) if key == "pole0" else (math.pi - radius, math.pi)
-            first = grid[idx]
-        else:
-            k = idx[np.argmax(np.abs(np.asarray(field.factor_values[j])[idx]))]
-            h, edge = 2.0 * math.pi / field.quad.sizes[j], radius or 0.0
+            pending.append(_SupPiece(owner, time, lo, hi, grid[idx], value, piece))
+            continue
+        h, edge = 2.0 * math.pi / field.quad.sizes[j], radius or 0.0
+        for i, k in enumerate(_seeds(field, j, idx)):
             lo, hi = max(grid[k] - h, edge), min(grid[k] + h, math.pi - edge)
             first = grid[k : k + 1]
-            if key == "away":  # |K| may still be falling from the boxes there
+            if key == "away" and i == 0:  # |K| may still be falling from the boxes there
                 first = np.append(first, (edge, math.pi - edge))
-        pending.append(_SupPiece(owner, time, lo, hi, first, value, piece))
+            pending.append(_SupPiece(owner, time, lo, hi, first, value, piece))
     return value
+
+
+def _seeds(field, j: int, idx: np.ndarray) -> np.ndarray:
+    """The nodes of a full or away piece (node indices idx, a run of the
+    half grid) whose intervals its sup refines: the grid argmax of |K_j|,
+    then every other grid local maximum that refinement could still lift
+    above it.  A piece's end node is compared with its inner neighbour only.
+
+    |K_j|^2 is a cosine polynomial of degree D = 2 (n_max + lam) (see
+    _floor_size), so on M nodes a local maximum lies within pi/M of a node
+    and rises above it by at most (D pi/M)^2 / 2 times sup |K_j|^2
+    (Bernstein), and sup |K_j|^2 is at most the grid maximum over
+    cos(D pi/M) (Szego) when D pi/M < pi/2; on a coarser grid every local
+    maximum is a seed.  A field without N seeds its argmax alone.
+    """
+    size = np.abs(np.asarray(field.factor_values[j]))
+    top = int(np.argmax(size[idx]))
+    N = getattr(field, "N", None)
+    if N is None:
+        return idx[top : top + 1]
+    f = field.space.factors[j]
+    x = math.pi * (_floor_size(f, N) - f.dim) / field.quad.sizes[j]
+    rise = 0.5 * x * x / math.cos(x) * float(size.max()) ** 2 if x < math.pi / 2 else math.inf
+    piece = size[idx] ** 2
+    end = np.full(1, -1.0)
+    peak = (piece >= np.concatenate([piece[1:], end])) & (piece >= np.concatenate([end, piece[:-1]]))
+    peak &= piece >= piece[top] - rise
+    peak[top] = False
+    return np.concatenate([idx[top : top + 1], idx[peak]])
 
 
 def _sweep(pending: list[_SupPiece], angles: list[np.ndarray]) -> list[np.ndarray]:
@@ -492,7 +521,7 @@ def _proxy_sups(pending: list[_SupPiece]) -> None:
         for a, flag, ref in zip(at, flagged, pending)
     ]
     for ref, one, two in zip(pending, first, _sweep(pending, second)):
-        ref.sup[ref.piece] = float(max(one.max(), two.max()))
+        ref.sup[ref.piece] = max(ref.sup.get(ref.piece, 0.0), float(max(one.max(), two.max())))
 
 
 def _norms(fields, regions, p: float):
@@ -539,11 +568,13 @@ def sup_norm(field, region: Region | None = None):
 
     Each piece the region combines (_pieces) spans an interval: a pole box
     [pole, pole +- radius], as a kernel is even about its poles, and a full
-    or away piece its grid argmax +- one grid step, clipped to the piece.
-    Sweep 1 evaluates SUP_NODES Chebyshev-Lobatto points of the interval,
-    its ends among them, and every box node (or the grid argmax, and for an
-    away piece both edges of the region, where |K| may still be falling
-    from the boxes).  The
+    or away piece one interval per seed node (_seeds: the grid argmax and
+    every grid local maximum that refinement could lift above it) +- one
+    grid step, clipped to the piece.  Sweep 1 evaluates SUP_NODES
+    Chebyshev-Lobatto points of each interval, its ends among them, and
+    every box node (or the seed node, and for an away piece's argmax both
+    edges of the region, where |K| may still be falling from the boxes).
+    The
     Chebyshev coefficients of |K_j|^2 there give an interpolant and a tail
     certificate, the larger of the last two against the largest.  Sweep 2
     evaluates the interpolant's argmax and, where the certificate exceeds
@@ -551,7 +582,7 @@ def sup_norm(field, region: Region | None = None):
     follows noise), the dense fallback: SUP_DENSE evenly spaced angles.
     The sup is the largest value evaluated, never a grid value, so a
     FieldSample without evaluators is a ValueError.  A full or away piece
-    reads grid values for its argmax, so its grid must clear the aliasing
+    reads grid values for its seeds, so its grid must clear the aliasing
     floor, as an integral's must (lp_norm).  A pole box reads no grid
     value, so corner sups never sample a kernel field's grid.
 

@@ -205,6 +205,6 @@ def phi_matrix(lam: int, n_values: Sequence[int], theta) -> np.ndarray:
     for i, n in enumerate(n_values.tolist()):
         rows.setdefault(n, []).append(i)
     for k, cur in enumerate(_sweep(lam, theta, int(n_values.max()))):
-        if k in rows:
-            out[rows[k]] = cur
+        for i in rows.get(k, ()):
+            out[i] = cur  # row by row: a list index per degree is slower
     return out

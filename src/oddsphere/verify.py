@@ -59,27 +59,28 @@ DEFAULT_TOLERANCE = 0.30
 # The space-time scan sums each trial's angle integral in blocks of
 # SPACETIME_BLOCK quarter-grid angles (each serves twice as many half-grid
 # nodes), a fixed order that keeps its records bit-stable.  It evaluates
-# phi_n one tile of SPACETIME_TILE angles at a time (a last part-block joins
-# the tile before it).  Within a tile it runs the T time samples in groups
-# of SPACETIME_GROUP, a whole number of chunks (the last group may be a
+# phi_n one block at a time (a last part-block joins the block before it)
+# and, within a block, runs the T time samples in groups of
+# SPACETIME_GROUP, a whole number of chunks (the last group may be a
 # part-group): a group's phases are computed once, then every trial runs
-# through the tile, two GEMMs per block giving the even and odd sums over
+# through the block, two GEMMs per block giving the even and odd sums over
 # the group's samples; the (time, mode) product that feeds them, and
 # |E +- O|^p, are formed one chunk of SPACETIME_CHUNK time samples at a
-# time.  So its memory is modes x tile plus the buffers of one group (G x
+# time.  So its memory is modes x block plus the buffers of one group (G x
 # modes complex phases, 2G x modes doubles of A, 2 x 2G x block doubles of
 # sums) and of one chunk; only the trials x T power rows and the T drawn
 # times grow with T, and the trials' drawn coefficients add trials x modes.
 # Groups of 64 keep the GEMMs at 128 rows, where BLAS runs near its peak;
 # groups of 32 made the N = 16..512 scan 8-21% slower on 2 vCPUs.
 SPACETIME_BLOCK = 512
-SPACETIME_TILE = 2 * SPACETIME_BLOCK
 SPACETIME_CHUNK = 32
 SPACETIME_GROUP = 2 * SPACETIME_CHUNK
 
 
 def fit_loglog(pairs: Sequence[tuple[float, float]]) -> tuple[float, float, float]:
-    """Least squares on (log N, log value); returns (slope, intercept, rms residual)."""
+    """Least squares on (log N, log value); returns (slope, intercept, rms residual).
+
+    Closed form on the centred logs, so no LAPACK call is made."""
     if len(pairs) < 3:
         raise ValueError(f"need at least 3 points to fit, got {len(pairs)}")
     ns = [float(n) for n, _ in pairs]
@@ -90,9 +91,11 @@ def fit_loglog(pairs: Sequence[tuple[float, float]]) -> tuple[float, float, floa
         raise ValueError("log-log fit needs positive values")
     x = np.log(np.array(ns))
     y = np.log(np.array(vs))
-    slope, intercept = np.polyfit(x, y, 1)
+    dx = x - x.mean()
+    slope = float(np.sum(dx * (y - y.mean())) / np.sum(dx * dx))
+    intercept = float(y.mean() - slope * x.mean())
     resid = y - (slope * x + intercept)
-    return float(slope), float(intercept), float(np.sqrt(np.mean(resid**2)))
+    return slope, intercept, float(np.sqrt(np.mean(resid**2)))
 
 
 def _slope_stderr(pairs: Sequence[tuple[float, float]], slope: float, intercept: float) -> float:
@@ -527,18 +530,18 @@ def strichartz_zonal_scan(
     and oversampled otherwise (TorusQuadrature.for_kernel), on the open half
     grid 0 < theta < pi, folded exactly onto the quarter grid
     0 < theta <= pi/2 by the mode parity: phi_n is evaluated only there,
-    one tile of SPACETIME_TILE angles at a time, and within a tile the
-    time samples run in groups of SPACETIME_GROUP, each group's phases
-    computed once and every trial passing through the tile before the next
-    group.  Memory is modes x tile plus the buffers of one group (its
-    complex phases, its 2 x group x modes product A and 2 x 2 x group x
-    block even and odd sums, block = SPACETIME_BLOCK angles), buffers of
-    one chunk of SPACETIME_CHUNK time samples, the trials x modes drawn
-    coefficients and the trials x T power rows: it grows neither with
-    modes times grid size nor with trials or modes times time samples.  On
-    S^3 at p = 8 with 20 trials and 192 time samples, traced allocations
-    peak at 10.0 MiB on N = 16..512 (10.2 MiB with 768 time samples) and
-    18.6 MiB on 16..1024.
+    one block of SPACETIME_BLOCK angles at a time (a last part-block joins
+    the block before it), and within a block the time samples run in
+    groups of SPACETIME_GROUP, each group's phases computed once and every
+    trial passing through the block before the next group.  Memory is
+    modes x block plus the buffers of one group (its complex phases, its
+    2 x group x modes product A and 2 x 2 x group x block even and odd
+    sums), buffers of one chunk of SPACETIME_CHUNK time samples, the
+    trials x modes drawn coefficients and the trials x T power rows: it
+    grows neither with modes times grid size nor with trials or modes
+    times time samples.  On S^3 at p = 8 with 20 trials and 192 time
+    samples, traced allocations peak at 7.0 MiB on N = 16..512 (7.1 MiB
+    with 768 time samples) and 12.6 MiB on 16..1024.
     Pass verdict requires the fitted worst-trial exponent at or below
     d/2 - (d+2)/p plus budget.
     """
@@ -585,24 +588,26 @@ def strichartz_zonal_scan(
         mu_sorted = mu[order]
         # the draws keep the shell's own mode order
         scaled = [(_random_shell_state(rng, n_shell, dims) * dims)[order] for _ in range(trials)]
-        # reused per tile and group of time samples: its phases; per trial,
+        # reused per block and group of time samples: its phases; per trial,
         # A, the group's (time, mode) product filled a chunk of time samples
         # at a time, each chunk's real parts over its imaginary parts; per
         # block, the even and odd sums (rows in A's order); per chunk of
-        # those, E + O and E - O.  A group is a whole number of chunks, so
-        # chunks start where they would in one group of all T samples.
+        # those, E + O and E - O, laid out [near re; far re; near im; far im]
+        # so that one |u|^p pass takes both.  A group is a whole number of
+        # chunks, so chunks start where they would in one group of all T
+        # samples.
         group = min(SPACETIME_GROUP, T)
         chunk = min(SPACETIME_CHUNK, T)
         phase = np.empty((group, n_sorted.size), dtype=complex)
         product = np.empty((chunk, n_sorted.size), dtype=complex)
         A = np.empty((2 * group, n_sorted.size))
-        starts = list(range(0, theta.size, SPACETIME_TILE))
+        starts = list(range(0, theta.size, SPACETIME_BLOCK))
         if len(starts) > 1 and theta.size - starts[-1] < SPACETIME_BLOCK:
-            del starts[-1]  # a last part-block joins the tile before it
+            del starts[-1]  # a last part-block joins the block before it
         stops = starts[1:] + [theta.size]
         block_max = min(SPACETIME_BLOCK, theta.size)
         sums = np.empty((2, 2 * group * block_max))
-        pair = np.empty((2, 2 * chunk * block_max))
+        signs = np.empty(4 * chunk * block_max)
         power = np.zeros((trials, T))  # integral of |u|^p over angles
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             for start, stop in zip(starts, stops):
@@ -621,6 +626,7 @@ def strichartz_zonal_scan(
                             part = np.multiply(ph[c : c + k], g, out=product[:k])
                             A[2 * c : 2 * c + k] = part.real
                             A[2 * c + k : 2 * (c + k)] = part.imag
+                        # a joined part-block keeps its own GEMMs
                         for b in range(start, stop, SPACETIME_BLOCK):
                             w = min(SPACETIME_BLOCK, stop - b)
                             even, odd = (buf[: 2 * G * w].reshape(2 * G, w) for buf in sums)
@@ -629,12 +635,15 @@ def strichartz_zonal_scan(
                             np.matmul(A[: 2 * G, n_even:], rows[n_even:, cols], out=odd)
                             for c in range(0, G, chunk):
                                 k = min(chunk, G - c)
-                                near, far = (buf[: 2 * k * w].reshape(2 * k, w) for buf in pair)
-                                e, o = even[2 * c : 2 * (c + k)], odd[2 * c : 2 * (c + k)]
-                                u = _abs_power(np.add(e, o, out=near), p)  # theta_k
-                                u += _abs_power(np.subtract(e, o, out=far), p)  # theta_{H-k}
-                                acc[c : c + k] += u @ weights[b : b + w]
-                del rows  # else the next tile's rows would be built beside it
+                                e = even[2 * c : 2 * (c + k)].reshape(2, k, w)
+                                o = odd[2 * c : 2 * (c + k)].reshape(2, k, w)
+                                pm = signs[: 4 * k * w].reshape(2, 2, k, w)
+                                np.add(e, o, out=pm[:, 0])  # theta_k
+                                np.subtract(e, o, out=pm[:, 1])  # theta_{H-k}
+                                u = _abs_power(pm.reshape(4 * k, w), p)
+                                u[:k] += u[k:]
+                                acc[c : c + k] += u[:k] @ weights[b : b + w]
+                del rows  # else the next block's rows would be built beside it
             worst_norm = max(float(np.mean(f_t)) ** (1.0 / p) for f_t in power)
         if not math.isfinite(worst_norm):
             raise ValueError(f"the space-time L^p norm at p = {p:g}, N = {N} is not finite")

@@ -1,6 +1,7 @@
 """Farey/major-arc machinery against brute-force oracles."""
 
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 from oddsphere.arcs import (
     MajorArc,
     MinorArcReport,
+    _farey_table,
     classify,
     classify_fraction,
     denominator_sum,
@@ -109,12 +111,29 @@ def test_farey_count_is_totient_sum():
     assert len(farey(5)) == 10
 
 
+def test_farey_byte_bound_holds_the_traced_peak():
+    # the guard's bound, 32 (3 Q^2/pi^2 + Q (ln Q + 3/2) + 1/2) bytes, against
+    # the table's traced peak: above it, and by less than 3% at Q = 1023
+    Q = 1023
+    _farey_table(8)
+    tracemalloc.start()
+    try:
+        _farey_table(Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 32 * (3 * Q * Q / math.pi**2 + Q * (math.log(Q) + 1.5) + 0.5)
+    assert peak <= bound < 1.03 * peak
+
+
 def test_farey_rejects_bad_input():
     with pytest.raises(ValueError):
         farey(0)
-    # the (Q + 1) x Q table of N = 1e6 would take 931 GiB: refused before it is allocated
-    with pytest.raises(ValueError, match=f"Q = 999999 has 999999000000 cells > {GRID_GUARD}"):
+    # the table of N = 1e6 would peak near 9.7e12 bytes: refused before it is allocated
+    with pytest.raises(ValueError, match=f"Q = 999999 needs 9.73e\\+12 bytes > {GRID_GUARD}"):
         farey(999_999)
+    with pytest.raises(ValueError, match=f"Q = 14841 needs 2.15e\\+09 bytes > {GRID_GUARD}"):
+        farey(14841)
 
 
 def test_major_arc_geometry():

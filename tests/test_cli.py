@@ -187,6 +187,16 @@ def test_arcs_command_refuses_a_farey_table_past_the_guard(tmp_path):
     assert not (tmp_path / "x.json").exists()
 
 
+def test_arcs_command_refuses_a_farey_table_past_the_byte_guard(tmp_path):
+    # Q = 19999 has 4.0e8 cells, under 2^31, but the table would peak near
+    # 3.9e9 bytes: a usage error that names the bytes, before any allocation
+    done = run_child(["arcs", "--n", 20000, "--out", tmp_path / "x"])
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert "Q = 19999 needs 3.9e+09 bytes" in done.stderr
+    assert not (tmp_path / "x.json").exists()
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "args,where",
