@@ -39,17 +39,18 @@ O(lam n_max + M log M).  At bare angles (kernel_1d, and
 KernelField.evaluate_factor) the kernel always comes from the recurrence
 sweep phi_series, at O(#modes * #angles).  A sup proxy asks for a few
 angles per field at a time, so evaluate_factor also takes one time per
-angle: the angles of every kernel of one space, scale and cutoff then
-share one sweep, with one weight column per distinct time.  The nu-pieces
-are kept as the paper's numerator sums (kappa_nu, kernel_nu), not as an
-evaluation route.
+angle: the angles of every field of one space, scale, cutoff and nu then
+share one sweep, with one weight column per distinct time.  A kappa field
+(kernel_product with nu) weighs d_n C_{n,nu} in place of d_n, sums its
+grid by the same transform pair, and sweeps bare angles (kappa_nu) at
+lam = 1, whose U_k = (k + 1) phi_k^(1) give cos(f theta) and sin(f theta).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, cached_property, reduce
 from typing import NamedTuple, Sequence
 
@@ -149,6 +150,18 @@ def _spectrum(lam: int, beta, N: float, bump: Bump) -> _Spectrum:
     for arr in spec:
         arr.setflags(write=False)
     return spec
+
+
+@cache
+def _kappa_spectrum(lam: int, beta, N: float, bump: Bump, nu: int) -> _Spectrum:
+    """The factor's _Spectrum with d_n C_{n,nu} in place of d_n: the mode
+    weights of the numerator sum kappa^(nu)."""
+    if not 0 <= nu <= lam - 1:
+        raise ValueError(f"need 0 <= nu <= lam-1 = {lam - 1}, got {nu}")
+    spec = _spectrum(lam, beta, N, bump)
+    dims = spec.dims * get_coeffs(lam, int(spec.n.max(initial=0)))[spec.n, nu]
+    dims.setflags(write=False)
+    return spec._replace(dims=dims)
 
 
 def mode_weights(
@@ -261,22 +274,40 @@ def _cosine_coeffs(lam: int, n: np.ndarray, w: np.ndarray, c1: np.ndarray) -> np
     return F
 
 
-def _kernel_grid(lam: int, spec: _Spectrum, t: float, M: int) -> np.ndarray:
-    """The factor kernel at time t on the half grid 2 pi k / M, k = 0..M/2."""
+def _kernel_grid(lam: int, spec: _Spectrum, t: float, M: int, nu=None) -> np.ndarray:
+    """The factor kernel (with nu, kappa^(nu)) at time t on the half grid
+    2 pi k / M, k = 0..M/2."""
+    if nu is not None:
+        return _cos_sum_grid(spec.weights(t), spec.n + lam - nu, nu + lam, M)
     F = _cosine_coeffs(lam, spec.n, spec.weights(t), spec.c1)
     return _cos_sum_grid(F, np.arange(F.size), 0, M)
 
 
-def _kernel_values(lam: int, spec: _Spectrum, theta, t) -> np.ndarray:
-    """The factor kernel at angles theta, at time t or at time t[i] for angle i.
-
-    One recurrence sweep, with a weight column per distinct time (one for a scalar t).
+def _kernel_values(lam: int, spec: _Spectrum, theta, t, nu=None) -> np.ndarray:
+    """The factor kernel (with nu, kappa^(nu)) at angles theta, at time t or
+    at time t[i] for angle i, by one recurrence sweep with a weight column
+    per distinct time.  kappa^(nu) = sum_f a_f cos(f theta - q pi / 2),
+    q = nu + lam, f = n - nu + lam >= 1, is swept at lam = 1: with
+    U_k = (k + 1) phi_k^(1), cos(f theta) = (U_f - U_{f-2}) / 2 (even q),
+    sin(f theta) = sin(theta) U_{f-1} (odd q), and the sign is (-1)^floor(q/2).
     """
     theta = np.asarray(theta, dtype=float)
     times, columns = np.unique(np.broadcast_to(t, theta.shape), return_inverse=True)
-    w = np.zeros((int(spec.n.max(initial=0)) + 1, times.size), dtype=complex)
-    w[spec.n] = np.stack([spec.weights(float(s)) for s in times], axis=1)
-    out = phi_series(lam, w, np.atleast_1d(theta), np.atleast_1d(columns))
+    shift = 0 if nu is None else lam - nu  # degree n sits at row n + shift
+    w = np.zeros((int(spec.n.max(initial=0)) + shift + 1, times.size), dtype=complex)
+    w[spec.n + shift] = np.stack([spec.weights(float(s)) for s in times], axis=1)
+    theta1, columns = np.atleast_1d(theta), np.atleast_1d(columns)
+    if nu is None:
+        out = phi_series(lam, w, theta1, columns)
+    else:
+        q = nu + lam
+        k1 = np.arange(1.0, w.shape[0] + 1)[:, None]  # k + 1
+        if q % 2:
+            out = np.sin(theta1) * phi_series(1, k1[:-1] * w[1:], theta1, columns)
+        else:
+            w[:-2] -= w[2:]
+            out = phi_series(1, 0.5 * k1 * w, theta1, columns)
+        out *= (-1.0) ** (q // 2)
     return out[0] if theta.ndim == 0 else out
 
 
@@ -292,35 +323,11 @@ def kernel_1d(
     return _kernel_values(lam, _spectrum(lam, beta, N, bump), theta_grid, t)
 
 
-def kappa_nu(
-    lam: int,
-    N: float,
-    nu: int,
-    t: float,
-    theta,
-    bump: Bump,
-    *,
-    beta=1,
-) -> np.ndarray:
-    """Pure trigonometric numerator sum kappa_N^{(nu)}; valid at every angle.
-
-    theta is a set of angles, summed directly, or a TorusQuadrature, whose
-    first factor's half grid takes one pair of real transforms.
-    """
-    if not 0 <= nu <= lam - 1:
-        raise ValueError(f"need 0 <= nu <= lam-1 = {lam - 1}, got {nu}")
-    n, w = mode_weights(lam, beta, N, t, bump)
-    a = w * get_coeffs(lam, int(n.max(initial=0)))[n, nu]
-    freq = n - nu + lam
-    if isinstance(theta, TorusQuadrature):
-        return _cos_sum_grid(a, freq, nu + lam, theta.sizes[0])
-    theta = np.asarray(theta, dtype=float)
-    # direct sum, 256 angles at a time to bound memory
-    blocks = np.split(theta.ravel(), list(range(256, theta.size, 256)))
-    psi = (nu + lam) * math.pi / 2.0
-    sums = [np.cos(np.multiply.outer(th, freq) - psi) @ a for th in blocks]
-    out = np.concatenate(sums)
-    return out[0] if theta.ndim == 0 else out.reshape(theta.shape)
+def kappa_nu(lam: int, N: float, nu: int, t: float, theta, bump: Bump, *, beta=1) -> np.ndarray:
+    """Pure trigonometric numerator sum kappa_N^{(nu)} at any angles, by the
+    recurrence sweep, as kernel_1d; a kappa field (kernel_product with nu)
+    samples a quadrature's grid."""
+    return _kernel_values(lam, _kappa_spectrum(lam, beta, N, bump, nu), theta, t, nu)
 
 
 def kernel_nu(
@@ -350,15 +357,16 @@ def kernel_nu(
 
 @dataclass
 class KernelField:
-    """A kernel at fixed (N, t) on a quadrature's half grids.
+    """A kernel at fixed (N, t) on a quadrature's half grids, or with nu the
+    numerator sums kappa^(nu) of its factors.
 
     Values are stored factored (one complex array per factor, on nodes
     0..M/2); the product-grid value is the outer product.  spectra are the
     time-free mode data of the factors.  factor_values is sampled from them
     through the grid route on first read and kept, so a norm that never
     reads the grid (a pole-box sup) never pays its transforms.
-    evaluate_factor evaluates one factor kernel at fresh angles by the
-    recurrence, which gives a sup's Chebyshev proxy values off the grid.
+    evaluate_factor evaluates one factor at fresh angles by the recurrence,
+    which gives a sup's Chebyshev proxy values off the grid.
     """
 
     space: ProductSpace
@@ -367,27 +375,27 @@ class KernelField:
     quad: TorusQuadrature
     bump: Bump
     spectra: tuple[_Spectrum, ...]
+    nu: int | None = None
 
     @cached_property
     def factor_values(self) -> tuple[np.ndarray, ...]:
         return tuple(
-            _kernel_grid(f.lam, spec, self.t, M)
+            _kernel_grid(f.lam, spec, self.t, M, self.nu)
             for f, spec, M in zip(self.space.factors, self.spectra, self.quad.sizes)
         )
 
     def evaluate_factor(self, j: int, theta, t=None) -> np.ndarray:
-        """Factor j's kernel at fresh angles, at the field's time.
+        """Factor j at fresh angles, at the field's time.
 
-        t, one time per angle, evaluates any kernel of this space, scale
-        and cutoff instead: all of them share one recurrence sweep.
+        t, one time per angle, evaluates any field of this space, scale,
+        cutoff and nu instead: all of them share one recurrence sweep.
         """
-        return _kernel_values(
-            self.space.factors[j].lam, self.spectra[j], theta, self.t if t is None else t
-        )
+        t = self.t if t is None else t
+        return _kernel_values(self.space.factors[j].lam, self.spectra[j], theta, t, self.nu)
 
     def resample(self, quad: TorusQuadrature) -> "KernelField":
-        """The same kernel on another rule, through the grid route."""
-        return kernel_product(self.space, self.N, self.t, quad, self.bump)
+        """The same field on another rule, through the grid route."""
+        return replace(self, quad=quad)
 
 
 def kernel_product(
@@ -396,13 +404,18 @@ def kernel_product(
     t: float,
     quad: TorusQuadrature,
     bump: Bump = Bump(),
+    nu: int | None = None,
 ) -> KernelField:
     """Product-space kernel with the per-factor mollifier on quad's half
-    grids, stored factored and sampled on first read."""
+    grids, stored factored and sampled on first read; with nu, the product
+    of the factors' numerator sums kappa^(nu) instead."""
     if quad.space != space:
         raise ValueError(f"a quadrature on {quad.space} cannot sample a kernel on {space}")
-    spectra = tuple(_spectrum(f.lam, f.beta, N, bump) for f in space.factors)
-    return KernelField(space, N, t, quad, bump, spectra)
+    if nu is None:
+        spectra = tuple(_spectrum(f.lam, f.beta, N, bump) for f in space.factors)
+    else:
+        spectra = tuple(_kappa_spectrum(f.lam, f.beta, N, bump, nu) for f in space.factors)
+    return KernelField(space, N, t, quad, bump, spectra, nu)
 
 
 def kernel_direct_multi(

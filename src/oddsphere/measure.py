@@ -242,15 +242,12 @@ class TorusQuadrature:
 @dataclass
 class FieldSample:
     """Factored half-grid samples of a zonal function, with optional
-    per-factor evaluators at fresh angles, which a sup needs (sup_norm),
-    and an optional frequency scale N, whose aliasing floor a norm that
-    reads the samples then checks the grid against (lp_norm)."""
+    per-factor evaluators at fresh angles, which a sup needs (sup_norm)."""
 
     space: ProductSpace
     quad: TorusQuadrature
     factor_values: tuple[np.ndarray, ...]
     evaluators: tuple[Callable[[np.ndarray], np.ndarray], ...] | None = None
-    N: float | None = None
 
     def evaluate_factor(self, j: int, theta) -> np.ndarray:
         if self.evaluators is None:
@@ -394,9 +391,10 @@ def _grid_sups(field, pieces, owners: dict, pending: list[_SupPiece]) -> dict:
     value = {}
     owner, time = field, None
     if hasattr(field, "t"):
-        # every kernel of one space, scale and cutoff evaluates given one time
-        # per angle, so all share one owner: a copy of the first, never sampled
-        owner, time = owners.setdefault((field.space, field.N, field.bump), replace(field)), field.t
+        # every kernel field of one space, scale, cutoff and nu evaluates given
+        # one time per angle, so all share one owner: a copy of the first, never sampled
+        key = (field.space, field.N, field.bump, field.nu)
+        owner, time = owners.setdefault(key, replace(field)), field.t
     for piece in pieces:
         j, key, radius = piece
         grid = field.quad.nodes(j)
@@ -589,8 +587,8 @@ def sup_norm(field, region: Region | None = None):
     Given an iterable of fields and a list of regions instead, returns one
     list of sups per field, one per region.  Each piece is measured once
     however many regions share it, and each sweep is one evaluate_factor
-    call per factor for the pieces of all kernel fields of one space and
-    scale.  The values are those of one call per field and region.
+    call per factor for the pieces of all kernel fields of one space, scale,
+    cutoff and nu.  The values are those of one call per field and region.
     """
     return _norms(field, region, math.inf)
 

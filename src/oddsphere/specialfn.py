@@ -20,8 +20,9 @@ whose coefficients are the products
                prod_{k=1}^{nu} (k-lam) / (n+lam-k)
 
 of at most 2 lam - 1 factors, exact in cnv_exact and rounded per factor
-in get_coeffs.  kernel.py uses them for the nu-decomposition's numerator
-sums (kappa_nu); as a pointwise route (phi_explicit) the sum is the
+in get_coeffs.  kernel.py weighs the nu-decomposition's numerator sums
+(kappa_nu) with them and evaluates those by transform or by the lam = 1
+sweep; as a pointwise route (phi_explicit) the closed sum is the
 independent oracle the recurrence is checked against.  It degenerates at
 the torus corners (sin theta -> 0), so the oracle keeps a guard band
 there, and even outside the band it is ill-conditioned where 2 n sin(theta)

@@ -34,8 +34,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import measure
-from .kernel import Bump, _spectrum, kappa_nu, kernel_product
-from .measure import DEFAULT_OVERSAMPLE, FieldSample, Region, TorusQuadrature
+from .kernel import Bump, _spectrum, kernel_product
+from .measure import DEFAULT_OVERSAMPLE, Region, TorusQuadrature
 from .space import ProductSpace, format_rational
 from .specialfn import phi_matrix
 
@@ -332,29 +332,28 @@ def _arc_scan(
     mode: str,
     target: float,
     regions_for_N: Callable[[int], Sequence[Region]],
-    field_at=None,
-    extra: dict | None = None,
+    nu: int | None = None,
 ) -> ScalingReport:
     """Regional L^p norms over (N, arc, offset, region) against the arc envelope.
 
-    field_at(N, quad, t_sec) samples the field; the default is the kernel.
-    A kernel scan at an even p over full regions only integrates on the
-    degree-exact rule, every other scan on the oversampled rule.
+    The field is the kernel, or with nu its numerator sum kappa^(nu).  A
+    scan at an even p over full regions only integrates on the degree-exact
+    rule, every other scan on the oversampled rule.
     """
     space = plan.space
-    kernel = field_at is None
-    if kernel:
-        def field_at(N, quad, t_sec):
-            return kernel_product(space, N, t_sec, quad, plan.bump)
+    extra = {} if nu is None else {"nu": nu}
     grids: list = []
 
     def measure_N(N: int):
         regions = regions_for_N(N)
-        whole = kernel and all(region.kind == "full" for region in regions)
+        whole = all(region.kind == "full" for region in regions)
         power = plan.p if whole else None
         quad = _grid_rule(space, N, plan.oversample, power, grids)
         points = _arc_time_points(plan.arcs, plan.offsets, N)
-        fields = (field_at(N, quad, float(tau) * space.period_seconds) for _, _, tau, _ in points)
+        fields = (
+            kernel_product(space, N, float(tau) * space.period_seconds, quad, plan.bump, nu)
+            for _, _, tau, _ in points
+        )
         norms = measure.lp_norm(fields, plan.p, regions)
         for (a, q, tau, dist), row in zip(points, norms):
             denom = bound_denominator(q, N, dist, space.r)
@@ -370,11 +369,11 @@ def _arc_scan(
                     norm=norm,
                     bound_denominator=denom,
                     ratio=norm * denom / N**target,
-                    extra=dict(extra or {}),
+                    extra=dict(extra),
                 )
 
     params = {
-        **(extra or {}),
+        **extra,
         "N_list": list(plan.N_list),
         "arcs": [f"{a}/{q}" for a, q in plan.arcs],
         "offsets": [format_rational(o) for o in plan.offsets],
@@ -430,20 +429,9 @@ def kappa_scan(space: ProductSpace, nu: int, *args, **settings) -> ScalingReport
     """
     if space.r != 1:
         raise ValueError("kappa scans are per sphere factor; pass a rank-one space")
-    f = space.factors[0]
-    lam = f.lam
+    lam = space.factors[0].lam
     plan = ScanPlan(space, math.inf, *args, **settings)
-
-    def field_at(N, quad, t_sec):
-        def evaluator(th):
-            return kappa_nu(lam, N, nu, t_sec, th, plan.bump, beta=f.beta)
-
-        return FieldSample(space, quad, (evaluator(quad),), evaluators=(evaluator,), N=N)
-
-    return _arc_scan(
-        plan, "kappa", lam - nu + 1.0, lambda N: [Region.full()],
-        field_at=field_at, extra={"nu": nu},
-    )
+    return _arc_scan(plan, "kappa", lam - nu + 1.0, lambda N: [Region.full()], nu)
 
 
 def threshold_check(space: ProductSpace, p: float, *args, **settings) -> ScalingReport:

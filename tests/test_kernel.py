@@ -235,25 +235,48 @@ def test_under_resolved_grid_route_equals_the_recurrence_at_its_nodes(lam):
     want = kernel_1d(lam, 1, N, t, quad.nodes(0), Bump())
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
     for nu in range(lam):  # nu + lam odd folds a sine series, with the phase negated
-        got = kappa_nu(lam, N, nu, t, quad, Bump())
+        got = kernel_product(sp, N, t, quad, Bump(), nu).factor_values[0]
         want = kappa_nu(lam, N, nu, t, quad.nodes(0), Bump())
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("lam", [2, 4])
 def test_kappa_nu_grid_and_direct_routes_agree(lam):
-    # a quadrature's half grid is summed by transform, bare angles directly;
+    # a kappa field's half grid is summed by transform, bare angles by the sweep;
     # kappa_nu(2 pi - theta) = (-1)^(nu + lam) kappa_nu(theta) gives the rest
     N, t = 64, 0.53
     M = math.ceil(16 * (2.0 * N + lam))
     theta = 2 * math.pi * np.arange(M) / M
-    quad = TorusQuadrature(space.build_space([2 * lam + 1]), (M,))
+    sp = space.build_space([2 * lam + 1])
+    quad = TorusQuadrature(sp, (M,))
     k = np.arange(M)
     for nu in range(lam):
-        half = kappa_nu(lam, N, nu, t, quad, Bump())
+        half = kernel_product(sp, N, t, quad, Bump(), nu).factor_values[0]
         on_grid = np.where(k <= M // 2, 1, (-1) ** (nu + lam)) * half[np.minimum(k, M - k)]
         direct = kappa_nu(lam, N, nu, t, theta[1:], Bump())
         assert np.max(np.abs(on_grid[1:] - direct)) / np.max(np.abs(on_grid)) < 1e-12
+
+
+@pytest.mark.parametrize("dim, N", [(3, 1024), (5, 512), (11, 512)])
+def test_kappa_nu_sweep_is_accurate_next_to_the_poles(dim, N):
+    # against 40-digit sums of the same float weights a_f, at angles where
+    # no grid node lies: the sweep's error stays at eps * sum_f |a_f|, the
+    # grid route's error model, also within 1e-6 of either pole
+    lam = (dim - 1) // 2
+    t = (1 / 3 + 1 / (6 * N)) * space.build_space([dim]).period_seconds
+    theta = [1e-6, 1e-4, 1e-2, 0.5, 1.3, 2.2, math.pi - 1e-2, math.pi - 1e-4, math.pi - 1e-6]
+    worst = 0.0
+    for nu in range(lam):
+        spec = kernel._kappa_spectrum(lam, 1, N, Bump(), nu)
+        a = spec.weights(t)
+        got = kappa_nu(lam, N, nu, t, np.array(theta), Bump())
+        with mp.workdps(40):
+            phase = (nu + lam) * mp.pi / 2
+            for th, value in zip(theta, got):
+                cos = [mp.cos(f * mp.mpf(th) - phase) for f in (spec.n + lam - nu).tolist()]
+                want = complex(mp.fdot(a.real.tolist(), cos), mp.fdot(a.imag.tolist(), cos))
+                worst = max(worst, abs(value - want) / np.sum(np.abs(a)))
+    assert worst <= 64 * np.finfo(float).eps
 
 
 def test_kernel_nu_corner_guard():

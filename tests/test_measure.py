@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 from oddsphere import kernel, measure, space
-from oddsphere.kernel import Bump, KernelField, kernel_1d, kernel_product, spectral_l2_norm
+from oddsphere.kernel import (
+    Bump,
+    KernelField,
+    kappa_nu,
+    kernel_1d,
+    kernel_product,
+    spectral_l2_norm,
+)
 from oddsphere.measure import (
     FieldSample,
     QuadratureError,
@@ -626,6 +633,25 @@ def test_resolution_check_doubles_to_an_fft_size(monkeypatch):
     assert all(is_fft_size(M) for M in rules[0].sizes)
 
 
+def test_resolution_check_resamples_a_kappa_field(monkeypatch):
+    # a kappa field comes back from the doubled rule as the same kappa field
+    N, t = 64, 0.37
+    fld = kernel_product(S5, N, t, TorusQuadrature.for_kernel(S5, N), Bump(), nu=1)
+    fine = []
+    original = KernelField.resample
+
+    def resample(self, quad):
+        fine.append(original(self, quad))
+        return fine[-1]
+
+    monkeypatch.setattr(KernelField, "resample", resample)
+    assert resolution_check(fld)[0]
+    (got,) = fine
+    assert got.nu == 1 and got.quad.sizes == (2 * fld.quad.sizes[0],)
+    want = kappa_nu(2, N, 1, t, got.quad.nodes(0), Bump())
+    assert np.max(np.abs(got.factor_values[0] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_lp_norm_rejects_bad_p():
     quad = TorusQuadrature.for_kernel(S3, 8)
     fld = FieldSample(S3, quad, (np.ones(quad.sizes[0] // 2 + 1),))
@@ -680,6 +706,19 @@ def test_lockstep_sups_equal_one_call_per_field_and_region():
         KernelField.evaluate_factor = original
     assert batch == single
     assert 0 < batch_calls < (len(calls) - batch_calls) / 4
+
+
+def test_lockstep_keeps_kernel_and_kappa_owners_apart():
+    # kernel and kappa fields of one space, scale and cutoff sweep different
+    # weights: one batch of them all gives each field's own sups exactly
+    N = 64
+    quad = TorusQuadrature.for_kernel(S5, N)
+    regions = [Region.full(), Region.corner(0, 1 / N)]
+    fields = [
+        kernel_product(S5, N, t, quad, Bump(), nu) for t in (0.0, 0.37, 1.9) for nu in (None, 0, 1)
+    ]
+    batch = sup_norm(iter(fields), regions)
+    assert batch == [[sup_norm(f, region) for region in regions] for f in fields]
 
 
 def test_lockstep_lets_each_field_go():

@@ -11,7 +11,7 @@ import pytest
 
 from oddsphere import measure, space, verify
 from oddsphere.kernel import Bump, kappa_nu, kernel_product, mode_weights
-from oddsphere.measure import FieldSample, Region, TorusQuadrature, density_normalizer
+from oddsphere.measure import Region, TorusQuadrature, density_normalizer
 from oddsphere.specialfn import phi_matrix
 from oddsphere.verify import (
     DEFAULT_ARCS,
@@ -615,15 +615,10 @@ def test_lockstep_decay_and_away_sups_equal_single_calls():
 def test_lockstep_kappa_sups_equal_single_calls():
     plan = ScanPlan(S5, math.inf, SMALL_NS, SMALL_ARCS)
     report = kappa_scan(S5, 1, SMALL_NS, SMALL_ARCS)
-
-    def field_at(N, quad, t):
-        def evaluator(th):
-            return kappa_nu(2, N, 1, t, th, Bump())
-
-        values = (kappa_nu(2, N, 1, t, quad, Bump()),)
-        return FieldSample(S5, quad, values, evaluators=(evaluator,), N=N)
-
-    _assert_norms_match_single_calls(report, plan, lambda N: [Region.full()], field_at)
+    _assert_norms_match_single_calls(
+        report, plan, lambda N: [Region.full()],
+        lambda N, quad, t: kernel_product(S5, N, t, quad, Bump(), nu=1),
+    )
 
 
 @pytest.mark.parametrize("p", [0.5, 3.0])
