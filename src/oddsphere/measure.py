@@ -272,17 +272,18 @@ def _floor_size(f, N: float) -> int:
     return 2 * (n_max + f.lam) + f.dim
 
 
-def _resolution_floor(field) -> None:
-    """Reject grids below twice the bandwidth of scale field.N (Parseval would alias)."""
-    N = getattr(field, "N", None)
+def _resolution_floor(space: ProductSpace, quad: TorusQuadrature, N: float | None) -> None:
+    """Reject grids below twice the bandwidth of scale N (Parseval would alias).
+
+    N is None for a field of no scale, which any grid may sample."""
     if N is None:
         return
-    for j, f in enumerate(field.space.factors):
+    for j, f in enumerate(space.factors):
         need = _floor_size(f, N)
-        if field.quad.sizes[j] < need:
+        if quad.sizes[j] < need:
             raise QuadratureError(
-                f"factor {j}: grid of {field.quad.sizes[j]} nodes under-resolves "
-                f"a scale-{N} kernel (need >= {need})"
+                f"factor {j}: grid of {quad.sizes[j]} nodes under-resolves "
+                f"scale N = {N} (need >= {need})"
             )
 
 
@@ -543,7 +544,8 @@ def _norms(fields, regions, p: float):
         r = field.space.r
         pieces = dict.fromkeys(piece for reg in regions for piece in _pieces(r, reg, sup))
         if not sup or any(not key.startswith("pole") for _, key, _ in pieces):
-            _resolution_floor(field)  # the pieces read grid values
+            # the pieces read grid values
+            _resolution_floor(field.space, field.quad, getattr(field, "N", None))
         if sup:
             value = _grid_sups(field, pieces, owners, pending)
         else:

@@ -56,25 +56,24 @@ DEFAULT_N_LIST = (16, 32, 64, 128, 256, 512)
 DEFAULT_ARCS = ((0, 1), (1, 2), (1, 3), (2, 5))
 DEFAULT_OFFSETS = (Fraction(0), Fraction(1, 4), Fraction(1, 2))
 DEFAULT_TOLERANCE = 0.30
-# The space-time scan sums each trial's angle integral in blocks of
-# SPACETIME_BLOCK quarter-grid angles (each serves twice as many half-grid
-# nodes), a fixed order that keeps its records bit-stable.  It evaluates
-# phi_n one block at a time (a last part-block joins the block before it)
-# and, within a block, runs the T time samples in groups of
-# SPACETIME_GROUP, a whole number of chunks (the last group may be a
-# part-group): a group's phases are computed once, then every trial runs
-# through the block, two GEMMs per block giving the even and odd sums over
-# the group's samples; the (time, mode) product that feeds them, and
-# |E +- O|^p, are formed one chunk of SPACETIME_CHUNK time samples at a
-# time.  So its memory is modes x block plus the buffers of one group (G x
-# modes complex phases, 2G x modes doubles of A, 2 x 2G x block doubles of
-# sums) and of one chunk; only the trials x T power rows and the T drawn
+# The space-time scan runs three loops.  It sums each trial's angle
+# integral in blocks of SPACETIME_BLOCK quarter-grid angles (each serves
+# twice as many half-grid nodes; a last short block stays short), a fixed
+# order that keeps its records bit-stable, and evaluates phi_n one block at
+# a time.  Within a block it runs the T time samples in groups of
+# SPACETIME_GROUP (the last group may be short): a group's phases are
+# computed once, then each trial takes two GEMMs giving the even and odd
+# sums over the group's samples and one |E +- O|^p pass.  No GEMM element
+# changes its order of summation and each power row is one GEMV over its
+# block, so the records do not depend on the group size.  Its memory is
+# modes x block plus the buffers of one group (G x modes complex phases and
+# products, 2G x modes doubles of A, 2 x 2G x block doubles of sums and
+# 4G x block of E +- O); only the trials x T power rows and the T drawn
 # times grow with T, and the trials' drawn coefficients add trials x modes.
 # Groups of 64 keep the GEMMs at 128 rows, where BLAS runs near its peak;
 # groups of 32 made the N = 16..512 scan 8-21% slower on 2 vCPUs.
 SPACETIME_BLOCK = 512
-SPACETIME_CHUNK = 32
-SPACETIME_GROUP = 2 * SPACETIME_CHUNK
+SPACETIME_GROUP = 64
 
 
 def fit_loglog(pairs: Sequence[tuple[float, float]]) -> tuple[float, float, float]:
@@ -517,19 +516,20 @@ def strichartz_zonal_scan(
     integral takes the quadrature's half-grid rule, degree-exact at even p
     and oversampled otherwise (TorusQuadrature.for_kernel), on the open half
     grid 0 < theta < pi, folded exactly onto the quarter grid
-    0 < theta <= pi/2 by the mode parity: phi_n is evaluated only there,
-    one block of SPACETIME_BLOCK angles at a time (a last part-block joins
-    the block before it), and within a block the time samples run in
-    groups of SPACETIME_GROUP, each group's phases computed once and every
-    trial passing through the block before the next group.  Memory is
-    modes x block plus the buffers of one group (its complex phases, its
-    2 x group x modes product A and 2 x 2 x group x block even and odd
-    sums), buffers of one chunk of SPACETIME_CHUNK time samples, the
-    trials x modes drawn coefficients and the trials x T power rows: it
-    grows neither with modes times grid size nor with trials or modes
-    times time samples.  On S^3 at p = 8 with 20 trials and 192 time
-    samples, traced allocations peak at 7.0 MiB on N = 16..512 (7.1 MiB
-    with 768 time samples) and 12.6 MiB on 16..1024.
+    0 < theta <= pi/2 by the mode parity: phi_n is evaluated only there.
+    Three loops run it: blocks of SPACETIME_BLOCK angles, one phi_matrix
+    call each; within a block, groups of SPACETIME_GROUP time samples, each
+    group's phases computed once; within a group, the trials.  Records do
+    not depend on the group size.  Memory is modes x block plus the buffers
+    of one group (its complex phases and products, its 2 x group x modes A,
+    its 2 x 2 x group x block even and odd sums and 4 x group x block
+    E +- O), the trials x modes drawn coefficients and the trials x T power
+    rows: it grows neither with modes times grid size nor with trials or
+    modes times time samples.  On S^3 at p = 8 with 20 trials and 192 time
+    samples, traced allocations peak at 8.6 MiB on N = 16..512 (8.7 MiB
+    with 768 time samples) and 14.4 MiB on 16..1024; the process's resident
+    peak is 46 and 52 MB.  A grid below the aliasing floor of scale N
+    raises QuadratureError.
     Pass verdict requires the fitted worst-trial exponent at or below
     d/2 - (d+2)/p plus budget.
     """
@@ -553,6 +553,7 @@ def strichartz_zonal_scan(
         spec = _spectrum(lam, f.beta, N, bump)
         n_shell, dims, mu = spec.n, spec.dims, spec.mu
         quad = _grid_rule(space, N, oversample, p, grids)
+        measure._resolution_floor(space, quad, N)  # else |u|^2 would alias
         # the rule's half grid 2 pi k / M, k = 0..H = M/2, already folds node
         # M - k onto node k; phi_n(pi - theta) = (-1)^n phi_n(theta) folds
         # half-grid node H - k onto node k with the odd modes negated.
@@ -577,29 +578,22 @@ def strichartz_zonal_scan(
         # the draws keep the shell's own mode order
         scaled = [(_random_shell_state(rng, n_shell, dims) * dims)[order] for _ in range(trials)]
         # reused per block and group of time samples: its phases; per trial,
-        # A, the group's (time, mode) product filled a chunk of time samples
-        # at a time, each chunk's real parts over its imaginary parts; per
-        # block, the even and odd sums (rows in A's order); per chunk of
-        # those, E + O and E - O, laid out [near re; far re; near im; far im]
-        # so that one |u|^p pass takes both.  A group is a whole number of
-        # chunks, so chunks start where they would in one group of all T
-        # samples.
+        # A, the group's (time, mode) product, real parts over imaginary
+        # parts, the even and odd sums (rows in A's order), and E + O and
+        # E - O laid out [near re; far re; near im; far im], so that one
+        # |u|^p pass takes both.
         group = min(SPACETIME_GROUP, T)
-        chunk = min(SPACETIME_CHUNK, T)
+        width = min(SPACETIME_BLOCK, theta.size)
         phase = np.empty((group, n_sorted.size), dtype=complex)
-        product = np.empty((chunk, n_sorted.size), dtype=complex)
+        product = np.empty_like(phase)
         A = np.empty((2 * group, n_sorted.size))
-        starts = list(range(0, theta.size, SPACETIME_BLOCK))
-        if len(starts) > 1 and theta.size - starts[-1] < SPACETIME_BLOCK:
-            del starts[-1]  # a last part-block joins the block before it
-        stops = starts[1:] + [theta.size]
-        block_max = min(SPACETIME_BLOCK, theta.size)
-        sums = np.empty((2, 2 * group * block_max))
-        signs = np.empty(4 * chunk * block_max)
+        sums = np.empty((2, 2 * group * width))
+        signs = np.empty(4 * group * width)
         power = np.zeros((trials, T))  # integral of |u|^p over angles
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            for start, stop in zip(starts, stops):
-                rows = phi_matrix(lam, n_sorted, theta[start:stop])
+            for b in range(0, theta.size, SPACETIME_BLOCK):
+                w = min(SPACETIME_BLOCK, theta.size - b)
+                rows = phi_matrix(lam, n_sorted, theta[b : b + w])
                 for g0 in range(0, T, group):
                     G = min(group, T - g0)
                     # exp(-i t mu) in place: 0 + i (-t mu), then exp
@@ -608,29 +602,20 @@ def strichartz_zonal_scan(
                     np.negative(ph.imag, out=ph.imag)
                     ph.real = 0.0
                     np.exp(ph, out=ph)
+                    even, odd = (buf[: 2 * G * w].reshape(2 * G, w) for buf in sums)
+                    pm = signs[: 4 * G * w].reshape(2, 2, G, w)
                     for acc, g in zip(power[:, g0 : g0 + G], scaled):
-                        for c in range(0, G, chunk):
-                            k = min(chunk, G - c)
-                            part = np.multiply(ph[c : c + k], g, out=product[:k])
-                            A[2 * c : 2 * c + k] = part.real
-                            A[2 * c + k : 2 * (c + k)] = part.imag
-                        # a joined part-block keeps its own GEMMs
-                        for b in range(start, stop, SPACETIME_BLOCK):
-                            w = min(SPACETIME_BLOCK, stop - b)
-                            even, odd = (buf[: 2 * G * w].reshape(2 * G, w) for buf in sums)
-                            cols = slice(b - start, b - start + w)
-                            np.matmul(A[: 2 * G, :n_even], rows[:n_even, cols], out=even)
-                            np.matmul(A[: 2 * G, n_even:], rows[n_even:, cols], out=odd)
-                            for c in range(0, G, chunk):
-                                k = min(chunk, G - c)
-                                e = even[2 * c : 2 * (c + k)].reshape(2, k, w)
-                                o = odd[2 * c : 2 * (c + k)].reshape(2, k, w)
-                                pm = signs[: 4 * k * w].reshape(2, 2, k, w)
-                                np.add(e, o, out=pm[:, 0])  # theta_k
-                                np.subtract(e, o, out=pm[:, 1])  # theta_{H-k}
-                                u = _abs_power(pm.reshape(4 * k, w), p)
-                                u[:k] += u[k:]
-                                acc[c : c + k] += u[:k] @ weights[b : b + w]
+                        part = np.multiply(ph, g, out=product[:G])
+                        A[:G] = part.real
+                        A[G : 2 * G] = part.imag
+                        np.matmul(A[: 2 * G, :n_even], rows[:n_even], out=even)
+                        np.matmul(A[: 2 * G, n_even:], rows[n_even:], out=odd)
+                        e, o = even.reshape(2, G, w), odd.reshape(2, G, w)
+                        np.add(e, o, out=pm[:, 0])  # theta_k
+                        np.subtract(e, o, out=pm[:, 1])  # theta_{H-k}
+                        u = _abs_power(pm.reshape(4 * G, w), p)
+                        u[:G] += u[G:]
+                        acc += u[:G] @ weights[b : b + w]
                 del rows  # else the next block's rows would be built beside it
             worst_norm = max(float(np.mean(f_t)) ** (1.0 / p) for f_t in power)
         if not math.isfinite(worst_norm):

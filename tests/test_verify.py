@@ -229,6 +229,8 @@ def test_sups_that_read_the_grid_check_the_aliasing_floor():
         decay_scan(ScanPlan(S3, math.inf, (16, 32, 64), oversample=1))
     with pytest.raises(measure.QuadratureError, match="under-resolves"):
         kappa_scan(S3, 0, (16, 32, 64), oversample=1)
+    with pytest.raises(measure.QuadratureError, match="under-resolves"):
+        strichartz_zonal_scan(S3, 8.0, (16, 32, 64), trials=2, time_samples=16, oversample=1)
     corner_scan(S3, math.inf, (16, 32, 64), oversample=1)
 
 
@@ -363,21 +365,18 @@ def test_strichartz_evaluates_each_quarter_grid_node_once(monkeypatch):
     calls = record_phi_matrix(monkeypatch)
     N_list = (16, 32, 64)
     strichartz_zonal_scan(S3, 8.0, N_list, trials=2, seed=3, time_samples=8)
-    assert all(th.size < 2 * verify.SPACETIME_BLOCK for _, th in calls)
+    assert all(th.size <= verify.SPACETIME_BLOCK for _, th in calls)
     assert_each_quarter_grid_node_once(calls, N_list)
 
 
 # In angles, N = 16, 32, 64 have 67, 132 and 262 quarter-grid nodes: blocks
-# of 8 end every N in a part-block that joins the block before it, and
-# blocks of 11 divide N = 32 evenly.  Chunks of 6 time samples end the 16
-# time samples in a part-chunk of 4.
+# of 8 end every N in a short block, and blocks of 11 divide N = 32 evenly.
 @pytest.mark.parametrize("block", [8, 11])
 def test_strichartz_several_blocks_per_scale(monkeypatch, block):
     N_list = (16, 32, 64)
     kwargs = dict(trials=3, seed=5, time_samples=16)
     whole = strichartz_zonal_scan(S3, 8.0, N_list, **kwargs)
     monkeypatch.setattr(verify, "SPACETIME_BLOCK", block)
-    monkeypatch.setattr(verify, "SPACETIME_CHUNK", 6)
     calls = record_phi_matrix(monkeypatch)
     blocked = strichartz_zonal_scan(S3, 8.0, N_list, **kwargs)
     assert [rec.norm for rec in blocked.records] == pytest.approx(
@@ -386,25 +385,25 @@ def test_strichartz_several_blocks_per_scale(monkeypatch, block):
     for N in N_list:
         modes = mode_weights(1, 1.0, N, 0.0, Bump())[0].size
         sizes = [th.size for n, th in calls if n == modes]
-        assert sizes[:-1] == [block] * (len(sizes) - 1)
-        assert block <= sizes[-1] < 2 * block
+        whole_blocks, rest = divmod(sum(sizes), block)
+        assert sizes == [block] * whole_blocks + ([rest] if rest else [])
     assert_each_quarter_grid_node_once(calls, N_list)
 
 
 def test_strichartz_phi_matrix_calls_stay_under_two_blocks(monkeypatch):
-    # N = 256 has 1029 quarter-grid angles: one block of 512, then one of
-    # 517 that a part-block of 5 joined
+    # N = 128 and 256 have 525 and 1029 quarter-grid angles: blocks of 512,
+    # then short blocks of 13 and 5
     calls = record_phi_matrix(monkeypatch)
     N_list = (64, 128, 256)
     strichartz_zonal_scan(S3, 8.0, N_list, trials=2, seed=1, time_samples=8)
-    assert all(th.size < 2 * verify.SPACETIME_BLOCK for _, th in calls)
-    assert [th.size for _, th in calls] == [262, 525, 512, 517]
+    assert all(th.size <= verify.SPACETIME_BLOCK for _, th in calls)
+    assert [th.size for _, th in calls] == [262, 512, 13, 512, 512, 5]
     assert_each_quarter_grid_node_once(calls, N_list)
 
 
 def test_strichartz_holds_one_block_of_rows(monkeypatch):
-    # traced memory at each phi_matrix call of N = 256: the first block's
-    # 383 x 512 rows (1.5 MiB) must be let go before the second is built
+    # traced memory at each phi_matrix call of N = 256: each block's
+    # 383 x 512 rows (1.5 MiB) must be let go before the next is built
     held = []
 
     def tracing_phi_matrix(lam, n_values, theta):
@@ -418,8 +417,10 @@ def test_strichartz_holds_one_block_of_rows(monkeypatch):
     finally:
         tracemalloc.stop()
     modes = mode_weights(1, 1.0, 256, 0.0, Bump())[0].size
-    first, second = [now for n, now in held if n == modes]
-    assert second - first < 2**18 < modes * verify.SPACETIME_BLOCK * 8
+    nows = [now for n, now in held if n == modes]
+    assert len(nows) == 3
+    for first, second in zip(nows, nows[1:]):
+        assert second - first < 2**18 < modes * verify.SPACETIME_BLOCK * 8
 
 
 def test_strichartz_working_set_does_not_grow_with_trials():
@@ -458,18 +459,21 @@ def test_strichartz_working_set_per_time_sample():
     assert peaks[256] - peaks[64] <= 192 * (8 * kwargs["trials"] + 8) + 2**18
 
 
-# one chunk per group, one group of all 100 time samples, and groups of
-# three chunks (the last a part-group of 4 samples), on blocks small
-# enough that every N spans several
-@pytest.mark.parametrize("group", [32, 100, 96], ids=["chunk", "all", "part"])
+# one sample per group, groups of 7 (the last a short group of 2) and one
+# group of all 100 time samples, on blocks small enough that every N spans
+# several; p = 3 as well as 7.5, as a 1/p-th root hides less of a last-bit
+# change in the power sums
+@pytest.mark.parametrize("group", [1, 7, 100])
 def test_strichartz_records_do_not_depend_on_the_time_groups(monkeypatch, group):
     N_list = (16, 32, 64)
     kwargs = dict(trials=3, seed=2, time_samples=100)
     monkeypatch.setattr(verify, "SPACETIME_BLOCK", 16)
-    grouped = strichartz_zonal_scan(S3, 7.5, N_list, **kwargs)
-    monkeypatch.setattr(verify, "SPACETIME_GROUP", group)
-    regrouped = strichartz_zonal_scan(S3, 7.5, N_list, **kwargs)
-    assert [rec.norm for rec in regrouped.records] == [rec.norm for rec in grouped.records]
+    for p in (3.0, 7.5):
+        grouped = strichartz_zonal_scan(S3, p, N_list, **kwargs)
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "SPACETIME_GROUP", group)
+            regrouped = strichartz_zonal_scan(S3, p, N_list, **kwargs)
+        assert [rec.norm for rec in regrouped.records] == [rec.norm for rec in grouped.records]
 
 
 def test_strichartz_draws_time_samples_then_trials():
