@@ -22,7 +22,6 @@ from .specialfn import phi_explicit, phi_matrix
 from .kernel import (
     Bump,
     KernelField,
-    kappa_nu,
     kernel_1d,
     kernel_direct_multi,
     kernel_nu,
@@ -47,7 +46,7 @@ __all__ = [
     "ProductSpace", "SphereFactor", "build_space", "eigenvalue",
     "harmonic_dim",
     "phi_explicit", "phi_matrix",
-    "Bump", "KernelField", "kappa_nu", "kernel_1d", "kernel_direct_multi",
+    "Bump", "KernelField", "kernel_1d", "kernel_direct_multi",
     "kernel_nu", "kernel_product",
     "MajorArc", "MinorArcReport", "classify", "denominator_sum", "farey",
     "Region", "TorusQuadrature", "lp_norm", "resolution_check", "sup_norm",

@@ -26,6 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .measure import GRID_GUARD
+from .space import format_rational
 
 __all__ = [
     "MajorArc",
@@ -67,14 +68,12 @@ class MajorArc:
         return 1 / (self.q * Fraction(self.N))
 
     def to_json(self) -> dict:
-        # the half-width 1/(qN) is m/(qn) for N = n/m
-        n, m = Fraction(self.N).as_integer_ratio()
         return {
             "a": self.a,
             "q": self.q,
             "N": self.N,
-            "center": _ratio_string(self.a, self.q),
-            "halfwidth": _ratio_string(m, self.q * n),
+            "center": format_rational(self.center),
+            "halfwidth": format_rational(self.halfwidth),
             "distance": None if self.distance is None else float(self.distance),
         }
 
@@ -91,12 +90,6 @@ class MinorArcReport:
     @property
     def is_major(self) -> bool:
         return False
-
-
-def _ratio_string(p: int, q: int) -> str:
-    """format_rational(Fraction(p, q)) for q > 0, without building a Fraction."""
-    g = math.gcd(p, q)
-    return str(p // g) if q == g else f"{p // g}/{q // g}"
 
 
 def _farey_table(Q: int) -> tuple[np.ndarray, np.ndarray]:

@@ -42,8 +42,9 @@ angles per field at a time, so evaluate_factor also takes one time per
 angle: the angles of every field of one space, scale, cutoff and nu then
 share one sweep, with one weight column per distinct time.  A kappa field
 (kernel_product with nu) weighs d_n C_{n,nu} in place of d_n, sums its
-grid by the same transform pair, and sweeps bare angles (kappa_nu) at
-lam = 1, whose U_k = (k + 1) phi_k^(1) give cos(f theta) and sin(f theta).
+grid by the same transform pair, and sweeps bare angles
+(kernel_1d(..., nu=nu)) at lam = 1, whose U_k = (k + 1) phi_k^(1) give
+cos(f theta) and sin(f theta).
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ __all__ = [
     "KernelField",
     "kernel_1d",
     "kernel_nu",
-    "kappa_nu",
     "kernel_product",
     "kernel_direct_multi",
     "spectral_l2_norm",
@@ -318,16 +318,16 @@ def kernel_1d(
     t: float,
     theta_grid,
     bump: Bump,
+    nu: int | None = None,
 ) -> np.ndarray:
-    """Single-factor kernel K_N(t, theta) at any angles, by the recurrence sweep."""
-    return _kernel_values(lam, _spectrum(lam, beta, N, bump), theta_grid, t)
-
-
-def kappa_nu(lam: int, N: float, nu: int, t: float, theta, bump: Bump, *, beta=1) -> np.ndarray:
-    """Pure trigonometric numerator sum kappa_N^{(nu)} at any angles, by the
-    recurrence sweep, as kernel_1d; a kappa field (kernel_product with nu)
-    samples a quadrature's grid."""
-    return _kernel_values(lam, _kappa_spectrum(lam, beta, N, bump, nu), theta, t, nu)
+    """Single-factor kernel K_N(t, theta) at any angles, by the recurrence
+    sweep; with nu, the numerator sum kappa_N^{(nu)} instead, as
+    kernel_product does for a quadrature's grid."""
+    if nu is None:
+        spec = _spectrum(lam, beta, N, bump)
+    else:
+        spec = _kappa_spectrum(lam, beta, N, bump, nu)
+    return _kernel_values(lam, spec, theta_grid, t, nu)
 
 
 def kernel_nu(
@@ -350,7 +350,7 @@ def kernel_nu(
         raise CornerGuardError(
             f"kernel_nu needs |sin theta| >= {DEFAULT_GUARD}; the full kernel owns corners"
         )
-    kap = kappa_nu(lam, N, nu, t, theta_arr, bump, beta=beta)
+    kap = kernel_1d(lam, beta, N, t, theta_arr, bump, nu)
     out = 2.0 * kap / (2.0 * sin_t) ** (nu + lam)
     return out[0] if np.asarray(theta).ndim == 0 else out
 

@@ -21,9 +21,9 @@ whose coefficients are the products
 
 of at most 2 lam - 1 factors, exact in cnv_exact and rounded per factor
 in get_coeffs.  kernel.py weighs the nu-decomposition's numerator sums
-(kappa_nu) with them and evaluates those by transform or by the lam = 1
-sweep; as a pointwise route (phi_explicit) the closed sum is the
-independent oracle the recurrence is checked against.  It degenerates at
+(kernel_1d(..., nu=nu)) with them and evaluates those by transform or by
+the lam = 1 sweep; as a pointwise route (phi_explicit) the closed sum is
+the independent oracle the recurrence is checked against.  It degenerates at
 the torus corners (sin theta -> 0), so the oracle keeps a guard band
 there, and even outside the band it is ill-conditioned where 2 n sin(theta)
 is small: the nu-terms grow like (2 sin theta)^{-(nu+lam)} and cancel down

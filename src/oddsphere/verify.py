@@ -76,8 +76,9 @@ SPACETIME_BLOCK = 512
 SPACETIME_GROUP = 64
 
 
-def fit_loglog(pairs: Sequence[tuple[float, float]]) -> tuple[float, float, float]:
-    """Least squares on (log N, log value); returns (slope, intercept, rms residual).
+def fit_loglog(pairs: Sequence[tuple[float, float]]) -> tuple[float, float, float, float]:
+    """Least squares on (log N, log value); returns (slope, intercept, rms
+    residual, standard error of the slope).
 
     Closed form on the centred logs, so no LAPACK call is made."""
     if len(pairs) < 3:
@@ -91,19 +92,12 @@ def fit_loglog(pairs: Sequence[tuple[float, float]]) -> tuple[float, float, floa
     x = np.log(np.array(ns))
     y = np.log(np.array(vs))
     dx = x - x.mean()
-    slope = float(np.sum(dx * (y - y.mean())) / np.sum(dx * dx))
+    sxx = float(np.sum(dx * dx))
+    slope = float(np.sum(dx * (y - y.mean()))) / sxx
     intercept = float(y.mean() - slope * x.mean())
     resid = y - (slope * x + intercept)
-    return slope, intercept, float(np.sqrt(np.mean(resid**2)))
-
-
-def _slope_stderr(pairs: Sequence[tuple[float, float]], slope: float, intercept: float) -> float:
-    x = np.log(np.array([n for n, _ in pairs], dtype=float))
-    y = np.log(np.array([v for _, v in pairs], dtype=float))
-    resid = y - (slope * x + intercept)
-    dof = max(len(x) - 2, 1)
-    sxx = float(np.sum((x - x.mean()) ** 2))
-    return float(math.sqrt(float(np.sum(resid**2)) / dof / sxx))
+    stderr = math.sqrt(float(np.sum(resid**2)) / max(len(x) - 2, 1) / sxx)
+    return slope, intercept, float(np.sqrt(np.mean(resid**2))), stderr
 
 
 def _check_ladder(N_list: Sequence[int], tolerance: float) -> None:
@@ -309,7 +303,7 @@ def _scan(
             records.append(rec)
             worst_ratio = max(worst_ratio, rec.ratio)
         worst.append((N, worst_ratio))
-    slope, intercept, resid = fit_loglog(worst)
+    slope, _, resid, stderr = fit_loglog(worst)
     return ScalingReport(
         mode=mode,
         space=space.describe(),
@@ -319,7 +313,7 @@ def _scan(
         records=records,
         worst_per_N=worst,
         fitted_slope=slope,
-        slope_CI=_slope_stderr(worst, slope, intercept),
+        slope_CI=stderr,
         residual=resid,
         verdict="pass" if slope <= tolerance else "fail",
         params=params,
@@ -447,8 +441,7 @@ def threshold_check(space: ProductSpace, p: float, *args, **settings) -> Scaling
     report = _arc_scan(
         plan, "threshold", _lp_target(space, p), lambda N: [Region.away(1.0 / N)]
     )
-    d = space.d
-    p_floor = 2.0 * d / (d - 1.0)
+    p_floor = float(space.s)
     report.params["p_floor"] = p_floor
     if p < p_floor:
         report.warnings.append(

@@ -16,9 +16,9 @@ import pytest
 
 import oddsphere
 from oddsphere import verify
-from oddsphere.arcs import MajorArc, _ratio_string, farey
+from oddsphere.arcs import MajorArc, farey
 from oddsphere.cli import SCANS, _arc_entries, main
-from oddsphere.space import build_space
+from oddsphere.space import build_space, format_rational
 
 
 def run(args):
@@ -136,7 +136,7 @@ def test_arc_halfwidths_are_exact_past_int64():
     assert max(k // math.gcd(m, k) * n for k in q.tolist()) > 2**63
     for arc, aa, qq in zip(arcs, a.tolist(), q.tolist()):
         assert (arc["a"], arc["q"], arc["center"]) == (aa, qq, f"{aa}/{qq}")
-        assert arc["halfwidth"] == _ratio_string(m, qq * n)
+        assert arc["halfwidth"] == format_rational(Fraction(m, qq * n))
         assert Fraction(arc["halfwidth"]) == 1 / (qq * Fraction(N))
 
 

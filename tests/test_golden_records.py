@@ -1,12 +1,13 @@
-"""Golden records: the CI scans' norms and CSV digests, pinned.
+"""Golden records: the CI scans' norms and report digests, pinned.
 
 tests/golden_records.json holds, for each scan config of the CI console
-steps, the exit status, the SHA-256 of the CSV it writes and every norm as
-float.hex, together with the fingerprint of the machine that recorded them
-(numpy version, BLAS build, the SIMD extensions numpy dispatches to).  On a
-machine with the same fingerprint a refactor must leave every record
-unchanged bit for bit; elsewhere BLAS and SIMD kernels may round
-differently, so the norms are compared at rel 1e-12 and the digest is not.
+steps and a few longer ones, the exit status, the SHA-256 of the CSV and of
+the JSON report it writes and every norm as float.hex, together with the
+fingerprint of the machine that recorded them (numpy version, BLAS build,
+the SIMD extensions numpy dispatches to).  On a machine with the same
+fingerprint a refactor must leave every record unchanged bit for bit;
+elsewhere BLAS and SIMD kernels may round differently, so the norms are
+compared at rel 1e-12 and the digests are not.
 
 To record the table from the code on the path:
 
@@ -43,6 +44,13 @@ CONFIGS = {
     # as a change of the angle blocks makes; at p = 3 it shows
     "strichartz_p3": "--dims 3 --mode strichartz --p 3 --nlist 16,32,64,128,256 --trials 2 "
     "--time-samples 16 --seed 1",
+    **{
+        f"strichartz_p3_seed{seed}": "--dims 3 --mode strichartz --p 3 --nlist 16,32,64 "
+        f"--trials 2 --time-samples 16 --seed {seed}"
+        for seed in (2, 3, 4)
+    },
+    "decay_product": "--dims 3,5 --betas 1,2/3 --mode decay --p 4 "
+    "--nlist 16,32,64,128,256,512,1024",
 }
 
 
@@ -70,6 +78,7 @@ def run_config(name: str, out: Path) -> dict:
     return {
         "exit": status,
         "csv_sha256": hashlib.sha256(data).hexdigest(),
+        "json_sha256": hashlib.sha256(base.with_suffix(".json").read_bytes()).hexdigest(),
         "norms": [float(row["norm"]).hex() for row in rows],
     }
 
@@ -97,8 +106,9 @@ def test_records_match_the_golden_table(golden, name, tmp_path):
         print(f"{name}: exact comparison (fingerprint matches)")
         assert got["norms"] == want["norms"]
         assert got["csv_sha256"] == want["csv_sha256"]
+        assert got["json_sha256"] == want["json_sha256"]
     else:
-        warnings.warn(f"{name}: fingerprint differs, norms compared at rel 1e-12, digest skipped")
+        warnings.warn(f"{name}: fingerprint differs, norms compared at rel 1e-12, digests skipped")
         assert [float.fromhex(v) for v in got["norms"]] == pytest.approx(
             [float.fromhex(v) for v in want["norms"]], rel=1e-12, abs=0
         )

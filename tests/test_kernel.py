@@ -14,7 +14,6 @@ from numpy.testing import assert_allclose
 from oddsphere import kernel, space
 from oddsphere.kernel import (
     Bump,
-    kappa_nu,
     kernel_1d,
     kernel_direct_multi,
     kernel_nu,
@@ -236,14 +235,14 @@ def test_under_resolved_grid_route_equals_the_recurrence_at_its_nodes(lam):
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
     for nu in range(lam):  # nu + lam odd folds a sine series, with the phase negated
         got = kernel_product(sp, N, t, quad, Bump(), nu).factor_values[0]
-        want = kappa_nu(lam, N, nu, t, quad.nodes(0), Bump())
+        want = kernel_1d(lam, 1, N, t, quad.nodes(0), Bump(), nu)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("lam", [2, 4])
 def test_kappa_nu_grid_and_direct_routes_agree(lam):
     # a kappa field's half grid is summed by transform, bare angles by the sweep;
-    # kappa_nu(2 pi - theta) = (-1)^(nu + lam) kappa_nu(theta) gives the rest
+    # kappa^(nu)(2 pi - theta) = (-1)^(nu + lam) kappa^(nu)(theta) gives the rest
     N, t = 64, 0.53
     M = math.ceil(16 * (2.0 * N + lam))
     theta = 2 * math.pi * np.arange(M) / M
@@ -253,7 +252,7 @@ def test_kappa_nu_grid_and_direct_routes_agree(lam):
     for nu in range(lam):
         half = kernel_product(sp, N, t, quad, Bump(), nu).factor_values[0]
         on_grid = np.where(k <= M // 2, 1, (-1) ** (nu + lam)) * half[np.minimum(k, M - k)]
-        direct = kappa_nu(lam, N, nu, t, theta[1:], Bump())
+        direct = kernel_1d(lam, 1, N, t, theta[1:], Bump(), nu)
         assert np.max(np.abs(on_grid[1:] - direct)) / np.max(np.abs(on_grid)) < 1e-12
 
 
@@ -269,7 +268,7 @@ def test_kappa_nu_sweep_is_accurate_next_to_the_poles(dim, N):
     for nu in range(lam):
         spec = kernel._kappa_spectrum(lam, 1, N, Bump(), nu)
         a = spec.weights(t)
-        got = kappa_nu(lam, N, nu, t, np.array(theta), Bump())
+        got = kernel_1d(lam, 1, N, t, np.array(theta), Bump(), nu)
         with mp.workdps(40):
             phase = (nu + lam) * mp.pi / 2
             for th, value in zip(theta, got):
@@ -295,7 +294,7 @@ def test_lam1_has_single_piece():
 
 
 def test_kappa_nu_finite_at_corners():
-    val = kappa_nu(2, 32, 1, 0.5, np.array([0.0, math.pi]), Bump())
+    val = kernel_1d(2, 1, 32, 0.5, np.array([0.0, math.pi]), Bump(), 1)
     assert np.all(np.isfinite(val))
 
 
@@ -458,3 +457,45 @@ def test_spectral_tables_are_the_exact_integers_rounded_once(lam):
         assert list(spec.dims) == [float(space.harmonic_dim(2 * lam + 1, k)) for k in n]
         assert list(spec.c1) == [float(math.comb(k + 2 * lam - 1, k)) for k in n]
         assert not (spec.dims.flags.writeable or spec.c1.flags.writeable)
+
+
+GAUSS_TIMES = ((1, 2), (1, 3), (2, 5), (3, 8), (5, 12), (7, 31))
+
+
+@pytest.mark.parametrize("dim", [3, 5, 9])
+@pytest.mark.parametrize("N", [64, 256])
+def test_kernel_at_rational_times_is_a_gauss_sum_of_wave_kernels(dim, N):
+    # at t = T a/q (betas 1) the phase exp(-2 pi i a k^2 / q), k = n + lam, has
+    # period q in k, so K = exp(2 pi i a lam^2 / q) sum_j c_j W_j exactly, with
+    # c_j = (1/q) sum_{k mod q} exp(-2 pi i (a k^2 + j k) / q) and the wave
+    # kernels W_j = sum_n cut_n d_n exp(2 pi i j k / q) phi_n, every phase from
+    # an integer residue mod q.  kernel_1d rounds t m_n / beta instead, which
+    # may cost eps |t| max_n mu_n per unit of sum_n |w_n|; the sweep adds 64 eps
+    lam = (dim - 1) // 2
+    period = space.build_space([dim]).period_seconds
+    spec = kernel._spectrum(lam, 1, N, Bump())
+    k = spec.n + lam
+    theta = np.linspace(1e-6, math.pi - 1e-6, 401)
+    eps = np.finfo(float).eps
+
+    def turn(r, q):
+        """exp(2 pi i r / q) from the integer residue of r mod q."""
+        return np.exp(2j * np.pi * (np.asarray(r) % q) / q)
+
+    for a, q in GAUSS_TIMES:
+        t = a / q * period
+        got = kernel_1d(lam, 1, N, t, theta, Bump())
+        w = np.zeros((int(spec.n[-1]) + 1, q), dtype=complex)
+        w[spec.n] = (spec.cut * spec.dims)[:, None] * turn(np.outer(k, np.arange(q)), q)
+        W = phi_series(lam, w, np.tile(theta, q), np.repeat(np.arange(q), theta.size))
+        W = W.reshape(q, theta.size)
+        tol = (eps * abs(t) * spec.mu.max() + 64 * eps) * np.sum(spec.cut * spec.dims)
+        r = np.arange(q)
+        miss = {}
+        for sign in (-1, 1):  # -a is the kernel's phase, +a a planted wrong one
+            c = [turn(sign * a * r**2 - j * r, q).sum() / q for j in range(q)]
+            want = turn(a * lam**2, q) * (np.array(c) @ W)
+            miss[sign] = np.max(np.abs(got - want))
+        assert miss[-1] <= tol, (a, q, miss[-1] / tol)
+        if q > 2:  # -a = a mod 2, so at q = 2 both signs build the same sum
+            assert miss[1] > 1e3 * tol, (a, q, miss[1] / tol)

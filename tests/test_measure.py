@@ -12,7 +12,6 @@ from oddsphere import kernel, measure, space
 from oddsphere.kernel import (
     Bump,
     KernelField,
-    kappa_nu,
     kernel_1d,
     kernel_product,
     spectral_l2_norm,
@@ -34,13 +33,17 @@ S5 = space.build_space([5], [1])
 S3S3 = space.build_space([3, 3], [1, 1])
 
 
-def region_measure(sp, region, N):
-    """Probability measure of a region: the L^1 norm of the constant 1 on
-    2 ceil(16 N) nodes per factor, so a radius-1/N box holds as many nodes
-    at every N and volume scaling is free of boundary-snapping noise."""
-    quad = TorusQuadrature(sp, (2 * math.ceil(16 * N),) * sp.r)
+def rule_weight(quad, region):
+    """A rule's weight of a region: the L^1 norm of the constant 1."""
     ones = tuple(np.ones(M // 2 + 1) for M in quad.sizes)
-    return lp_norm(FieldSample(sp, quad, ones), 1.0, region)
+    return lp_norm(FieldSample(quad.space, quad, ones), 1.0, region)
+
+
+def region_measure(sp, region, N):
+    """Probability measure of a region: its weight on 2 ceil(16 N) nodes
+    per factor, so a radius-1/N box holds as many nodes at every N and
+    volume scaling is free of boundary-snapping noise."""
+    return rule_weight(TorusQuadrature(sp, (2 * math.ceil(16 * N),) * sp.r), region)
 
 
 def random_field(sp, quad, rng, modes=12):
@@ -648,7 +651,7 @@ def test_resolution_check_resamples_a_kappa_field(monkeypatch):
     assert resolution_check(fld)[0]
     (got,) = fine
     assert got.nu == 1 and got.quad.sizes == (2 * fld.quad.sizes[0],)
-    want = kappa_nu(2, N, 1, t, got.quad.nodes(0), Bump())
+    want = kernel_1d(2, 1, N, t, got.quad.nodes(0), Bump(), 1)
     assert np.max(np.abs(got.factor_values[0] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -664,7 +667,7 @@ def test_corner_region_volume_scaling(sp, d):
     pairs = []
     for N in (16, 32, 64, 128, 256, 512):
         pairs.append((N, region_measure(sp, Region.corner(0, 1.0 / N), N)))
-    slope, _, _ = fit_loglog(pairs)
+    slope = fit_loglog(pairs)[0]
     assert abs(slope + d) < 0.05
 
 
@@ -861,3 +864,53 @@ def test_other_powers_keep_the_oversampled_rule(sp):
         wide = TorusQuadrature.for_kernel(S3, N)
         assert exact_rule(S3, N, 16.0) == wide
         assert exact_rule(S3, N, 14.0).sizes[0] < wide.sizes[0]
+
+
+NORM_SPACES = [space.build_space([d]) for d in (3, 5, 7, 9, 11)] + [
+    S3S3,
+    space.build_space([3, 5], [1, Fraction(2, 3)]),
+    space.build_space([3, 3, 3]),
+]
+NORM_PS = (0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 16.0)
+
+
+@pytest.mark.parametrize("N", [16, 32])
+@pytest.mark.parametrize("sp", NORM_SPACES, ids=str)
+def test_kernel_norms_obey_hoelder_lyapunov_and_the_sup_bound(sp, N):
+    # oracle-free: on the full region, a probability measure, ||K||_p does not
+    # decrease in p; on every region log ||K||_p is convex in 1/p (Lyapunov);
+    # and ||K||_{p,R} <= w(R)^{1/p} sup_R |K| for the rule's weight w(R).
+    # Tolerances: a sum of |K|^p (or of the weights) rounds at 64 eps relative,
+    # 64 eps / p after the root; an away integral, the full integral less the
+    # boxes, at 64 eps of the full one; and the grid route and the sup's
+    # sweep each err by at most 64 eps sum_n |w_n| per factor, which is at
+    # most 64 eps prod_j sum_n |w_n| / sup_R |K| of a factor's sup on R
+    eps = np.finfo(float).eps
+    quad = TorusQuadrature.for_kernel(sp, N)
+    regions = [Region.full(), Region.corner((0,) * sp.r, 1.0 / N), Region.away(1.0 / N)]
+    weight = [rule_weight(quad, region) for region in regions]
+    mass = math.prod(
+        float(np.sum(spec.cut * spec.dims))
+        for spec in (kernel._spectrum(f.lam, f.beta, N, Bump()) for f in sp.factors)
+    )
+    for tau in (0.0, 1 / 3 + 1 / (6 * N)):
+        fld = kernel_product(sp, N, tau * sp.period_seconds, quad)
+        norm = {p: lp_norm([fld], p, regions)[0] for p in NORM_PS}
+        sups = sup_norm([fld], regions)[0]
+
+        def err(p, i):
+            cancel = (norm[p][0] / norm[p][i]) ** p if regions[i].kind == "away" else 1.0
+            return 64 * eps * cancel / p
+
+        for p, q in zip(NORM_PS, NORM_PS[1:]):
+            assert norm[q][0] >= norm[p][0] * (1 - err(p, 0) - err(q, 0)), (tau, p, q)
+        for i in range(len(regions)):
+            for p, q, r in zip(NORM_PS, NORM_PS[1:], NORM_PS[2:]):
+                theta = (1 / q - 1 / r) / (1 / p - 1 / r)
+                chord = theta * math.log(norm[p][i]) + (1 - theta) * math.log(norm[r][i])
+                slack = err(p, i) + err(q, i) + err(r, i)
+                assert math.log(norm[q][i]) <= chord + slack, (tau, regions[i], p, q, r)
+            grid = (1 + 64 * eps * mass / sups[i]) ** sp.r - 1
+            for p in NORM_PS:
+                bound = weight[i] ** (1 / p) * sups[i] * (1 + err(p, i) + 64 * eps / p + grid)
+                assert norm[p][i] <= bound, (tau, regions[i], p, norm[p][i] / bound)

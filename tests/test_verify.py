@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from oddsphere import measure, space, verify
-from oddsphere.kernel import Bump, kappa_nu, kernel_product, mode_weights
+from oddsphere.kernel import Bump, kernel_1d, kernel_product, mode_weights
 from oddsphere.measure import Region, TorusQuadrature, density_normalizer
 from oddsphere.specialfn import phi_matrix
 from oddsphere.verify import (
@@ -39,7 +39,7 @@ SMALL_ARCS = ((0, 1), (1, 2), (1, 3))
 
 def test_fit_loglog_exact_power():
     pairs = [(n, float(n) ** 2) for n in (4, 8, 16, 32)]
-    slope, intercept, resid = fit_loglog(pairs)
+    slope, intercept, resid, _ = fit_loglog(pairs)
     assert slope == pytest.approx(2.0, abs=1e-12)
     assert resid == pytest.approx(0.0, abs=1e-12)
     assert intercept == pytest.approx(0.0, abs=1e-10)
@@ -47,7 +47,7 @@ def test_fit_loglog_exact_power():
 
 def test_fit_loglog_with_log_factor():
     pairs = [(n, 0.7 * n**2.25 * math.log(n)) for n in (16, 32, 64, 128, 256, 512)]
-    slope, _, _ = fit_loglog(pairs)
+    slope = fit_loglog(pairs)[0]
     assert 2.25 <= slope <= 2.55
 
 
@@ -64,7 +64,10 @@ def test_fit_loglog_is_least_squares_without_lapack(monkeypatch):
     monkeypatch.setattr(np, "polyfit", no_lapack)
     got = fit_loglog(pairs)
     assert got[:2] == pytest.approx((slope, intercept), rel=1e-12, abs=0)
-    assert got[2] == pytest.approx(np.sqrt(np.mean((y - slope * x - intercept) ** 2)), rel=1e-9)
+    resid = y - slope * x - intercept
+    assert got[2] == pytest.approx(np.sqrt(np.mean(resid**2)), rel=1e-9)
+    sxx = np.sum((x - x.mean()) ** 2)
+    assert got[3] == pytest.approx(np.sqrt(np.sum(resid**2) / (len(x) - 2) / sxx), rel=1e-9)
 
 
 def test_fit_loglog_rejects_bad_input():
@@ -137,7 +140,7 @@ def test_decay_scan_sup_mode():
     report = decay_scan(plan)
     assert report.target_exponent == 3.0
     raw = [(n, v * n**3.0) for n, v in report.worst_per_N]
-    slope, _, _ = fit_loglog(raw)
+    slope = fit_loglog(raw)[0]
     assert abs(slope - 3.0) < 0.1
 
 
@@ -193,7 +196,7 @@ def test_full_sups_refine_every_near_maximum(sp, nu, N, label):
     ]
     theta = np.linspace(0.0, math.pi, 200001)
     t_sec = float(tau) * sp.period_seconds
-    dense = np.abs(kappa_nu(sp.factors[0].lam, N, nu, t_sec, theta, Bump())).max()
+    dense = np.abs(kernel_1d(sp.factors[0].lam, 1, N, t_sec, theta, Bump(), nu)).max()
     assert dense <= rec.norm < dense * (1.0 + 1e-6)
 
 
