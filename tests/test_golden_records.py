@@ -51,6 +51,10 @@ CONFIGS = {
     },
     "decay_product": "--dims 3,5 --betas 1,2/3 --mode decay --p 4 "
     "--nlist 16,32,64,128,256,512,1024",
+    "threshold_s3_inf": "--dims 3 --mode threshold --p inf --nlist 16,32,64",
+    "threshold_s3_p16": "--dims 3 --mode threshold --p 16 --nlist 16,32,64",
+    # product pole-box sups whose fields share one two-factor sweep
+    "corner_s3s5_inf": "--dims 3,5 --betas 1,2/3 --mode corner --p inf --nlist 16,32,64",
 }
 
 
