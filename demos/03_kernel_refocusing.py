@@ -34,7 +34,7 @@ from oddsphere.kernel import kernel_1d, kernel_nu
 theta = np.array([1.0, 2.0])
 t = 0.37 * T
 whole = kernel_1d(2, 1, 32, t, theta, bump)
-pieces = [kernel_nu(2, 32, nu, t, theta, bump) for nu in range(2)]
+pieces = [kernel_nu(2, 1, 32, t, theta, bump, nu) for nu in range(2)]
 print(f"  K          = {whole}")
 print(f"  K^(0)+K^(1)= {pieces[0] + pieces[1]}")
 

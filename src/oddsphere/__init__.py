@@ -4,9 +4,9 @@ Layers, bottom up:
 
     space      exact geometry/spectrum: dimensions, eigenvalues, periods
     specialfn  zonal spherical functions (recurrence sweep + closed-sum oracle)
+    measure    weighted torus quadrature, regional L^p and sup norms
     kernel     mollified propagator kernels, nu-decomposition
     arcs       Farey fractions, major-arc classification, denominator sums
-    measure    weighted torus quadrature, regional L^p and sup norms
     verify     exponent scans with log-log fits and pass/fail budgets
     cli        command-line front end over all of the above
 """

@@ -37,14 +37,17 @@ every node, corners included, the absolute error is of the order of
 eps * sum_n |w_n| for the mode weights w_n, and the sum costs
 O(lam n_max + M log M).  At bare angles (kernel_1d, and
 KernelField.evaluate_factor) the kernel always comes from the recurrence
-sweep phi_series, at O(#modes * #angles).  A sup proxy asks for a few
-angles per field at a time, so evaluate_factor also takes one time per
-angle: the angles of every field of one space, scale, cutoff and nu then
-share one sweep, with one weight column per distinct time.  A kappa field
-(kernel_product with nu) weighs d_n C_{n,nu} in place of d_n, sums its
-grid by the same transform pair, and sweeps bare angles
-(kernel_1d(..., nu=nu)) at lam = 1, whose U_k = (k + 1) phi_k^(1) give
-cos(f theta) and sin(f theta).
+sweep phi_series, at O(#modes * #angles).
+
+A field sums what its factors' spectra say: each _spectrum, cached per
+factor, scale, cutoff and nu, holds the mode data and which sum it weighs,
+the kernel (nu None) or kappa^(nu), whose weights are d_n C_{n,nu} in place
+of d_n.  A kappa field (kernel_product with nu) sums its grid by the same
+transform pair and sweeps bare angles (kernel_1d(..., nu=nu)) at lam = 1,
+whose U_k = (k + 1) phi_k^(1) give cos(f theta) and sin(f theta).  A sup
+proxy asks for a few angles per field at a time, so evaluate_factor also
+takes one time per angle: the angles of every field with the same spectra
+then share one sweep, with one weight column per distinct time.
 """
 
 from __future__ import annotations
@@ -119,21 +122,32 @@ class Bump:
 
 class _Spectrum(NamedTuple):
     """The time-free part of a factor's mode weights: the one float copy of
-    its spectral integers, each rounded once from the exact value."""
+    its spectral integers, each rounded once from the exact value, and the
+    sum they weigh: the kernel (nu None) or kappa^(nu)."""
 
     n: np.ndarray  # degrees inside the cutoff's support
     cut: np.ndarray  # bump(x_n)
     mu: np.ndarray  # m_n / beta
-    dims: np.ndarray  # d_n, the harmonic-space dimensions
+    dims: np.ndarray  # d_n, the harmonic-space dimensions; d_n C_{n,nu} for kappa^(nu)
     c1: np.ndarray  # C_n^lam(1) = binom(n + 2 lam - 1, n)
+    nu: int | None
 
     def weights(self, t: float) -> np.ndarray:
         return self.cut * np.exp(-1j * t * self.mu) * self.dims
 
 
 @cache
-def _spectrum(lam: int, beta, N: float, bump: Bump) -> _Spectrum:
-    """One read-only _Spectrum per factor, scale and cutoff: it has no time in it."""
+def _spectrum(lam: int, beta, N: float, bump: Bump, nu: int | None = None) -> _Spectrum:
+    """One read-only _Spectrum per factor, scale, cutoff and nu: it has no
+    time in it.  With nu, the kernel's spectrum with d_n C_{n,nu} in place
+    of d_n: the mode weights of the numerator sum kappa^(nu)."""
+    if nu is not None:
+        if not 0 <= nu <= lam - 1:
+            raise ValueError(f"need 0 <= nu <= lam-1 = {lam - 1}, got {nu}")
+        spec = _spectrum(lam, beta, N, bump, None)
+        dims = spec.dims * get_coeffs(lam, int(spec.n.max(initial=0)))[spec.n, nu]
+        dims.setflags(write=False)
+        return spec._replace(dims=dims, nu=nu)
     beta_f = float(beta)
     bN2 = beta_f * N * N
     n = np.arange(0, top_degree(lam, beta, N) + 1)
@@ -146,22 +160,10 @@ def _spectrum(lam: int, beta, N: float, bump: Bump) -> _Spectrum:
     for i, k in enumerate(n.tolist()):
         c = math.comb(k + 2 * lam - 1, k)
         c1[i], dims[i] = c, c * (k + lam) // lam
-    spec = _Spectrum(n, cut, m / beta_f, dims, c1)
-    for arr in spec:
+    spec = _Spectrum(n, cut, m / beta_f, dims, c1, None)
+    for arr in spec[:-1]:
         arr.setflags(write=False)
     return spec
-
-
-@cache
-def _kappa_spectrum(lam: int, beta, N: float, bump: Bump, nu: int) -> _Spectrum:
-    """The factor's _Spectrum with d_n C_{n,nu} in place of d_n: the mode
-    weights of the numerator sum kappa^(nu)."""
-    if not 0 <= nu <= lam - 1:
-        raise ValueError(f"need 0 <= nu <= lam-1 = {lam - 1}, got {nu}")
-    spec = _spectrum(lam, beta, N, bump)
-    dims = spec.dims * get_coeffs(lam, int(spec.n.max(initial=0)))[spec.n, nu]
-    dims.setflags(write=False)
-    return spec._replace(dims=dims)
 
 
 def mode_weights(
@@ -172,7 +174,7 @@ def mode_weights(
     Returns (n, w) with w_n = bump(x_n) exp(-i t m_n / beta) d_n; degrees
     with an exactly vanishing cutoff are dropped, everything else kept.
     """
-    spec = _spectrum(lam, beta, N, bump)
+    spec = _spectrum(lam, beta, N, bump, None)
     return spec.n, spec.weights(t)
 
 
@@ -274,24 +276,26 @@ def _cosine_coeffs(lam: int, n: np.ndarray, w: np.ndarray, c1: np.ndarray) -> np
     return F
 
 
-def _kernel_grid(lam: int, spec: _Spectrum, t: float, M: int, nu=None) -> np.ndarray:
-    """The factor kernel (with nu, kappa^(nu)) at time t on the half grid
-    2 pi k / M, k = 0..M/2."""
+def _kernel_grid(lam: int, spec: _Spectrum, t: float, M: int) -> np.ndarray:
+    """The sum spec weighs (the factor kernel or kappa^(nu)) at time t on
+    the half grid 2 pi k / M, k = 0..M/2."""
+    nu = spec.nu
     if nu is not None:
         return _cos_sum_grid(spec.weights(t), spec.n + lam - nu, nu + lam, M)
     F = _cosine_coeffs(lam, spec.n, spec.weights(t), spec.c1)
     return _cos_sum_grid(F, np.arange(F.size), 0, M)
 
 
-def _kernel_values(lam: int, spec: _Spectrum, theta, t, nu=None) -> np.ndarray:
-    """The factor kernel (with nu, kappa^(nu)) at angles theta, at time t or
-    at time t[i] for angle i, by one recurrence sweep with a weight column
-    per distinct time.  kappa^(nu) = sum_f a_f cos(f theta - q pi / 2),
+def _kernel_values(lam: int, spec: _Spectrum, theta, t) -> np.ndarray:
+    """The sum spec weighs (the factor kernel or kappa^(nu)) at angles
+    theta, at time t or at time t[i] for angle i, by one recurrence sweep
+    with a weight column per distinct time.
+    kappa^(nu) = sum_f a_f cos(f theta - q pi / 2),
     q = nu + lam, f = n - nu + lam >= 1, is swept at lam = 1: with
     U_k = (k + 1) phi_k^(1), cos(f theta) = (U_f - U_{f-2}) / 2 (even q),
     sin(f theta) = sin(theta) U_{f-1} (odd q), and the sign is (-1)^floor(q/2).
     """
-    theta = np.asarray(theta, dtype=float)
+    theta, nu = np.asarray(theta, dtype=float), spec.nu
     times, columns = np.unique(np.broadcast_to(t, theta.shape), return_inverse=True)
     shift = 0 if nu is None else lam - nu  # degree n sits at row n + shift
     w = np.zeros((int(spec.n.max(initial=0)) + shift + 1, times.size), dtype=complex)
@@ -323,46 +327,31 @@ def kernel_1d(
     """Single-factor kernel K_N(t, theta) at any angles, by the recurrence
     sweep; with nu, the numerator sum kappa_N^{(nu)} instead, as
     kernel_product does for a quadrature's grid."""
-    if nu is None:
-        spec = _spectrum(lam, beta, N, bump)
-    else:
-        spec = _kappa_spectrum(lam, beta, N, bump, nu)
-    return _kernel_values(lam, spec, theta_grid, t, nu)
+    return _kernel_values(lam, _spectrum(lam, beta, N, bump, nu), theta_grid, t)
 
 
-def kernel_nu(
-    lam: int,
-    N: float,
-    nu: int,
-    t: float,
-    theta,
-    bump: Bump,
-    *,
-    beta=1,
-) -> np.ndarray:
+def kernel_nu(lam: int, beta, N: float, t: float, theta, bump: Bump, nu: int) -> np.ndarray:
     """Decomposition piece K_N^{(nu)} = 2 (2 sin theta)^{-(nu+lam)} kappa_N^{(nu)}.
 
     The prefactor degenerates at the corners, so the guard band is an error.
     """
-    theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
-    sin_t = np.sin(theta_arr)
+    sin_t = np.sin(np.asarray(theta, dtype=float))
     if np.any(np.abs(sin_t) < DEFAULT_GUARD):
         raise CornerGuardError(
             f"kernel_nu needs |sin theta| >= {DEFAULT_GUARD}; the full kernel owns corners"
         )
-    kap = kernel_1d(lam, beta, N, t, theta_arr, bump, nu)
-    out = 2.0 * kap / (2.0 * sin_t) ** (nu + lam)
-    return out[0] if np.asarray(theta).ndim == 0 else out
+    return 2.0 * kernel_1d(lam, beta, N, t, theta, bump, nu) / (2.0 * sin_t) ** (nu + lam)
 
 
 @dataclass
 class KernelField:
-    """A kernel at fixed (N, t) on a quadrature's half grids, or with nu the
-    numerator sums kappa^(nu) of its factors.
+    """A kernel at fixed (N, t) on a quadrature's half grids, or the
+    numerator sums kappa^(nu) of its factors, as its spectra say.
 
     Values are stored factored (one complex array per factor, on nodes
     0..M/2); the product-grid value is the outer product.  spectra are the
-    time-free mode data of the factors.  factor_values is sampled from them
+    time-free mode data of the factors, each with the nu of the sum it
+    weighs; fields with the same spectra share a sup's sweep.  factor_values is sampled from them
     through the grid route on first read and kept, so a norm that never
     reads the grid (a pole-box sup) never pays its transforms.
     evaluate_factor evaluates one factor at fresh angles by the recurrence,
@@ -375,23 +364,22 @@ class KernelField:
     quad: TorusQuadrature
     bump: Bump
     spectra: tuple[_Spectrum, ...]
-    nu: int | None = None
 
     @cached_property
     def factor_values(self) -> tuple[np.ndarray, ...]:
         return tuple(
-            _kernel_grid(f.lam, spec, self.t, M, self.nu)
+            _kernel_grid(f.lam, spec, self.t, M)
             for f, spec, M in zip(self.space.factors, self.spectra, self.quad.sizes)
         )
 
     def evaluate_factor(self, j: int, theta, t=None) -> np.ndarray:
         """Factor j at fresh angles, at the field's time.
 
-        t, one time per angle, evaluates any field of this space, scale,
-        cutoff and nu instead: all of them share one recurrence sweep.
+        t, one time per angle, evaluates any field with the same spectra
+        instead: all of them share one recurrence sweep.
         """
         t = self.t if t is None else t
-        return _kernel_values(self.space.factors[j].lam, self.spectra[j], theta, t, self.nu)
+        return _kernel_values(self.space.factors[j].lam, self.spectra[j], theta, t)
 
     def resample(self, quad: TorusQuadrature) -> "KernelField":
         """The same field on another rule, through the grid route."""
@@ -411,11 +399,8 @@ def kernel_product(
     of the factors' numerator sums kappa^(nu) instead."""
     if quad.space != space:
         raise ValueError(f"a quadrature on {quad.space} cannot sample a kernel on {space}")
-    if nu is None:
-        spectra = tuple(_spectrum(f.lam, f.beta, N, bump) for f in space.factors)
-    else:
-        spectra = tuple(_kappa_spectrum(f.lam, f.beta, N, bump, nu) for f in space.factors)
-    return KernelField(space, N, t, quad, bump, spectra, nu)
+    spectra = tuple(_spectrum(f.lam, f.beta, N, bump, nu) for f in space.factors)
+    return KernelField(space, N, t, quad, bump, spectra)
 
 
 def kernel_direct_multi(
@@ -467,7 +452,7 @@ def spectral_l2_norm(lam: int, beta, N: float, t: float, bump: Bump) -> float:
 
     Time drops out (unimodular phases);  this is the quadrature oracle.
     """
-    spec = _spectrum(lam, beta, N, bump)
+    spec = _spectrum(lam, beta, N, bump, None)
     return math.sqrt(float(np.sum(spec.cut**2 * spec.dims)))
 
 

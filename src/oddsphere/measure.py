@@ -392,9 +392,9 @@ def _grid_sups(field, pieces, owners: dict, pending: list[_SupPiece]) -> dict:
     value = {}
     owner, time = field, None
     if hasattr(field, "t"):
-        # every kernel field of one space, scale, cutoff and nu evaluates given
-        # one time per angle, so all share one owner: a copy of the first, never sampled
-        key = (field.space, field.N, field.bump, field.nu)
+        # kernel fields with the same spectra evaluate given one time per
+        # angle, so all share one owner: a copy of the first, never sampled
+        key = tuple(map(id, field.spectra))
         owner, time = owners.setdefault(key, replace(field)), field.t
     for piece in pieces:
         j, key, radius = piece
@@ -589,8 +589,8 @@ def sup_norm(field, region: Region | None = None):
     Given an iterable of fields and a list of regions instead, returns one
     list of sups per field, one per region.  Each piece is measured once
     however many regions share it, and each sweep is one evaluate_factor
-    call per factor for the pieces of all kernel fields of one space, scale,
-    cutoff and nu.  The values are those of one call per field and region.
+    call per factor for the pieces of all kernel fields with the same
+    spectra.  The values are those of one call per field and region.
     """
     return _norms(field, region, math.inf)
 

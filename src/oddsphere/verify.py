@@ -513,16 +513,13 @@ def strichartz_zonal_scan(
     Three loops run it: blocks of SPACETIME_BLOCK angles, one phi_matrix
     call each; within a block, groups of SPACETIME_GROUP time samples, each
     group's phases computed once; within a group, the trials.  Records do
-    not depend on the group size.  Memory is modes x block plus the buffers
-    of one group (its complex phases and products, its 2 x group x modes A,
-    its 2 x 2 x group x block even and odd sums and 4 x group x block
-    E +- O), the trials x modes drawn coefficients and the trials x T power
-    rows: it grows neither with modes times grid size nor with trials or
-    modes times time samples.  On S^3 at p = 8 with 20 trials and 192 time
-    samples, traced allocations peak at 8.6 MiB on N = 16..512 (8.7 MiB
-    with 768 time samples) and 14.4 MiB on 16..1024; the process's resident
-    peak is 46 and 52 MB.  A grid below the aliasing floor of scale N
-    raises QuadratureError.
+    not depend on the group size, and memory grows neither with modes times
+    grid size nor with trials or modes times time samples (the SPACETIME_*
+    comment says what is held and why).  On S^3 at p = 8 with 20 trials
+    and 192 time samples, traced allocations peak at 8.6 MiB on
+    N = 16..512 (8.7 MiB with 768 time samples) and 14.4 MiB on 16..1024;
+    the process's resident peak is 46 and 52 MB.  A grid below the
+    aliasing floor of scale N raises QuadratureError.
     Pass verdict requires the fitted worst-trial exponent at or below
     d/2 - (d+2)/p plus budget.
     """
@@ -543,7 +540,7 @@ def strichartz_zonal_scan(
     grids: list = []
 
     def measure_N(N: int):
-        spec = _spectrum(lam, f.beta, N, bump)
+        spec = _spectrum(lam, f.beta, N, bump, None)
         n_shell, dims, mu = spec.n, spec.dims, spec.mu
         quad = _grid_rule(space, N, oversample, p, grids)
         measure._resolution_floor(space, quad, N)  # else |u|^2 would alias

@@ -87,7 +87,7 @@ def test_criterion_02_structural_identities():
             t = 0.37 * 2 * math.pi
             grid = np.linspace(0, 2 * math.pi, 257, endpoint=False)
             away = np.abs(np.sin(grid)) > 1e-3
-            total = sum(kernel_nu(lam, N, nu, t, grid[away], bump) for nu in range(lam))
+            total = sum(kernel_nu(lam, 1, N, t, grid[away], bump, nu) for nu in range(lam))
             n, w = mode_weights(lam, 1, N, t, bump)
             wfull = np.zeros(int(n[-1]) + 1, dtype=complex)
             wfull[n] = w

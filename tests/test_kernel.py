@@ -95,7 +95,7 @@ def test_nu_decomposition_matches_recurrence_route(lam, N):
     t = 0.37 * S3.period_seconds
     theta = np.linspace(0, 2 * math.pi, 257, endpoint=False)
     away = np.abs(np.sin(theta)) > 1e-3
-    total = sum(kernel_nu(lam, N, nu, t, theta[away], bump) for nu in range(lam))
+    total = sum(kernel_nu(lam, 1, N, t, theta[away], bump, nu) for nu in range(lam))
     oracle = recurrence_route_kernel(lam, 1, N, t, theta, bump)
     scale = np.max(np.abs(oracle))
     assert np.max(np.abs(total - oracle[away])) / scale < 1e-8
@@ -266,7 +266,7 @@ def test_kappa_nu_sweep_is_accurate_next_to_the_poles(dim, N):
     theta = [1e-6, 1e-4, 1e-2, 0.5, 1.3, 2.2, math.pi - 1e-2, math.pi - 1e-4, math.pi - 1e-6]
     worst = 0.0
     for nu in range(lam):
-        spec = kernel._kappa_spectrum(lam, 1, N, Bump(), nu)
+        spec = kernel._spectrum(lam, 1, N, Bump(), nu)
         a = spec.weights(t)
         got = kernel_1d(lam, 1, N, t, np.array(theta), Bump(), nu)
         with mp.workdps(40):
@@ -280,14 +280,14 @@ def test_kappa_nu_sweep_is_accurate_next_to_the_poles(dim, N):
 
 def test_kernel_nu_corner_guard():
     with pytest.raises(CornerGuardError):
-        kernel_nu(2, 16, 0, 0.0, np.array([1e-5]), Bump())
+        kernel_nu(2, 1, 16, 0.0, np.array([1e-5]), Bump(), 0)
 
 
 def test_lam1_has_single_piece():
     bump = Bump()
     theta = np.linspace(0.1, 3.0, 40)
     assert_allclose(
-        kernel_nu(1, 32, 0, 0.9, theta, bump),
+        kernel_nu(1, 1, 32, 0.9, theta, bump, 0),
         kernel_1d(1, 1, 32, 0.9, theta, bump),
         rtol=1e-10,
     )

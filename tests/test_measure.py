@@ -650,7 +650,7 @@ def test_resolution_check_resamples_a_kappa_field(monkeypatch):
     monkeypatch.setattr(KernelField, "resample", resample)
     assert resolution_check(fld)[0]
     (got,) = fine
-    assert got.nu == 1 and got.quad.sizes == (2 * fld.quad.sizes[0],)
+    assert got.spectra[0].nu == 1 and got.quad.sizes == (2 * fld.quad.sizes[0],)
     want = kernel_1d(2, 1, N, t, got.quad.nodes(0), Bump(), 1)
     assert np.max(np.abs(got.factor_values[0] - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -722,6 +722,21 @@ def test_lockstep_keeps_kernel_and_kappa_owners_apart():
     ]
     batch = sup_norm(iter(fields), regions)
     assert batch == [[sup_norm(f, region) for region in regions] for f in fields]
+
+
+@pytest.mark.parametrize("p", [4.0, math.inf])
+def test_a_mixed_nu_batch_gives_each_fields_own_norms(p):
+    # the kernel field and its kappa fields at one scale and two times: a
+    # sweep that mixed their spectra would sweep kappa pieces with kernel
+    # weights, so every batched norm must be the per-field norm exactly
+    N = 32
+    quad = TorusQuadrature.for_kernel(S5, N)
+    regions = [Region.full(), Region.corner(0, 1 / N), Region.away(1 / N)]
+    fields = [
+        kernel_product(S5, N, t, quad, Bump(), nu) for t in (0.37, 1.9) for nu in (None, 0, 1)
+    ]
+    batch = lp_norm(iter(fields), p, regions)
+    assert batch == [[lp_norm(f, p, region) for region in regions] for f in fields]
 
 
 def test_lockstep_lets_each_field_go():
