@@ -23,7 +23,8 @@ per-factor angular boxes of a given radius around a chosen pole (0 or pi)
 of each factor; "away" is the complement of the union of all corner boxes.
 Every region combines per-factor pieces (a pole box, the whole circle or the
 rest of it): corner and full norms multiply across factors, away integrals
-come from inclusion-exclusion and away sups from the best single factor.
+sum over the sets of factors away from their poles and away sups come from
+the best single factor.
 Every piece's sup comes from a Chebyshev proxy of |K_j|^2 on the piece's
 interval, evaluated at fresh angles by the field itself, in two sweeps for
 all pieces of all fields of a scale (sup_norm).
@@ -291,8 +292,9 @@ def _pieces(r: int, region: Region, sup: bool) -> list[tuple[int, str, float | N
     """The per-factor pieces (factor, node set, radius) a region combines.
 
     Full and corner regions take one piece per factor: the whole circle or
-    the chosen pole box.  The away region takes every factor's whole circle
-    and, for a sup, the rest of its circle; for an integral, both pole boxes.
+    the chosen pole box.  The away region takes the rest of every factor's
+    circle; an integral adds both pole boxes, and a sup on a product adds
+    the whole circles.
     """
     if region.kind == "corner":
         if len(region.poles) != r:
@@ -301,30 +303,35 @@ def _pieces(r: int, region: Region, sup: bool) -> list[tuple[int, str, float | N
     full = [(j, "full", None) for j in range(r)]
     if region.kind == "full":
         return full
-    rest = ("away",) if sup else ("pole0", "pole1")
-    return full + [(j, key, region.radius) for j in range(r) for key in rest]
+    if sup:
+        return [(j, "away", region.radius) for j in range(r)] + (full if r > 1 else [])
+    return [(j, key, region.radius) for j in range(r) for key in ("away", "pole0", "pole1")]
 
 
 def _combine(r: int, region: Region, value: dict, sup: bool) -> float:
     """A region's integral of |K|^p (or its sup) from its pieces' values.
 
     Full and corner regions multiply across factors.  Away from the
-    corners, an integral is the full product minus every all-corner box,
-    and a sup is the best single factor away from its poles times the full
-    sups of the others.
+    corners, a node has a nonempty set S of factors away from their poles,
+    so an integral sums, over every such S, the product of the away pieces
+    of S and the pole boxes of the others: positive terms only.  A sup is
+    the best single factor away from its poles times the full sups of the
+    others.
     """
     if region.kind != "away":
         return math.prod(value[piece] for piece in _pieces(r, region, sup))
-    full = [value[(j, "full", None)] for j in range(r)]
+    away = [value[(j, "away", region.radius)] for j in range(r)]
     if sup:
         return max(
-            math.prod([value[(j, "away", region.radius)]] + full[:j] + full[j + 1 :])
+            math.prod([away[j]] + [value[(i, "full", None)] for i in range(r) if i != j])
             for j in range(r)
         )
-    boxes = math.prod(
-        value[(j, "pole0", region.radius)] + value[(j, "pole1", region.radius)] for j in range(r)
-    )
-    return max(math.prod(full) - boxes, 0.0)
+    # some: the sets S over the factors so far that are nonempty; none: S empty
+    some, none = 0.0, 1.0
+    for j, a in enumerate(away):
+        b = value[(j, "pole0", region.radius)] + value[(j, "pole1", region.radius)]
+        some, none = some * (a + b) + none * a, none * b
+    return some
 
 
 def _integrals(field, p: float, pieces) -> dict:

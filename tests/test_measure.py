@@ -4,6 +4,7 @@ import math
 import re
 import weakref
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -681,6 +682,38 @@ def test_away_region_measure_complements_corners():
     )
     assert m_full == pytest.approx(1.0, rel=1e-12)
     assert m_away + m_c == pytest.approx(1.0, rel=1e-12)
+
+
+def away_reference(fld, p, radius):
+    """The away integral of |K|^p, correctly rounded: math.fsum over the
+    product nodes outside every all-corner box."""
+    quad, r = fld.quad, fld.space.r
+    terms = [quad.weights(j) * np.abs(fld.factor_values[j]) ** p for j in range(r)]
+    away = [quad.mask(j, "away", radius) for j in range(r)]
+    outside = reduce(np.logical_or.outer, away)
+    return math.fsum(reduce(np.multiply.outer, terms)[outside].tolist())
+
+
+@pytest.mark.parametrize(
+    "sp,N,ps",
+    [
+        (S3, 32, (16, 24, 32, 48, 64)),
+        (S3, 64, (16, 24, 32)),
+        (S3S3, 16, (2, 4, 8, 16)),
+        (space.build_space([3, 5], [1, Fraction(2, 3)]), 16, (2, 4, 8, 16)),
+    ],
+)
+def test_away_integrals_sum_the_away_nodes(sp, N, ps):
+    # the away region is summed from its own nodes, never as the full
+    # integral less the boxes, which lost log10(full / away) digits (up to
+    # all of them at p = 64); tolerance fixed at 1e-14 before the run
+    quad = TorusQuadrature.for_kernel(sp, N)
+    radius = 1.0 / N
+    for tau in (0.0, 1 / 3 + 1 / (6 * N)):
+        fld = kernel_product(sp, N, tau * sp.period_seconds, quad)
+        for p in ps:
+            want = away_reference(fld, p, radius) ** (1.0 / p)
+            assert lp_norm(fld, p, Region.away(radius)) == pytest.approx(want, rel=1e-14, abs=0)
 
 
 def test_lockstep_sups_equal_one_call_per_field_and_region():
