@@ -160,10 +160,10 @@ def _spectrum(lam: int, beta, N: float, bump: Bump, nu: int | None = None) -> _S
     for i, k in enumerate(n.tolist()):
         c = math.comb(k + 2 * lam - 1, k)
         c1[i], dims[i] = c, c * (k + lam) // lam
-    spec = _Spectrum(n, cut, m / beta_f, dims, c1, None)
-    for arr in spec[:-1]:
+    arrays = (n, cut, m / beta_f, dims, c1)
+    for arr in arrays:
         arr.setflags(write=False)
-    return spec
+    return _Spectrum(*arrays, None)
 
 
 def mode_weights(
