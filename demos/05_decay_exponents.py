@@ -6,7 +6,7 @@ worst-case ratio.  A slope near zero means the envelope captures the true
 growth; the budget 0.30 absorbs epsilon and log factors at these sizes.
 """
 
-from oddsphere import ScanPlan, build_space, corner_scan, decay_scan, kappa_scan, threshold_check
+from oddsphere import build_space, corner_scan, decay_scan, kappa_scan, threshold_check
 
 S3 = build_space([3], [1])
 S5 = build_space([5], [1])
@@ -20,9 +20,9 @@ def show(tag, rep, extra=""):
 
 
 print("Arc-decay of L^p norms, full space" + "\n" + "-" * 60)
-rep = decay_scan(ScanPlan(S3, 4.0, NS, ARCS))
+rep = decay_scan(S3, 4.0, NS, ARCS)
 show("3-sphere, p=4", rep)
-rep = decay_scan(ScanPlan(build_space([3, 3], [1, 1]), 4.0, NS, ARCS, tolerance=0.35))
+rep = decay_scan(build_space([3, 3], [1, 1]), 4.0, NS, ARCS, tolerance=0.35)
 show("3-sphere x 3-sphere, p=4", rep)
 
 print("\nCorner boxes of radius 1/N (valid for every p > 0)" + "\n" + "-" * 60)

@@ -31,7 +31,6 @@ from .arcs import MajorArc, MinorArcReport, classify, denominator_sum, farey
 from .measure import Region, TorusQuadrature, lp_norm, resolution_check, sup_norm
 from .verify import (
     ScalingReport,
-    ScanPlan,
     corner_scan,
     decay_scan,
     fit_loglog,
@@ -50,6 +49,6 @@ __all__ = [
     "kernel_nu", "kernel_product",
     "MajorArc", "MinorArcReport", "classify", "denominator_sum", "farey",
     "Region", "TorusQuadrature", "lp_norm", "resolution_check", "sup_norm",
-    "ScalingReport", "ScanPlan", "corner_scan", "decay_scan", "fit_loglog",
+    "ScalingReport", "corner_scan", "decay_scan", "fit_loglog",
     "kappa_scan", "strichartz_zonal_scan", "threshold_check",
 ]

@@ -25,7 +25,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .measure import GRID_GUARD
 from .space import format_rational
 
 __all__ = [
@@ -36,6 +35,8 @@ __all__ = [
     "classify_fraction",
     "denominator_sum",
 ]
+
+FAREY_BYTES = 2**31  # the most bytes a Farey table may peak at, by its bound
 
 
 @dataclass(frozen=True)
@@ -105,13 +106,13 @@ def _farey_table(Q: int) -> tuple[np.ndarray, np.ndarray]:
     The peak holds four 8-byte arrays of the F fractions (a, q, a/q and the
     sort order), and F = sum_{q <= Q} phi(q) <= 3 Q^2/pi^2 + Q (ln Q + 3/2)
     + 1/2 (Moebius inversion): 163.1 MB traced at Q = 4095, 164.4 MB by
-    that bound.  A bound past GRID_GUARD bytes is a ValueError, raised
+    that bound.  A bound past FAREY_BYTES is a ValueError, raised
     before anything is allocated."""
     if Q < 1:
         raise ValueError(f"need Q >= 1, got {Q}")
     peak = 32 * (3 * Q * Q / math.pi**2 + Q * (math.log(Q) + 1.5) + 0.5)
-    if peak > GRID_GUARD:
-        raise ValueError(f"the Farey table of Q = {Q} needs {peak:.3g} bytes > {GRID_GUARD}")
+    if peak > FAREY_BYTES:
+        raise ValueError(f"the Farey table of Q = {Q} needs {peak:.3g} bytes > {FAREY_BYTES}")
     shared = np.less_equal.outer(np.arange(Q + 1), np.arange(Q))
     for p in range(2, Q + 1):
         if not shared[p, 0]:

@@ -118,7 +118,11 @@ def _time(text: str) -> Time:
         frac = Fraction(1)
     else:
         raise ConfigError(f"cannot parse time {text!r}")
-    return Time(float(frac), True, f"T*{format_rational(frac)}")
+    try:
+        amount = float(frac)
+    except OverflowError:
+        raise ConfigError(f"time {text!r} overflows a float") from None
+    return Time(amount, True, f"T*{format_rational(frac)}")
 
 
 @dataclass(frozen=True)
@@ -217,14 +221,10 @@ def cmd_kernel(cfg: dict) -> int:
     return 0
 
 
-def _decay_scan(space: ProductSpace, p: float, **settings) -> verify.ScalingReport:
-    return verify.decay_scan(verify.ScanPlan(space, p, **settings))
-
-
 ARC_SCAN = ("N_list", "arcs", "offsets", "bump", "oversample", "tolerance")
 # mode -> (scan, keyword of its second argument, keywords it takes)
 SCANS = {
-    "decay": (_decay_scan, "p", ARC_SCAN),
+    "decay": (verify.decay_scan, "p", ARC_SCAN),
     "corner": (verify.corner_scan, "p", ARC_SCAN),
     "kappa": (verify.kappa_scan, "nu", ARC_SCAN),
     "threshold": (verify.threshold_check, "p", ARC_SCAN),

@@ -58,6 +58,12 @@ class SphereFactor:
         beta = Fraction(self.beta)
         if beta <= 0:
             raise ValueError(f"metric coefficient must be positive, got {beta}")
+        try:  # every grid and spectrum takes beta's float image
+            image = float(beta)
+        except OverflowError:
+            raise ValueError("metric coefficient beta overflows a float") from None
+        if image == 0.0:
+            raise ValueError("metric coefficient beta underflows to 0.0 as a float")
         object.__setattr__(self, "beta", beta)
 
     @property

@@ -100,9 +100,16 @@ def fit_loglog(pairs: Sequence[tuple[float, float]]) -> tuple[float, float, floa
     return slope, intercept, float(np.sqrt(np.mean(resid**2))), stderr
 
 
-def _check_ladder(N_list: Sequence[int], tolerance: float) -> None:
+def _check_ladder(
+    space: ProductSpace, N_list: Sequence[int], bump: Bump, tolerance: float
+) -> None:
     """A scan needs three or more distinct scales N >= 1, the fewest a slope
-    fit takes, and a finite slope budget: checked before any kernel is sampled."""
+    fit takes, a finite slope budget and a degree in every factor's shell at
+    every N, else that N's norms are 0: checked before any kernel is sampled.
+
+    Only a shell with beta N^2 < lam + 1/2 can be empty: past it some degree
+    has x_n in [3/4, 2], where every cutoff is 1.  So only such shells, of at
+    most four degrees, are built here."""
     if len(set(N_list)) != len(N_list):
         raise ValueError(f"N values must be distinct, got {list(N_list)}")
     if len(N_list) < 3:
@@ -111,6 +118,14 @@ def _check_ladder(N_list: Sequence[int], tolerance: float) -> None:
         raise ValueError(f"need every N >= 1, got {min(N_list)}")
     if not math.isfinite(tolerance):
         raise ValueError(f"need a finite tolerance, got {tolerance}")
+    for N in N_list:
+        for f in space.factors:
+            small = f.beta * N * N < f.lam + Fraction(1, 2)
+            if small and not _spectrum(f.lam, f.beta, N, bump, None).n.size:
+                raise ValueError(
+                    f"N = {N}: the shell of S^{f.dim} with beta = "
+                    f"{format_rational(f.beta)} holds no degree"
+                )
 
 
 @dataclass(frozen=True)
@@ -132,7 +147,7 @@ class ScanPlan:
         object.__setattr__(self, "offsets", tuple(self.offsets))
         if not self.p > 0:
             raise ValueError(f"need p > 0, got {self.p}")
-        _check_ladder(self.N_list, self.tolerance)
+        _check_ladder(self.space, self.N_list, self.bump, self.tolerance)
         n_min = min(self.N_list)
         for i, (a, q) in enumerate(self.arcs):
             if (a, q) in self.arcs[:i]:
@@ -384,18 +399,18 @@ def _lp_target(space: ProductSpace, p: float) -> float:
     return space.d - space.d / p
 
 
-def decay_scan(plan: ScanPlan) -> ScalingReport:
+def decay_scan(space: ProductSpace, p: float, *args, **settings) -> ScalingReport:
     """Arc-decay ratio scan of regional L^p norms against N^{d - d/p}.
 
     Valid for p >= s; smaller p still runs but the report is flagged
-    exploratory.  p = inf uses the sup norm against N^d.
+    exploratory.  p = inf uses the sup norm against N^d.  Further
+    arguments (N_list, arcs, offsets, ...) are ScanPlan's.
     """
-    space = plan.space
-    target = _lp_target(space, plan.p)
-    report = _arc_scan(plan, "decay", target, lambda N: [Region.full()])
-    if plan.p < float(space.s):
+    plan = ScanPlan(space, p, *args, **settings)
+    report = _arc_scan(plan, "decay", _lp_target(space, p), lambda N: [Region.full()])
+    if p < float(space.s):
         report.warnings.append(
-            f"exploratory: p={plan.p} is below the validity floor s={format_rational(space.s)}"
+            f"exploratory: p={p} is below the validity floor s={format_rational(space.s)}"
         )
     return report
 
@@ -529,7 +544,9 @@ def strichartz_zonal_scan(
         raise ValueError(f"need 0 < p < inf, got {p}")
     if time_samples < 1:
         raise ValueError(f"need time_samples >= 1, got {time_samples}")
-    _check_ladder(N_list, tolerance)
+    if seed < 0:
+        raise ValueError(f"need seed >= 0, got {seed}")
+    _check_ladder(space, N_list, bump, tolerance)
     if space.r != 1:
         raise ValueError("random-data scans are implemented for rank-one spaces")
     f = space.factors[0]

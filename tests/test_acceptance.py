@@ -26,7 +26,6 @@ from oddsphere.kernel import (
 from oddsphere.measure import FieldSample, Region, TorusQuadrature, lp_norm
 from oddsphere.specialfn import phi_explicit, phi_matrix, phi_series
 from oddsphere.verify import (
-    ScanPlan,
     corner_scan,
     decay_scan,
     fit_loglog,
@@ -173,8 +172,8 @@ def test_criterion_03_parseval():
 
 def test_criterion_04_kernel_decay_exponent():
     t0 = time.perf_counter()
-    rep3 = decay_scan(ScanPlan(S3, 4.0, N_LADDER, ARCS, tolerance=0.30))
-    rep33 = decay_scan(ScanPlan(S3S3, 4.0, N_LADDER, ARCS, tolerance=0.35))
+    rep3 = decay_scan(S3, 4.0, N_LADDER, ARCS, tolerance=0.30)
+    rep33 = decay_scan(S3S3, 4.0, N_LADDER, ARCS, tolerance=0.35)
     elapsed = time.perf_counter() - t0
     ok = rep3.passed and rep33.passed
     report(

@@ -222,6 +222,25 @@ def test_non_finite_time_is_a_usage_error(bad, tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["kernel", "--t", "T*1e400"], "t: time 'T*1e400' overflows a float"),
+        (["kernel", "--betas", "1e400"], "beta overflows a float"),
+        (["kernel", "--betas", "1e-400"], "beta underflows to 0.0 as a float"),
+        (["scan", "--mode", "decay", "--p", 4, "--nlist", "16,32,64", "--betas", "1e400"],
+         "beta overflows a float"),
+        (["scan", "--mode", "kappa", "--nu", 0, "--nlist", "16,32,64", "--betas", "1e-400"],
+         "beta underflows to 0.0 as a float"),
+    ],
+    ids=["time", "kernel-beta-over", "kernel-beta-under", "decay-beta-over", "kappa-beta-under"],
+)
+def test_a_rational_without_a_float_image_is_a_usage_error(args, message, tmp_path, capsys):
+    assert run([args[0], "--dims", 3, *args[1:], "--out", tmp_path / "x"]) == 2
+    assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_scan_decay_exit_codes_and_determinism(tmp_path):
     base = tmp_path / "scan"
     args = [
@@ -264,6 +283,8 @@ def test_scan_modes_validate(tmp_path, capsys):
     assert "got -2.0" in capsys.readouterr().err
     assert run(strichartz + ["--p", 8, "--time-samples", 0]) == 2
     assert "time_samples" in capsys.readouterr().err
+    assert run(strichartz + ["--p", 8, "--seed", -1]) == 2
+    assert "need seed >= 0, got -1" in capsys.readouterr().err
     for mode in ("decay", "strichartz"):
         scan = ["scan", "--dims", "3", "--mode", mode, "--p", 4, "--trials", 2,
                 "--out", tmp_path / mode]
@@ -274,6 +295,10 @@ def test_scan_modes_validate(tmp_path, capsys):
         assert "N >= 1" in capsys.readouterr().err
         assert run(scan + ["--nlist", "16,32"]) == 2
         assert "at least 3 scales" in capsys.readouterr().err
+        # no degree of S^3 lies in the shell of N = 16 at beta = 1/1000
+        assert run(scan + ["--nlist", "16,32,64", "--betas", "1/1000"]) == 2
+        err = capsys.readouterr().err
+        assert "N = 16: the shell of S^3 with beta = 1/1000 holds no degree" in err
     # an oversample below the aliasing floor is a usage error, not a verdict
     assert run(
         ["scan", "--dims", "3", "--mode", "corner", "--p", 4, "--oversample", 1,
@@ -388,7 +413,7 @@ def test_scan_grid_follows_beta(tmp_path):
 @pytest.mark.parametrize(
     "mode, library_scan",
     [
-        ("decay", lambda sp: verify.decay_scan(verify.ScanPlan(sp, 4.0))),
+        ("decay", lambda sp: verify.decay_scan(sp, 4.0)),
         ("strichartz", lambda sp: verify.strichartz_zonal_scan(sp, 4.0)),
     ],
     ids=["decay", "strichartz"],

@@ -40,6 +40,11 @@ def test_build_space_rejects_bad_betas():
         build_space([3], [Fraction(-1, 2)])
     with pytest.raises(ValueError):
         build_space([3, 3], [1])  # length mismatch
+    # every grid and spectrum takes beta's float image
+    with pytest.raises(ValueError, match="beta overflows a float"):
+        build_space([3], ["1e400"])
+    with pytest.raises(ValueError, match="beta underflows to 0.0 as a float"):
+        build_space([3, 5], ["1", "1e-400"])
 
 
 def test_eigenvalue_examples():

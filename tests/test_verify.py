@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from oddsphere import measure, space, verify
-from oddsphere.kernel import Bump, kernel_1d, kernel_product, mode_weights
+from oddsphere.kernel import Bump, _spectrum, kernel_1d, kernel_product, mode_weights
 from oddsphere.measure import Region, TorusQuadrature, density_normalizer
 from oddsphere.specialfn import phi_matrix
 from oddsphere.verify import (
@@ -111,8 +111,7 @@ def test_scan_plan_validation():
 
 
 def test_decay_scan_record_structure():
-    plan = ScanPlan(S3, 4.0, SMALL_NS, SMALL_ARCS)
-    report = decay_scan(plan)
+    report = decay_scan(S3, 4.0, SMALL_NS, SMALL_ARCS)
     assert report.mode == "decay"
     assert report.target_exponent == pytest.approx(3 - 3 / 4)
     assert len(report.records) == len(SMALL_NS) * len(SMALL_ARCS) * 3
@@ -129,15 +128,13 @@ def test_decay_scan_record_structure():
 
 
 def test_decay_scan_flags_p_below_s():
-    plan = ScanPlan(S3, 2.0, SMALL_NS, SMALL_ARCS)
-    report = decay_scan(plan)
+    report = decay_scan(S3, 2.0, SMALL_NS, SMALL_ARCS)
     assert any("below the validity floor" in w for w in report.warnings)
 
 
 def test_decay_scan_sup_mode():
     # at t = 0 the kernel focuses at the identity with height ~ N^d
-    plan = ScanPlan(S3, math.inf, (16, 32, 64, 128), ((0, 1),), offsets=(Fraction(0),))
-    report = decay_scan(plan)
+    report = decay_scan(S3, math.inf, (16, 32, 64, 128), ((0, 1),), offsets=(Fraction(0),))
     assert report.target_exponent == 3.0
     raw = [(n, v * n**3.0) for n, v in report.worst_per_N]
     slope = fit_loglog(raw)[0]
@@ -229,7 +226,7 @@ def test_sups_that_read_the_grid_check_the_aliasing_floor():
     with pytest.raises(measure.QuadratureError, match="under-resolves"):
         threshold_check(S3, math.inf, (16, 32, 64), oversample=1)
     with pytest.raises(measure.QuadratureError, match="under-resolves"):
-        decay_scan(ScanPlan(S3, math.inf, (16, 32, 64), oversample=1))
+        decay_scan(S3, math.inf, (16, 32, 64), oversample=1)
     with pytest.raises(measure.QuadratureError, match="under-resolves"):
         kappa_scan(S3, 0, (16, 32, 64), oversample=1)
     with pytest.raises(measure.QuadratureError, match="under-resolves"):
@@ -500,8 +497,7 @@ def test_strichartz_record_does_not_depend_on_the_ladder():
 
 
 def test_report_serialization(tmp_path):
-    plan = ScanPlan(S3, 4.0, SMALL_NS, ((0, 1),), offsets=(Fraction(0), Fraction(1, 2)))
-    report = decay_scan(plan)
+    report = decay_scan(S3, 4.0, SMALL_NS, ((0, 1),), offsets=(Fraction(0), Fraction(1, 2)))
     json_path = tmp_path / "report.json"
     csv_path = tmp_path / "report.csv"
     write_report(report, json_path, csv_path)
@@ -536,12 +532,12 @@ def test_reports_record_each_grid_and_its_rule(tmp_path):
         ]
 
     for p in (2.0, 4.0):
-        assert_grids(decay_scan(ScanPlan(sp, p, SMALL_NS, SMALL_ARCS)), sp, p, "degree-exact")
+        assert_grids(decay_scan(sp, p, SMALL_NS, SMALL_ARCS), sp, p, "degree-exact")
     report = strichartz_zonal_scan(S3, 8.0, SMALL_NS, trials=1, time_samples=4)
     assert_grids(report, S3, 8.0, "degree-exact")
     for scan_space, report in (
-        (sp, decay_scan(ScanPlan(sp, 3.0, SMALL_NS, SMALL_ARCS))),
-        (sp, decay_scan(ScanPlan(sp, math.inf, SMALL_NS, SMALL_ARCS))),
+        (sp, decay_scan(sp, 3.0, SMALL_NS, SMALL_ARCS)),
+        (sp, decay_scan(sp, math.inf, SMALL_NS, SMALL_ARCS)),
         (sp, corner_scan(sp, 4.0, SMALL_NS, SMALL_ARCS)),
         (S3, threshold_check(S3, 4.0, SMALL_NS, SMALL_ARCS)),
         (S5, kappa_scan(S5, 1, SMALL_NS, SMALL_ARCS)),
@@ -560,7 +556,7 @@ def test_grids_do_not_depend_on_the_cutoff_shape():
     grids = {}
     for kind in ("smooth", "sharp"):
         bump = Bump(kind)
-        decay = decay_scan(ScanPlan(sp, 4.0, SMALL_NS, SMALL_ARCS, bump=bump))
+        decay = decay_scan(sp, 4.0, SMALL_NS, SMALL_ARCS, bump=bump)
         spacetime = strichartz_zonal_scan(S3, 8.0, SMALL_NS, trials=1, time_samples=4, bump=bump)
         grids[kind] = (decay.params["grids"], spacetime.params["grids"])
     assert grids["smooth"] == grids["sharp"]
@@ -610,7 +606,7 @@ def test_lockstep_corner_sups_equal_single_calls(sp):
 
 def test_lockstep_decay_and_away_sups_equal_single_calls():
     plan = ScanPlan(S3S3, math.inf, SMALL_NS, SMALL_ARCS)
-    report = decay_scan(plan)
+    report = decay_scan(S3S3, math.inf, SMALL_NS, SMALL_ARCS)
     _assert_norms_match_single_calls(report, plan, lambda N: [Region.full()], _kernel_at(S3S3))
     plan = ScanPlan(S3, math.inf, (16, 32, 64, 128))
     report = threshold_check(S3, math.inf, plan.N_list)
@@ -665,7 +661,49 @@ def test_short_ladders_fail_before_any_kernel(monkeypatch, N_list):
     monkeypatch.setattr(verify, "kernel_product", lambda *args: sampled.append(args))
     monkeypatch.setattr(verify, "phi_matrix", lambda *args: sampled.append(args))
     with pytest.raises(ValueError, match="distinct|at least 3"):
-        decay_scan(ScanPlan(S3, 4.0, N_list))
+        decay_scan(S3, 4.0, N_list)
     with pytest.raises(ValueError, match="distinct|at least 3"):
         strichartz_zonal_scan(S3, 8.0, N_list, trials=1, time_samples=4)
     assert sampled == []
+
+
+def test_empty_shells_fail_before_any_kernel(monkeypatch):
+    # at beta N^2 = 3/4 the one degree of S^3 near the shell has x_1 = 4,
+    # the window's top edge, where the smooth cutoff is 0
+    sampled = []
+    monkeypatch.setattr(verify, "kernel_product", lambda *args: sampled.append(args))
+    monkeypatch.setattr(verify, "phi_matrix", lambda *args: sampled.append(args))
+    edge = space.build_space([3], [Fraction(3, 1024)])
+    product = space.build_space([3, 5], [Fraction(3, 1024), 1])
+    message = "N = 16: the shell of S^3 with beta = 3/1024 holds no degree"
+    for scan in (  # the empty scale may come last: it is still refused first
+        lambda: decay_scan(product, 4.0, (64, 32, 16)),
+        lambda: corner_scan(product, 4.0, (16, 32, 64)),
+        lambda: threshold_check(edge, 4.0, (16, 32, 64)),
+        lambda: kappa_scan(edge, 0, (16, 32, 64)),
+        lambda: strichartz_zonal_scan(edge, 8.0, (16, 32, 64), trials=1, time_samples=4),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            scan()
+    assert sampled == []
+
+
+def test_scans_refuse_exactly_the_empty_shells():
+    # only shells with beta N^2 < lam + 1/2 are built by the check; a scale
+    # is refused exactly when the spectrum a kernel of it would sum is empty
+    refused = 0
+    for dim in (3, 5, 9):
+        for beta in (Fraction(1, 997), Fraction(3, 1024), Fraction(1, 40), Fraction(2, 3)):
+            sp = space.build_space([dim], [beta])
+            f = sp.factors[0]
+            for bump in (Bump(), Bump("sharp")):
+                for N in range(1, 40):
+                    empty = _spectrum(f.lam, beta, N, bump, None).n.size == 0
+                    try:
+                        verify._check_ladder(sp, (N, 2 * N, 4 * N), bump, 0.3)
+                    except ValueError as exc:
+                        assert empty and f"N = {N}: the shell" in str(exc)
+                        refused += 1
+                    else:
+                        assert not empty
+    assert refused > 0
