@@ -98,7 +98,12 @@ class Time:
     label: str
 
     def seconds(self, space: ProductSpace) -> float:
-        return self.amount * space.period_seconds if self.per_period else self.amount
+        seconds = self.amount * space.period_seconds if self.per_period else self.amount
+        if not math.isfinite(seconds):  # plain seconds are finite when parsed
+            raise ConfigError(
+                f"t: {self.amount:g} periods of {space.period_seconds:g} s overflow a float"
+            )
+        return seconds
 
 
 def _time(text: str) -> Time:

@@ -399,14 +399,16 @@ def _lp_target(space: ProductSpace, p: float) -> float:
     return space.d - space.d / p
 
 
-def decay_scan(space: ProductSpace, p: float, *args, **settings) -> ScalingReport:
+def decay_scan(space: ProductSpace, p: float | None = None, *args, **settings) -> ScalingReport:
     """Arc-decay ratio scan of regional L^p norms against N^{d - d/p}.
 
     Valid for p >= s; smaller p still runs but the report is flagged
     exploratory.  p = inf uses the sup norm against N^d.  Further
-    arguments (N_list, arcs, offsets, ...) are ScanPlan's.
+    arguments (N_list, arcs, offsets, ...) are ScanPlan's; a built ScanPlan
+    in place of them all, as bench/selftest.py passes, is taken as it is.
     """
-    plan = ScanPlan(space, p, *args, **settings)
+    plan = space if isinstance(space, ScanPlan) else ScanPlan(space, p, *args, **settings)
+    space, p = plan.space, plan.p
     report = _arc_scan(plan, "decay", _lp_target(space, p), lambda N: [Region.full()])
     if p < float(space.s):
         report.warnings.append(

@@ -215,17 +215,26 @@ def test_a_norm_that_overflows_is_a_usage_error(args, where, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
-def test_non_finite_time_is_a_usage_error(bad, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        ("inf", "t: time must be finite"),
+        ("-inf", "t: time must be finite"),
+        ("nan", "t: time must be finite"),
+        ("T*1e400", "t: time 'T*1e400' overflows a float"),
+        ("T*1e308", "t: 1e+308 periods of 6.28319 s overflow a float"),
+    ],
+    ids=["inf", "-inf", "nan", "T-over", "T-seconds-over"],
+)
+def test_non_finite_time_is_a_usage_error(bad, message, tmp_path, capsys):
     assert run(["kernel", "--dims", "3", f"--t={bad}", "--out", tmp_path / "x"]) == 2
-    assert "t: time must be finite" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(
     "args,message",
     [
-        (["kernel", "--t", "T*1e400"], "t: time 'T*1e400' overflows a float"),
         (["kernel", "--betas", "1e400"], "beta overflows a float"),
         (["kernel", "--betas", "1e-400"], "beta underflows to 0.0 as a float"),
         (["scan", "--mode", "decay", "--p", 4, "--nlist", "16,32,64", "--betas", "1e400"],
@@ -233,7 +242,7 @@ def test_non_finite_time_is_a_usage_error(bad, tmp_path, capsys):
         (["scan", "--mode", "kappa", "--nu", 0, "--nlist", "16,32,64", "--betas", "1e-400"],
          "beta underflows to 0.0 as a float"),
     ],
-    ids=["time", "kernel-beta-over", "kernel-beta-under", "decay-beta-over", "kappa-beta-under"],
+    ids=["kernel-beta-over", "kernel-beta-under", "decay-beta-over", "kappa-beta-under"],
 )
 def test_a_rational_without_a_float_image_is_a_usage_error(args, message, tmp_path, capsys):
     assert run([args[0], "--dims", 3, *args[1:], "--out", tmp_path / "x"]) == 2

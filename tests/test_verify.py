@@ -125,6 +125,8 @@ def test_decay_scan_record_structure():
     # worst-per-N is genuinely the max over that N's records
     for N, worst in report.worst_per_N:
         assert worst == pytest.approx(max(r.ratio for r in report.records if r.N == N))
+    # a built plan, as bench/selftest.py passes, scans the same records
+    assert decay_scan(ScanPlan(S3, 4.0, SMALL_NS, SMALL_ARCS)).records == report.records
 
 
 def test_decay_scan_flags_p_below_s():
