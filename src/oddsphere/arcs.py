@@ -15,10 +15,14 @@ The denominator sum
 
 is the quantity controlling squared Weyl sums after differencing.  No scan
 calls it; demos/04_major_arcs.py tabulates it at arc centres against q.
+
+write_listing writes the major arcs of one N as the JSON file of
+`oddsphere arcs`, the text of their MajorArc.to_json entries.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,9 +38,11 @@ __all__ = [
     "classify",
     "classify_fraction",
     "denominator_sum",
+    "write_listing",
 ]
 
 FAREY_BYTES = 2**31  # the most bytes a Farey table may peak at, by its bound
+ARC_CHUNK = 2048  # listing entries per join: about 0.3 MB of text at N = 512
 
 
 @dataclass(frozen=True)
@@ -129,6 +135,45 @@ def farey(Q: int) -> list[tuple[int, int]]:
     pairs of _farey_table(Q), the table the arcs listing writes from."""
     a, q = _farey_table(Q)
     return list(zip(a.tolist(), q.tolist()))
+
+
+def write_listing(N: float, Q: int, path) -> int:
+    """Write the listing of the major arcs a/q, q <= Q < N, at scale N to
+    path and return their count: the text json.dump(indent=2, sort_keys=True)
+    writes for their MajorArc.to_json entries (indent= forces the pure-Python
+    encoder).  The table is built first, so a refused Q leaves no file.
+
+    An entry's text is a segment set by a, led by the head all entries share,
+    and a tail set by q, each formatted once per listing; a chunk of entries
+    is two gathers into [seg, tail] slots and one join.  With N = n/m and
+    g = gcd(m, q) the half-width 1/(qN) is (m/g) / ((q/g) n), in Python
+    ints, exact where (q/g) n passes 2^63.
+    """
+    if not N > 1:
+        raise ValueError(f"need N > 1, got {N}")
+    if not Q < N:
+        raise ValueError(f"arc denominators must stay below N: Q={Q}, N={N}")
+    a, q = _farey_table(Q)
+    n, m = Fraction(N).as_integer_ratio()
+    head = f',\n    {{\n      "N": {json.dumps(N)},\n      "a": '
+    seg = np.array([f'{head}{k},\n      "center": "{k}' for k in range(Q)], dtype=object)
+    tail = np.array([
+        f'/{k}",\n      "distance": null,\n      "halfwidth": "{m // g}/{k // g * n}",\n'
+        f'      "q": {k}\n    }}'
+        for k, g in ((k, math.gcd(m, k)) for k in range(Q + 1))
+    ], dtype=object)
+    rows = np.empty(2 * ARC_CHUNK, dtype=object)
+    with open(path, "w") as fh:
+        fh.write(f'{{\n  "N": {json.dumps(N)},\n  "Q": {Q},\n  "arcs": [\n')
+        fh.write(seg[0][2:] + tail[1][2:])  # 0/1: centre "0", no "/1"
+        for start in range(1, a.size, ARC_CHUNK):
+            chunk = slice(start, start + ARC_CHUNK)
+            stop = 2 * min(ARC_CHUNK, a.size - start)
+            rows[:stop:2] = seg[a[chunk]]
+            rows[1:stop:2] = tail[q[chunk]]
+            fh.write("".join(rows[:stop].tolist()))
+        fh.write('\n  ],\n  "schema": 1\n}\n')
+    return a.size
 
 
 def _exact(x, name: str) -> Fraction:

@@ -4,7 +4,7 @@ Commands:
 
     oddsphere kernel     write a sampled kernel (CSV + JSON header)
     oddsphere scan       run a scaling scan; exit 0 iff its verdict is pass
-    oddsphere arcs       enumerate major-arc geometry as JSON
+    oddsphere arcs       enumerate major-arc geometry as JSON (arcs.write_listing)
     oddsphere space-info print exact space invariants (d, r, s, p0, T)
 
 Every setting is one entry of KEYS: the parser of its text and the library
@@ -32,10 +32,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
 from . import verify
-from .arcs import _farey_table
+from .arcs import write_listing
 from .kernel import Bump, kernel_product, write_field
 from .measure import QuadratureError, TorusQuadrature
 from .space import ProductSpace, build_space, format_rational
@@ -265,56 +263,15 @@ def cmd_scan(cfg: dict) -> int:
     return 0 if report.passed else 1
 
 
-ARC_CHUNK = 2048  # listing entries per join: about 0.3 MB of text at N = 512
-
-
-def _arc_entries(N: float, a: np.ndarray, q: np.ndarray):
-    """Yield the listing text of the Farey table (a, q), which starts at 0/1:
-    the text json.dump(indent=2, sort_keys=True) writes for the
-    MajorArc.to_json entries (indent= forces the pure-Python encoder).
-
-    An entry's text is a shared head, a segment set by a and a tail set by
-    q, each formatted once per listing; a chunk of entries is two gathers
-    into an object array of [head, seg, tail] slots and one join.  With
-    N = n/m and g = gcd(m, q) the half-width 1/(qN) is (m/g) / ((q/g) n),
-    in Python ints, exact where (q/g) n passes 2^63.
-    """
-    n, m = Fraction(N).as_integer_ratio()
-    Q = int(q.max())
-    head = f',\n    {{\n      "N": {json.dumps(N)},\n      "a": '
-    seg = np.array([f'{k},\n      "center": "{k}' for k in range(Q)], dtype=object)
-    tail = np.array([
-        f'/{k}",\n      "distance": null,\n      "halfwidth": "{m // g}/{k // g * n}",\n'
-        f'      "q": {k}\n    }}'
-        for k, g in ((k, math.gcd(m, k)) for k in range(Q + 1))
-    ], dtype=object)
-    yield head[2:] + seg[0] + tail[1][2:]  # 0/1: centre "0", no "/1"
-    rows = np.full(3 * ARC_CHUNK, head, dtype=object)
-    for start in range(1, a.size, ARC_CHUNK):
-        chunk = slice(start, start + ARC_CHUNK)
-        stop = 3 * min(ARC_CHUNK, a.size - start)
-        rows[1:stop:3] = seg[a[chunk]]
-        rows[2:stop:3] = tail[q[chunk]]
-        yield "".join(rows[:stop].tolist())
-
-
 def cmd_arcs(cfg: dict) -> int:
     N = cfg.get("N", DEFAULT_N)
-    if not N > 1:
-        raise ConfigError(f"need N > 1, got {N}")
     Q = cfg.get("Q", math.ceil(N) - 1)
-    if not Q < N:
-        raise ConfigError(f"arc denominators must stay below N: Q={Q}, N={N}")
+    path = cfg.get("out", Path("arcs")).with_suffix(".json")
     try:
-        a, q = _farey_table(Q)
+        count = write_listing(N, Q, path)
     except ValueError as exc:
         raise ConfigError(f"arcs at N = {N}: {exc}") from None
-    path = cfg.get("out", Path("arcs")).with_suffix(".json")
-    with open(path, "w") as fh:
-        fh.write(f'{{\n  "N": {json.dumps(N)},\n  "Q": {Q},\n  "arcs": [\n')
-        fh.writelines(_arc_entries(N, a, q))
-        fh.write('\n  ],\n  "schema": 1\n}\n')
-    print(f"{a.size} arcs with q <= {Q} at N={N}: wrote {path}")
+    print(f"{count} arcs with q <= {Q} at N={N}: wrote {path}")
     return 0
 
 

@@ -61,7 +61,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .measure import TorusQuadrature
-from .space import SHELL_WINDOW, ProductSpace, harmonic_dim, top_degree
+from .space import SHELL_WINDOW, ProductSpace, format_rational, harmonic_dim, top_degree
 from .specialfn import (
     DEFAULT_GUARD,
     CornerGuardError,
@@ -140,12 +140,13 @@ class _Spectrum(NamedTuple):
 def _spectrum(lam: int, beta, N: float, bump: Bump, nu: int | None = None) -> _Spectrum:
     """One read-only _Spectrum per factor, scale, cutoff and nu: it has no
     time in it.  With nu, the kernel's spectrum with d_n C_{n,nu} in place
-    of d_n: the mode weights of the numerator sum kappa^(nu)."""
+    of d_n: the mode weights of the numerator sum kappa^(nu).  A shell
+    that keeps no degree is a ValueError, so no field is all zeros."""
     if nu is not None:
         if not 0 <= nu <= lam - 1:
             raise ValueError(f"need 0 <= nu <= lam-1 = {lam - 1}, got {nu}")
         spec = _spectrum(lam, beta, N, bump, None)
-        dims = spec.dims * get_coeffs(lam, int(spec.n.max(initial=0)))[spec.n, nu]
+        dims = spec.dims * get_coeffs(lam, int(spec.n.max()))[spec.n, nu]
         dims.setflags(write=False)
         return spec._replace(dims=dims, nu=nu)
     beta_f = float(beta)
@@ -154,6 +155,9 @@ def _spectrum(lam: int, beta, N: float, bump: Bump, nu: int | None = None) -> _S
     m = n * (n + 2 * lam)
     cut = bump(m / bN2)
     keep = cut > 0.0
+    if not keep.any():
+        shell = f"the shell of S^{2 * lam + 1} with beta = {format_rational(beta)}"
+        raise ValueError(f"N = {N:g}: {shell} holds no degree")
     n, m, cut = n[keep], m[keep], cut[keep]
     # d_n = C_n^lam(1) (n + lam) / lam: both from one exact integer
     c1, dims = np.empty(n.size), np.empty(n.size)
@@ -256,8 +260,7 @@ def _cosine_coeffs(lam: int, n: np.ndarray, w: np.ndarray, c1: np.ndarray) -> np
     f-independent a[i, c], so the absolute error stays of the order of
     eps * sum_n |w_n|, the bound of the grid route.
     """
-    nmax = int(n.max(initial=0))
-    size = nmax + 1
+    size = int(n.max()) + 1
     v = np.zeros(size + size % 2, dtype=complex)
     v[n] = w / c1
     tail = v.reshape(-1, 2)  # row j holds v_{2j} and v_{2j+1}, one column per chain
@@ -298,7 +301,7 @@ def _kernel_values(lam: int, spec: _Spectrum, theta, t) -> np.ndarray:
     theta, nu = np.asarray(theta, dtype=float), spec.nu
     times, columns = np.unique(np.broadcast_to(t, theta.shape), return_inverse=True)
     shift = 0 if nu is None else lam - nu  # degree n sits at row n + shift
-    w = np.zeros((int(spec.n.max(initial=0)) + shift + 1, times.size), dtype=complex)
+    w = np.zeros((int(spec.n.max()) + shift + 1, times.size), dtype=complex)
     w[spec.n + shift] = np.stack([spec.weights(float(s)) for s in times], axis=1)
     theta1, columns = np.atleast_1d(theta), np.atleast_1d(columns)
     if nu is None:

@@ -120,7 +120,12 @@ class ProductSpace:
     @property
     def period_seconds(self) -> float:
         """Flow period T in the same units as the time argument t."""
-        return 2.0 * math.pi * float(self.period)
+        try:
+            return 2.0 * math.pi * float(self.period)
+        except OverflowError:
+            raise ValueError(
+                "the flow period T / (2 pi), the lcm of the betas' numerators, overflows a float"
+            ) from None
 
     @property
     def dims(self) -> tuple[int, ...]:

@@ -16,8 +16,8 @@ import pytest
 
 import oddsphere
 from oddsphere import verify
-from oddsphere.arcs import MajorArc, farey
-from oddsphere.cli import SCANS, _arc_entries, main
+from oddsphere.arcs import MajorArc, farey, write_listing
+from oddsphere.cli import SCANS, main
 from oddsphere.space import build_space, format_rational
 
 
@@ -125,13 +125,16 @@ def test_arcs_command_writes_the_json_dump_of_each_major_arc(flags, tmp_path):
     assert (tmp_path / "arcs.json").read_bytes() == want.encode()
 
 
-def test_arc_halfwidths_are_exact_past_int64():
-    # N = 1500.3 = n/m with n near 6.6e15, so (q/g) n passes 2^63 for q >= 1024
+def test_arc_halfwidths_are_exact_past_int64(tmp_path, monkeypatch):
+    # N = 1500.3 = n/m with n near 6.6e15, so (q/g) n passes 2^63 for q >= 1024;
+    # the listing is written from these entries in place of the Farey table
     N = 1500.3
     n, m = Fraction(N).as_integer_ratio()
     q = np.repeat(np.arange(1024, 1501), 2)
     a = np.where(np.arange(q.size) % 2 == 0, 1, q - 1)
-    arcs = json.loads("[" + "".join(_arc_entries(N, np.r_[0, a], np.r_[1, q])) + "]")[1:]
+    monkeypatch.setattr("oddsphere.arcs._farey_table", lambda Q: (np.r_[0, a], np.r_[1, q]))
+    assert write_listing(N, 1500, tmp_path / "arcs.json") == q.size + 1
+    arcs = json.loads((tmp_path / "arcs.json").read_text())["arcs"][1:]
     assert len(arcs) == q.size
     assert max(k // math.gcd(m, k) * n for k in q.tolist()) > 2**63
     for arc, aa, qq in zip(arcs, a.tolist(), q.tolist()):
@@ -232,22 +235,36 @@ def test_non_finite_time_is_a_usage_error(bad, message, tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+# betas near 1 whose numerators' lcm, the period T / (2 pi), is near 10^400
+HUGE_PERIOD = ["--dims", "3,3", "--betas", f"{10**200 + 1}/{10**200},{10**200 + 3}/{10**200}"]
+
+
 @pytest.mark.parametrize(
     "args,message",
     [
-        (["kernel", "--betas", "1e400"], "beta overflows a float"),
-        (["kernel", "--betas", "1e-400"], "beta underflows to 0.0 as a float"),
-        (["scan", "--mode", "decay", "--p", 4, "--nlist", "16,32,64", "--betas", "1e400"],
-         "beta overflows a float"),
-        (["scan", "--mode", "kappa", "--nu", 0, "--nlist", "16,32,64", "--betas", "1e-400"],
-         "beta underflows to 0.0 as a float"),
+        (["kernel", "--dims", 3, "--betas", "1e400"], "beta overflows a float"),
+        (["kernel", "--dims", 3, "--betas", "1e-400"], "beta underflows to 0.0 as a float"),
+        (["scan", "--dims", 3, "--mode", "decay", "--p", 4, "--nlist", "16,32,64",
+          "--betas", "1e400"], "beta overflows a float"),
+        (["scan", "--dims", 3, "--mode", "kappa", "--nu", 0, "--nlist", "16,32,64",
+          "--betas", "1e-400"], "beta underflows to 0.0 as a float"),
+        (["kernel", *HUGE_PERIOD, "--n", 16, "--t", "T/3"], "flow period"),
+        (["scan", *HUGE_PERIOD, "--mode", "corner", "--p", 4, "--nlist", "16,32,64"],
+         "flow period"),
     ],
-    ids=["kernel-beta-over", "kernel-beta-under", "decay-beta-over", "kappa-beta-under"],
+    ids=["kernel-beta-over", "kernel-beta-under", "decay-beta-over", "kappa-beta-under",
+         "kernel-period-over", "corner-period-over"],
 )
 def test_a_rational_without_a_float_image_is_a_usage_error(args, message, tmp_path, capsys):
-    assert run([args[0], "--dims", 3, *args[1:], "--out", tmp_path / "x"]) == 2
+    assert run([*args, "--out", tmp_path / "x"]) == 2
     assert message in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+    # the exact period still prints, and plain seconds need no float period
+    if "flow period" in message:
+        assert run(["space-info", *HUGE_PERIOD]) == 0
+        assert f"{(10**200 + 1) * (10**200 + 3)}" in capsys.readouterr().out
+        assert run(["kernel", *HUGE_PERIOD, "--n", 16, "--t", "0.5",
+                    "--out", tmp_path / "x"]) == 0
 
 
 def test_scan_decay_exit_codes_and_determinism(tmp_path):
@@ -394,20 +411,26 @@ def test_config_file_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args,message",
     [
-        ["kernel", "--dims", "3", "--betas", "1/0"],
-        ["kernel", "--dims", "3", "--t", "T/0"],
-        ["scan", "--dims", "3", "--mode", "decay", "--p", 4, "--offsets", "1/0"],
-        ["space-info", "--config", "{tmp}/missing.cfg"],
-        ["kernel", "--dims", "3", "--n", 8, "--out", "{tmp}/missing/field"],
+        (["kernel", "--dims", "3", "--betas", "1/0"], "zero denominator"),
+        (["kernel", "--dims", "3", "--t", "T/0"], "zero denominator"),
+        (["scan", "--dims", "3", "--mode", "decay", "--p", 4, "--offsets", "1/0"],
+         "zero denominator"),
+        (["space-info", "--config", "{tmp}/missing.cfg"], "missing.cfg"),
+        (["kernel", "--dims", "3", "--n", 8, "--out", "{tmp}/missing/field"], "missing/field"),
+        # no degree of S^3 lies in the shell of N = 16 at beta = 1/1000
+        (["kernel", "--dims", "3", "--n", 16, "--betas", "1/1000", "--out", "{tmp}/x"],
+         "N = 16: the shell of S^3 with beta = 1/1000 holds no degree"),
     ],
-    ids=["betas", "time", "offsets", "config", "out"],
+    ids=["betas", "time", "offsets", "config", "out", "empty-shell"],
 )
-def test_usage_errors_exit_2(args, tmp_path, capsys):
+def test_usage_errors_exit_2(args, message, tmp_path, capsys):
     args = [str(a).format(tmp=tmp_path) for a in args]
     assert run(args) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and message in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_scan_grid_follows_beta(tmp_path):

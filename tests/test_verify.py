@@ -691,8 +691,8 @@ def test_empty_shells_fail_before_any_kernel(monkeypatch):
 
 
 def test_scans_refuse_exactly_the_empty_shells():
-    # only shells with beta N^2 < lam + 1/2 are built by the check; a scale
-    # is refused exactly when the spectrum a kernel of it would sum is empty
+    # a scale is refused, by the scans and by _spectrum alike, exactly when
+    # the cutoff vanishes at every degree up to top_degree
     refused = 0
     for dim in (3, 5, 9):
         for beta in (Fraction(1, 997), Fraction(3, 1024), Fraction(1, 40), Fraction(2, 3)):
@@ -700,12 +700,20 @@ def test_scans_refuse_exactly_the_empty_shells():
             f = sp.factors[0]
             for bump in (Bump(), Bump("sharp")):
                 for N in range(1, 40):
-                    empty = _spectrum(f.lam, beta, N, bump, None).n.size == 0
-                    try:
-                        verify._check_ladder(sp, (N, 2 * N, 4 * N), bump, 0.3)
-                    except ValueError as exc:
-                        assert empty and f"N = {N}: the shell" in str(exc)
-                        refused += 1
-                    else:
-                        assert not empty
+                    n = np.arange(space.top_degree(f.lam, beta, N) + 1)
+                    empty = not np.any(bump(n * (n + 2 * f.lam) / (float(beta) * N * N)) > 0)
+                    message = (
+                        f"N = {N}: the shell of S^{dim} with beta = "
+                        f"{space.format_rational(beta)} holds no degree"
+                    )
+                    for build in (
+                        lambda: verify._check_ladder(sp, (N, 2 * N, 4 * N), bump, 0.3),
+                        lambda: _spectrum(f.lam, beta, N, bump, None),
+                    ):
+                        if empty:
+                            with pytest.raises(ValueError, match=re.escape(message)):
+                                build()
+                        else:
+                            build()
+                    refused += empty
     assert refused > 0
