@@ -220,7 +220,9 @@ def _chain_weights(lam: int) -> np.ndarray:
     Both sides are polynomials in k of degree at most 2 lam - 2, and
     nabla binom(k + c, c) = binom(k + c - 1, c - 1) vanishes at k = -1 for
     c >= 1, so a[i, c] is the backward difference (nabla^c h_i)(-1) of the
-    left side h_i.  The integers are small, hence exact as floats.
+    left side h_i.  Up to lam = 23 every integer is below 2^53 (the largest
+    is 1.66e15), hence exact as a float.  At lam = 24 one, 9.25e15, passes
+    2^53 but is still a float; from lam = 25 on some of them round.
     """
 
     def h(i: int, k: int) -> int:

@@ -33,13 +33,14 @@ all pieces of all fields of a scale (sup_norm).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from math import comb
 from typing import Callable
 
 import numpy as np
 
+from .arcs import FAREY_BYTES
 from .space import ProductSpace, top_degree
 
 __all__ = [
@@ -56,7 +57,8 @@ __all__ = [
 
 DEFAULT_OVERSAMPLE = 16  # grid nodes per unit of kernel bandwidth
 RESOLUTION_TOL = 1e-5
-GRID_GUARD = 2**31  # largest oversampled nominal size per factor
+GRID_NODE_BYTES = 48  # sampling peak per grid node: 43-47 traced (S^3, S^11, N <= 16384)
+CHAIN_BYTES = 96  # per lam and unit of bandwidth, in _cosine_coeffs: 80 traced (lam <= 23)
 
 
 class QuadratureError(RuntimeError):
@@ -142,6 +144,7 @@ class TorusQuadrature:
 
     space: ProductSpace
     sizes: tuple[int, ...]
+    rules: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
         if len(self.sizes) != self.space.r:
@@ -170,28 +173,36 @@ class TorusQuadrature:
         p n_top + d - 1, n_top = space.top_degree, which the trapezoid rule
         integrates exactly on more nodes than that: each size is capped at
         _fft_size(p n_top + d), taken no lower than the aliasing floor
-        (_floor_size).  Any other power keeps the oversampled sizes.
+        (_floor_size).  Any other power keeps the oversampled sizes.  rules
+        names the rule that set each size, "degree-exact" where it is below
+        the oversampled size, else "oversample"; a rule built otherwise has none.
 
-        N < 1 or an oversampled nominal size above GRID_GUARD is a ValueError.
+        N < 1 is a ValueError, and so is an oversampled grid whose sampling
+        would peak past FAREY_BYTES (GRID_NODE_BYTES per node, CHAIN_BYTES per
+        lam and unit of bandwidth, summed over factors), whatever the power.
         """
         if oversample < 1:
             raise ValueError(f"need oversample >= 1, got {oversample}")
         if N < 1:
             raise ValueError(f"need N >= 1, got {N}")
+        nominal = [oversample * (2.0 * N + f.lam) * max(1.0, math.sqrt(f.beta))
+                   for f in space.factors]
+        peak = sum((GRID_NODE_BYTES + CHAIN_BYTES * f.lam / oversample) * nodes
+                   for f, nodes in zip(space.factors, nominal))
+        if not peak <= FAREY_BYTES:  # also catches an inf or nan size
+            raise ValueError(f"N = {N} needs a grid of {peak:.3g} bytes > {FAREY_BYTES}")
         exact = power is not None and float(power).is_integer() and int(power) % 2 == 0
-        sizes = []
-        for f in space.factors:
-            nominal = oversample * (2.0 * N + f.lam) * max(1.0, math.sqrt(f.beta))
-            if not nominal <= GRID_GUARD:  # also catches an inf or nan size
-                raise ValueError(f"N = {N} needs {nominal:g} nodes per factor > {GRID_GUARD}")
-            M = _fft_size(math.ceil(nominal))
+        sizes, rules = [], []
+        for f, nodes in zip(space.factors, nominal):
+            M = oversampled = _fft_size(math.ceil(nodes))
             if exact:
                 degree = int(power) * top_degree(f.lam, f.beta, N) + f.dim
                 cap = max(degree, _floor_size(f, N))
                 if cap < M:  # min(M, _fft_size(cap)), as _fft_size is monotone
                     M = _fft_size(cap)
             sizes.append(M)
-        return cls(space, tuple(sizes))
+            rules.append("degree-exact" if M < oversampled else "oversample")
+        return cls(space, tuple(sizes), tuple(rules))
 
     def nodes(self, j: int) -> np.ndarray:
         """Factor j's half grid, as pi (k / (M/2)): 0, pi/2 (M/2 even) and pi are exact."""

@@ -275,23 +275,9 @@ def _tau_label(a: int, q: int, tau: Fraction) -> str:
 def _grid_rule(
     space: ProductSpace, N: int, oversample: int, power: float | None, grids: list
 ) -> TorusQuadrature:
-    """The rule of scale N, degree-exact for an even power (for_kernel).
-
-    Appends to grids each factor's size and the rule that set it: the
-    oversampled size, or the degree-exact cap where that is smaller.
-    """
-    oversampled = TorusQuadrature.for_kernel(space, N, oversample)
+    """The rule of scale N (for_kernel); appends each factor's size and rule to grids."""
     quad = TorusQuadrature.for_kernel(space, N, oversample, power=power)
-    grids.append(
-        {
-            "N": N,
-            "sizes": list(quad.sizes),
-            "rules": [
-                "degree-exact" if M < M_over else "oversample"
-                for M, M_over in zip(quad.sizes, oversampled.sizes)
-            ],
-        }
-    )
+    grids.append({"N": N, "sizes": list(quad.sizes), "rules": list(quad.rules)})
     return quad
 
 
@@ -555,10 +541,10 @@ def strichartz_zonal_scan(
     grids: list = []
 
     def measure_N(N: int):
+        quad = _grid_rule(space, N, oversample, p, grids)  # refuses a huge grid before the shell
+        measure._resolution_floor(space, quad, N)  # else |u|^2 would alias
         spec = _spectrum(lam, f.beta, N, bump, None)
         n_shell, dims, mu = spec.n, spec.dims, spec.mu
-        quad = _grid_rule(space, N, oversample, p, grids)
-        measure._resolution_floor(space, quad, N)  # else |u|^2 would alias
         # the rule's half grid 2 pi k / M, k = 0..H = M/2, already folds node
         # M - k onto node k; phi_n(pi - theta) = (-1)^n phi_n(theta) folds
         # half-grid node H - k onto node k with the odd modes negated.

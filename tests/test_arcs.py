@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from oddsphere.arcs import (
+    FAREY_BYTES,
     MajorArc,
     MinorArcReport,
     _farey_table,
@@ -17,7 +18,6 @@ from oddsphere.arcs import (
     denominator_sum,
     farey,
 )
-from oddsphere.measure import GRID_GUARD
 from oddsphere.space import format_rational
 from oddsphere.verify import fit_loglog
 
@@ -130,9 +130,9 @@ def test_farey_rejects_bad_input():
     with pytest.raises(ValueError):
         farey(0)
     # the table of N = 1e6 would peak near 9.7e12 bytes: refused before it is allocated
-    with pytest.raises(ValueError, match=f"Q = 999999 needs 9.73e\\+12 bytes > {GRID_GUARD}"):
+    with pytest.raises(ValueError, match=f"Q = 999999 needs 9.73e\\+12 bytes > {FAREY_BYTES}"):
         farey(999_999)
-    with pytest.raises(ValueError, match=f"Q = 14841 needs 2.15e\\+09 bytes > {GRID_GUARD}"):
+    with pytest.raises(ValueError, match=f"Q = 14841 needs 2.15e\\+09 bytes > {FAREY_BYTES}"):
         farey(14841)
 
 

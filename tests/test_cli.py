@@ -181,6 +181,16 @@ def test_kernel_rejects_negative_N_without_hanging(N, tmp_path):
     assert f"need N >= 1, got {float(N)}" in done.stderr
 
 
+def test_kernel_command_refuses_a_grid_past_the_byte_guard(tmp_path):
+    # N = 6e7 asks for 1,920,360,960 nodes on S^3, about 1e11 bytes to
+    # sample: a usage error that names N and the bytes, before any allocation
+    done = run_child(["kernel", "--dims", "3", "--n", 60_000_000, "--out", tmp_path / "x"])
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert "N = 60000000.0 needs a grid of 1.04e+11 bytes > 2147483648" in done.stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_arcs_command_refuses_a_farey_table_past_the_guard(tmp_path):
     # N = 1e6 needs a 1e6 x 1e6 table (931 GiB): a usage error, before any allocation
     done = run_child(["arcs", "--n", "1e6", "--out", tmp_path / "x"])

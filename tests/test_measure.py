@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 import weakref
 from fractions import Fraction
 from functools import reduce
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from oddsphere import kernel, measure, space
+from oddsphere.arcs import FAREY_BYTES
 from oddsphere.kernel import (
     Bump,
     KernelField,
@@ -576,10 +578,69 @@ def test_for_kernel_sizes_follow_beta(dims):
             check_fft_size(M, 2 * nom)
 
 
-@pytest.mark.parametrize("N", [1e9, 1e308, math.inf, math.nan])
+@pytest.mark.parametrize("N", [6e7, 1e9, 1e308, math.inf, math.nan])
 def test_for_kernel_rejects_a_grid_above_the_guard(N):
-    with pytest.raises(ValueError, match=re.escape(f"N = {N} ")):
+    # N = 6e7 asks for 1,920,360,960 nodes, about 1e11 bytes to sample
+    with pytest.raises(ValueError, match=re.escape(f"N = {N} needs a grid of ")):
         TorusQuadrature.for_kernel(S3, N)
+
+
+def test_for_kernel_bounds_the_bytes_of_all_factors():
+    # the top of the scan ladders samples 4,199,040 nodes, about 2.3e8 bytes
+    assert TorusQuadrature.for_kernel(S3, 131072).sizes == (4_199_040,)
+    # each factor of N = 1e6 fits the byte budget alone, but not both together
+    assert TorusQuadrature.for_kernel(S3, 1e6).sizes == (32_006_016,)
+    refusal = f"N = 1000000.0 needs a grid of 3.46e+09 bytes > {FAREY_BYTES}"
+    with pytest.raises(ValueError, match=re.escape(refusal)):
+        TorusQuadrature.for_kernel(S3S3, 1e6)
+    # the chain sums of a high sphere count too
+    TorusQuadrature.for_kernel(S3, 5e5)
+    with pytest.raises(ValueError, match=re.escape("N = 500000.0 needs a grid of")):
+        TorusQuadrature.for_kernel(space.build_space([47]), 5e5)
+
+
+@pytest.mark.parametrize("d", [3, 21, 47])
+def test_the_grid_byte_bound_covers_a_traced_sampling(d, monkeypatch):
+    # for_kernel charges a grid no less than the traced peak of sampling a
+    # kernel on it: a budget one byte below that peak refuses the grid
+    N = 2048
+    for beta in (1, Fraction(1, 4), 4):
+        sp = space.build_space([d, 3], [beta, 1])
+        for oversample in (1, 3, 16):
+            fld = kernel_product(sp, N, 0.37, TorusQuadrature.for_kernel(sp, N, oversample), Bump())
+            tracemalloc.start()
+            try:
+                fld.factor_values
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            monkeypatch.setattr(measure, "FAREY_BYTES", peak - 1)
+            with pytest.raises(ValueError, match="needs a grid of"):
+                TorusQuadrature.for_kernel(sp, N, oversample)
+            monkeypatch.undo()
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 9, 11])
+def test_for_kernel_names_the_rule_behind_each_size(d):
+    # degree-exact exactly where the size is below the oversampled one
+    seen = set()
+    for beta in (1, Fraction(2, 3), Fraction(3, 2)):
+        sp = space.build_space([d], [beta])
+        for N in (16, 64):
+            wide = TorusQuadrature.for_kernel(sp, N)
+            for p in (None, 2, 3, 7.5, 8):
+                quad = TorusQuadrature.for_kernel(sp, N, power=p)
+                want = [
+                    "degree-exact" if M < W else "oversample"
+                    for M, W in zip(quad.sizes, wide.sizes)
+                ]
+                assert list(quad.rules) == want, (beta, N, p)
+                seen.update(want)
+            # a rule built by hand or doubled names none, and compares by space and sizes
+            assert TorusQuadrature(sp, wide.sizes) == wide
+            assert TorusQuadrature(sp, wide.sizes).rules == wide.doubled().rules == ()
+            assert wide.doubled() == TorusQuadrature(sp, tuple(2 * M for M in wide.sizes))
+    assert seen == {"degree-exact", "oversample"}
 
 
 @pytest.mark.parametrize("N", [0, 0.5, -0.5, -5])

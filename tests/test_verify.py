@@ -247,6 +247,17 @@ def test_threshold_check_mechanics():
         threshold_check(S3S3, 3.0, SMALL_NS, SMALL_ARCS)
 
 
+def test_strichartz_refuses_a_huge_grid_before_its_shell(monkeypatch):
+    # the shell of N = 6e7 holds 1.2e8 degrees: it is never built
+    def small(lam, beta, N, *args):
+        assert N < 1000, N
+        return _spectrum(lam, beta, N, *args)
+
+    monkeypatch.setattr(verify, "_spectrum", small)
+    with pytest.raises(ValueError, match=re.escape("N = 60000000 needs a grid of")):
+        strichartz_zonal_scan(S3, 8.0, (16, 32, 60_000_000), trials=1, time_samples=1)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("p", [1e12, 1001.0])
 def test_strichartz_norm_that_overflows_raises_naming_p_and_N(p):
