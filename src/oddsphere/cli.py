@@ -11,7 +11,7 @@ Every setting is one entry of KEYS: the parser of its text and the library
 keyword it feeds.  Flags (--key) and the key=value lines of an optional
 config file are the same keys through the same parser; flags win.  A command
 passes on only the keys that were set, so the library signatures hold every
-default, and a scan warns about each set key its mode ignores.  Rationals
+default, and warns of each set key it (or a scan's mode) ignores.  Rationals
 are exact 'p/q' strings (the exponent p also takes a float or inf); times
 accept either plain seconds or 'T/3', 'T*2/5' style fractions of the flow
 period.  Outputs are deterministic for a fixed config and seed.
@@ -206,6 +206,15 @@ def _pick(cfg: dict, kwargs: tuple[str, ...]) -> dict:
     return {kw: cfg[kw] for kw in kwargs if kw in cfg}
 
 
+def _heed(cfg: dict, kwargs, by: str) -> dict:
+    """cfg without the keywords outside kwargs, with a warning on stderr
+    about each set key it drops."""
+    for key, spec in KEYS.items():
+        if spec.kwarg in cfg and spec.kwarg not in kwargs:
+            print(f"warning: {key} is ignored by {by}", file=sys.stderr)
+    return {kw: value for kw, value in cfg.items() if kw in kwargs}
+
+
 def _space(cfg: dict) -> ProductSpace:
     if "dims" not in cfg:
         raise ConfigError("config is missing required key 'dims'")
@@ -246,10 +255,7 @@ def cmd_scan(cfg: dict) -> int:
     scan, first, kwargs = SCANS[mode]
     if first not in cfg:
         raise ConfigError(f"{mode} scan needs {first}")
-    used = {"dims", "betas", "mode", "out", first, *kwargs}
-    for key, spec in KEYS.items():
-        if spec.kwarg in cfg and spec.kwarg not in used:
-            print(f"warning: {key} is ignored by a {mode} scan", file=sys.stderr)
+    cfg = _heed(cfg, {"dims", "betas", "mode", "out", first, *kwargs}, f"a {mode} scan")
     report = scan(space, cfg[first], **_pick(cfg, kwargs))
     base = cfg.get("out", Path(f"scan_{mode}"))
     verify.write_report(report, base.with_suffix(".json"), base.with_suffix(".csv"))
@@ -318,8 +324,10 @@ def main(argv=None) -> int:
     args = vars(build_parser().parse_args(argv))
     command = args.pop("command")
     config_path = args.pop("config", None)
+    handler, _, keys = COMMANDS[command]
     try:
-        return COMMANDS[command][0](load_config(config_path, args))
+        cfg = load_config(config_path, args)
+        return handler(_heed(cfg, {KEYS[key].kwarg for key in keys}, f"the {command} command"))
     except (ValueError, QuadratureError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

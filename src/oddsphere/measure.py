@@ -16,7 +16,9 @@ trigonometric polynomial, and on pole boxes and their complements, whose
 edges the trapezoid rule does not resolve; an empirical doubling check
 (resolution_check) covers those.  A zonal function is even in theta, so
 the rule folds onto the half grid k = 0..M/2 (M even), and every sampled
-field carries the TorusQuadrature it was sampled on.
+field carries the TorusQuadrature it was sampled on and its frequency
+scale N: a norm checks the rule against N's aliasing floor and seeds its
+sups from the degree N bounds, for every field alike.
 
 Regions: "full" is the whole torus; a "corner" region is the product of
 per-factor angular boxes of a given radius around a chosen pole (0 or pi)
@@ -253,10 +255,12 @@ class TorusQuadrature:
 
 @dataclass
 class FieldSample:
-    """Factored half-grid samples of a zonal function, with optional
+    """Factored half-grid samples of a zonal function of scale N (its
+    degree in each factor at most space.top_degree), with optional
     per-factor evaluators at fresh angles, which a sup needs (sup_norm)."""
 
     space: ProductSpace
+    N: float
     quad: TorusQuadrature
     factor_values: tuple[np.ndarray, ...]
     evaluators: tuple[Callable[[np.ndarray], np.ndarray], ...] | None = None
@@ -284,12 +288,8 @@ def _floor_size(f, N: float) -> int:
     return 2 * (n_max + f.lam) + f.dim
 
 
-def _resolution_floor(space: ProductSpace, quad: TorusQuadrature, N: float | None) -> None:
-    """Reject grids below twice the bandwidth of scale N (Parseval would alias).
-
-    N is None for a field of no scale, which any grid may sample."""
-    if N is None:
-        return
+def _resolution_floor(space: ProductSpace, quad: TorusQuadrature, N: float) -> None:
+    """Reject grids below twice the bandwidth of scale N (Parseval would alias)."""
     for j, f in enumerate(space.factors):
         need = _floor_size(f, N)
         if quad.sizes[j] < need:
@@ -363,9 +363,9 @@ def lp_norm(field, p: float, region: Region | None = None):
     """Regional L^p norm of a factored field under the probability measure.
 
     p = inf delegates to sup_norm.  Raises QuadratureError when the field's
-    grid is below the aliasing floor for its frequency scale N (a field
-    without N is not checked), and ValueError
-    naming p (and N) when a norm is not finite: |K|^p overflows at large p.
+    grid is below the aliasing floor for its frequency scale N, and
+    ValueError naming p and N when a norm is not finite: |K|^p overflows at
+    large p.
 
     Given an iterable of fields and a list of regions instead, returns one
     list of norms per field, one per region: each field's |K_j|^p is taken
@@ -406,7 +406,7 @@ class _SupPiece:
 def _grid_sups(field, pieces, owners: dict, pending: list[_SupPiece]) -> dict:
     """Put each piece of field on pending, with its interval and first
     angles (sup_norm), for _proxy_sups to write its sup into the returned
-    dict; a piece with no node is 0.  No grid value is ever a sup."""
+    dict.  No grid value is ever a sup."""
     value = {}
     owner, time = field, None
     if hasattr(field, "t"):
@@ -418,13 +418,14 @@ def _grid_sups(field, pieces, owners: dict, pending: list[_SupPiece]) -> dict:
         j, key, radius = piece
         grid = field.quad.nodes(j)
         mask = field.quad.mask(j, key, radius)
-        if not mask.any():
-            value[piece] = 0.0
-            continue
         idx = np.flatnonzero(mask)
         if key.startswith("pole"):
             lo, hi = (0.0, radius) if key == "pole0" else (math.pi - radius, math.pi)
             pending.append(_SupPiece(owner, time, lo, hi, grid[idx], value, piece))
+            continue
+        if not idx.size:  # an away piece between two nodes: its whole interval
+            lo, hi = radius, math.pi - radius
+            pending.append(_SupPiece(owner, time, lo, hi, np.array([lo, hi]), value, piece))
             continue
         h, edge = 2.0 * math.pi / field.quad.sizes[j], radius or 0.0
         for i, k in enumerate(_seeds(field, j, idx)):
@@ -447,15 +448,12 @@ def _seeds(field, j: int, idx: np.ndarray) -> np.ndarray:
     and rises above it by at most (D pi/M)^2 / 2 times sup |K_j|^2
     (Bernstein), and sup |K_j|^2 is at most the grid maximum over
     cos(D pi/M) (Szego) when D pi/M < pi/2; on a coarser grid every local
-    maximum is a seed.  A field without N seeds its argmax alone.
+    maximum is a seed.
     """
     size = np.abs(np.asarray(field.factor_values[j]))
     top = int(np.argmax(size[idx]))
-    N = getattr(field, "N", None)
-    if N is None:
-        return idx[top : top + 1]
     f = field.space.factors[j]
-    x = math.pi * (_floor_size(f, N) - f.dim) / field.quad.sizes[j]
+    x = math.pi * (_floor_size(f, field.N) - f.dim) / field.quad.sizes[j]
     rise = 0.5 * x * x / math.cos(x) * float(size.max()) ** 2 if x < math.pi / 2 else math.inf
     piece = size[idx] ** 2
     end = np.full(1, -1.0)
@@ -563,20 +561,19 @@ def _norms(fields, regions, p: float):
         pieces = dict.fromkeys(piece for reg in regions for piece in _pieces(r, reg, sup))
         if not sup or any(not key.startswith("pole") for _, key, _ in pieces):
             # the pieces read grid values
-            _resolution_floor(field.space, field.quad, getattr(field, "N", None))
+            _resolution_floor(field.space, field.quad, field.N)
         if sup:
             value = _grid_sups(field, pieces, owners, pending)
         else:
             value = _integrals(field, p, pieces)
-        results.append((r, value, getattr(field, "N", None)))
+        results.append((r, value, field.N))
         del field  # before the next field is built
     _proxy_sups(pending)
     norms = [[_combine(r, reg, value, sup) for reg in regions] for r, value, _ in results]
     norms = norms if sup else [[power ** (1.0 / p) for power in row] for row in norms]
     for row, (_, _, N) in zip(norms, results):
         if not all(map(math.isfinite, row)):
-            at = "" if N is None else f", N = {N}"
-            raise ValueError(f"the L^p norm at p = {p:g}{at} is not finite")
+            raise ValueError(f"the L^p norm at p = {p:g}, N = {N} is not finite")
     return norms
 
 
@@ -588,7 +585,8 @@ def sup_norm(field, region: Region | None = None):
     [pole, pole +- radius], as a kernel is even about its poles, and a full
     or away piece one interval per seed node (_seeds: the grid argmax and
     every grid local maximum that refinement could lift above it) +- one
-    grid step, clipped to the piece.  Sweep 1 evaluates SUP_NODES
+    grid step, clipped to the piece; an away piece between two nodes spans
+    [radius, pi - radius].  Sweep 1 evaluates SUP_NODES
     Chebyshev-Lobatto points of each interval, its ends among them, and
     every box node (or the seed node, and for an away piece's argmax both
     edges of the region, where |K| may still be falling from the boxes).

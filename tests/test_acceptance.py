@@ -318,7 +318,7 @@ def test_criterion_10_corner_volume_scaling():
             # the probability measure of the box: the L^1 norm of the constant
             # 1 on 2 ceil(16 N) nodes, so the box holds as many nodes at every N
             quad = TorusQuadrature(sp, (2 * math.ceil(16 * N),))
-            ones = FieldSample(sp, quad, (np.ones(quad.sizes[0] // 2 + 1),))
+            ones = FieldSample(sp, 1, quad, (np.ones(quad.sizes[0] // 2 + 1),))
             points.append((N, lp_norm(ones, 1.0, Region.corner(0, 1.0 / N))))
         slope = fit_loglog(points)[0]
         slopes[d] = slope

@@ -493,6 +493,35 @@ def test_scan_warns_about_ignored_keys(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize(
+    "command,args,ignored",
+    [
+        ("kernel", ["--n", 16], ["p", "mode", "seed"]),
+        ("arcs", ["--n", 16], ["dims", "p", "mode", "seed"]),
+        ("space-info", [], ["p", "mode", "seed"]),
+    ],
+)
+def test_every_command_warns_about_the_keys_it_ignores(tmp_path, capsys, command, args, ignored):
+    # the same command on a config that sets only the keys it takes gives
+    # the same output and files, and no warning
+    noisy, quiet = tmp_path / "noisy_config", tmp_path / "quiet_config"
+    noisy.write_text("dims = 3\np = 4\nmode = decay\nseed = 3\n")
+    quiet.write_text("" if command == "arcs" else "dims = 3\n")
+    outputs = []
+    for config, out in ((noisy, tmp_path / "noisy"), (quiet, tmp_path / "quiet")):
+        out_args = [] if command == "space-info" else ["--out", out]
+        assert run([command, "--config", config, *args, *out_args]) == 0
+        captured = capsys.readouterr()
+        files = sorted(tmp_path.glob(f"{out.name}.*"))
+        outputs.append((captured.out.replace(out.name, ""), [f.read_bytes() for f in files]))
+        if config == noisy:
+            want = "".join(f"warning: {key} is ignored by the {command} command\n" for key in ignored)
+            assert captured.err == want
+        else:
+            assert captured.err == ""
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("mode", sorted(SCANS))
 def test_scan_keywords_are_scan_parameters(mode):
     # every keyword a mode passes on is a parameter of its scan; scans

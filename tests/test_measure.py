@@ -39,7 +39,7 @@ S3S3 = space.build_space([3, 3], [1, 1])
 def rule_weight(quad, region):
     """A rule's weight of a region: the L^1 norm of the constant 1."""
     ones = tuple(np.ones(M // 2 + 1) for M in quad.sizes)
-    return lp_norm(FieldSample(quad.space, quad, ones), 1.0, region)
+    return lp_norm(FieldSample(quad.space, 1, quad, ones), 1.0, region)
 
 
 def region_measure(sp, region, N):
@@ -50,7 +50,8 @@ def region_measure(sp, region, N):
 
 
 def random_field(sp, quad, rng, modes=12):
-    """Synthetic factored field: random low-degree trig polynomials."""
+    """Synthetic factored field: random trig polynomials of degree below
+    modes, declared at N = modes / 2, whose S^3 shell bounds that degree."""
     vals = []
     evs = []
     for j in range(sp.r):
@@ -62,7 +63,7 @@ def random_field(sp, quad, rng, modes=12):
 
         vals.append(ev(quad.nodes(j)))
         evs.append(ev)
-    return FieldSample(sp, quad, tuple(vals), evaluators=tuple(evs))
+    return FieldSample(sp, modes / 2, quad, tuple(vals), evaluators=tuple(evs))
 
 
 def test_quadrature_construction():
@@ -153,7 +154,7 @@ def test_region_validation():
 
 def test_constant_field_has_unit_norm():
     quad = TorusQuadrature.for_kernel(S3, 8)
-    fld = FieldSample(S3, quad, (np.ones(quad.sizes[0] // 2 + 1),))
+    fld = FieldSample(S3, 1, quad, (np.ones(quad.sizes[0] // 2 + 1),))
     for p in (0.5, 1.0, 2.0, 4.0):
         assert lp_norm(fld, p) == pytest.approx(1.0, rel=1e-12)
 
@@ -183,7 +184,7 @@ def test_pure_mode_norm_exact():
     for n in (3, 11):
         d_n = (n + 1) ** 2
         quad = TorusQuadrature(S3, (16 * (2 * n + 1),))
-        fld = FieldSample(S3, quad, (d_n * phi_matrix(1, [n], quad.nodes(0))[0],))
+        fld = FieldSample(S3, n, quad, (d_n * phi_matrix(1, [n], quad.nodes(0))[0],))
         assert lp_norm(fld, 2) == pytest.approx(math.sqrt(d_n), rel=1e-9)
 
 
@@ -268,14 +269,14 @@ def test_sup_norm_pure_mode():
     def mode(theta):
         return d_n * phi_matrix(1, [n], theta)[0]
 
-    fld = FieldSample(S3, quad, (mode(quad.nodes(0)),), evaluators=(mode,))
+    fld = FieldSample(S3, n, quad, (mode(quad.nodes(0)),), evaluators=(mode,))
     assert sup_norm(fld) == pytest.approx(d_n, rel=1e-9)
 
 
 def test_sup_of_a_sample_without_evaluators_raises():
     # a sup is an evaluated value, never a grid value
     quad = TorusQuadrature(S3, (512,))
-    fld = FieldSample(S3, quad, (np.ones(quad.sizes[0] // 2 + 1),))
+    fld = FieldSample(S3, 1, quad, (np.ones(quad.sizes[0] // 2 + 1),))
     for region in (Region.full(), Region.away(0.1), Region.corner(1, 0.1)):
         with pytest.raises(ValueError, match="carries no evaluator"):
             sup_norm(fld, region)
@@ -328,7 +329,7 @@ def test_pole_box_sup_rechecks_every_box_node():
     vals = kern.factor_values[0].copy()
     vals[box] = 1e-3 * true.max()
     vals[far] = 0.5 * true.max()
-    fld = FieldSample(S3, quad, (vals,), evaluators=(lambda th: kern.evaluate_factor(0, th),))
+    fld = FieldSample(S3, N, quad, (vals,), evaluators=(lambda th: kern.evaluate_factor(0, th),))
     assert sup_norm(fld, Region.corner(1, radius)) >= true.max() * (1 - 1e-12)
 
 
@@ -344,7 +345,7 @@ def test_refined_sup_is_an_evaluated_value_not_the_grid_value():
     box_max = np.max(np.abs(kern.evaluate_factor(0, dense)))
     vals = kern.factor_values[0].copy()
     vals[box[0]] = 1.5 * box_max
-    fld = FieldSample(S3, quad, (vals,), evaluators=(lambda th: kern.evaluate_factor(0, th),))
+    fld = FieldSample(S3, N, quad, (vals,), evaluators=(lambda th: kern.evaluate_factor(0, th),))
     assert sup_norm(fld, Region.corner(1, radius)) <= box_max * (1 + 1e-12)
 
 
@@ -358,7 +359,7 @@ def test_pole_box_sup_reads_no_grid_value():
     box = np.abs(nodes - math.pi) <= radius
     vals = kern.factor_values[0].copy()
     vals[box] = np.nan
-    fld = FieldSample(S3, quad, (vals,), evaluators=(lambda th: kern.evaluate_factor(0, th),))
+    fld = FieldSample(S3, N, quad, (vals,), evaluators=(lambda th: kern.evaluate_factor(0, th),))
     first = np.concatenate([nodes[box], [math.pi - radius, math.pi + radius]])
     sup = sup_norm(fld, Region.corner(1, radius))
     assert sup >= np.max(np.abs(kern.evaluate_factor(0, first)))
@@ -419,20 +420,21 @@ def test_sup_refines_only_the_pieces_the_region_uses():
         probed.extend(theta)
         return kern.evaluate_factor(0, theta)
 
-    fld = FieldSample(S3, kern.quad, kern.factor_values, evaluators=(evaluate,))
+    fld = FieldSample(S3, N, kern.quad, kern.factor_values, evaluators=(evaluate,))
     assert sup_norm(fld, Region.corner(1, radius)) == sup_norm(kern, Region.corner(1, radius))
     assert probed and all(abs(th - math.pi) <= radius for th in probed)
 
 
-def _probed(quad, evaluate):
-    """A field of evaluate on quad's grid that records every angle it is asked for."""
+def _probed(quad, N, evaluate):
+    """A field of evaluate, declared at scale N, on quad's grid that records
+    every angle it is asked for."""
     probed = []
 
     def ev(theta):
         probed.extend(np.atleast_1d(theta))
         return evaluate(theta)
 
-    return FieldSample(S3, quad, (evaluate(quad.nodes(0)),), evaluators=(ev,)), probed
+    return FieldSample(S3, N, quad, (evaluate(quad.nodes(0)),), evaluators=(ev,)), probed
 
 
 @pytest.mark.parametrize("pole", [0, 1])
@@ -443,23 +445,56 @@ def test_proxy_sup_finds_an_interior_box_maximum(pole, at):
     N, radius = 16, 1 / 16
     quad = TorusQuadrature.for_kernel(S3, N)
     peak = pole * math.pi + (1 - 2 * pole) * at * radius
-    fld, _ = _probed(quad, lambda th: 3.0 + np.cos(math.pi * (th - peak) / (0.8 * radius)))
+    fld, _ = _probed(quad, N, lambda th: 3.0 + np.cos(math.pi * (th - peak) / (0.8 * radius)))
     assert sup_norm(fld, Region.corner(pole, radius)) == pytest.approx(4.0, rel=1e-12)
 
 
 def test_proxy_sup_finds_an_interior_maximum_of_the_full_circle():
     # the proxy spans the grid argmax +- one grid step
     quad = TorusQuadrature(S3, (64,))
-    fld, probed = _probed(quad, lambda th: 3.0 + np.cos(th - 1.2345))
+    fld, probed = _probed(quad, 1, lambda th: 3.0 + np.cos(th - 1.2345))
     assert sup_norm(fld) == pytest.approx(4.0, rel=1e-12)
     argmax = quad.nodes(0)[np.argmax(fld.factor_values[0])]
     assert all(abs(th - argmax) <= 2.0 * math.pi / 64 * (1 + 1e-12) for th in probed)
 
 
+@pytest.mark.parametrize("N", [3, 4, 6, 10])
+def test_full_sup_of_a_sampled_field_seeds_every_local_maximum(N):
+    # the degree-6 field peaks at 4.01 between two nodes of (64,), while its
+    # grid argmax sits at a lower peak; seeded from that argmax alone, the
+    # sup read 4.005.  Declared at any N whose shell holds degree 6, every
+    # local maximum refinement could lift above the argmax is refined too
+    quad = TorusQuadrature(S3, (64,))
+    shift = 5 * math.pi / 32
+
+    def evaluate(theta):
+        th = np.asarray(theta, dtype=float) - shift
+        return 3.0 + np.cos(6.0 * th) + 0.01 * np.cos(th - math.pi / 3)
+
+    fld, _ = _probed(quad, N, evaluate)
+    dense = np.max(evaluate(np.linspace(0.0, math.pi, 200001)))
+    sup = sup_norm(fld)
+    assert dense * (1 - 1e-12) <= sup <= 4.01 * (1 + 1e-12)
+
+
+def test_sampled_field_below_its_floor_is_rejected():
+    # (64,) is below the floor 71 of N = 16 on S^3: an integral and a full
+    # or away sup read grid values and raise; a corner sup reads none
+    quad = TorusQuadrature(S3, (64,))
+    fld, _ = _probed(quad, 16, lambda th: 2.0 + np.cos(np.asarray(th, dtype=float)))
+    assert measure._floor_size(S3.factors[0], 16) == 71
+    with pytest.raises(QuadratureError, match="under-resolves"):
+        lp_norm(fld, 2.0)
+    for region in (Region.full(), Region.away(1 / 16)):
+        with pytest.raises(QuadratureError, match="under-resolves"):
+            sup_norm(fld, region)
+    assert sup_norm(fld, Region.corner(0, 1 / 16)) == pytest.approx(3.0, rel=1e-12)
+
+
 def _box_probes(evaluate):
     N, radius = 16, 1 / 16
     quad = TorusQuadrature.for_kernel(S3, N)
-    fld, probed = _probed(quad, evaluate)
+    fld, probed = _probed(quad, N, evaluate)
     sup = sup_norm(fld, Region.corner(1, radius))
     box = np.flatnonzero(quad.mask(0, "pole1", radius))
     return sup, probed, np.abs(evaluate(quad.nodes(0)[box])), radius
@@ -534,6 +569,20 @@ def test_sups_that_read_grid_values_reject_under_resolved_grid():
         with pytest.raises(QuadratureError, match="under-resolves"):
             sup_norm(fld, region)
     assert sup_norm(fld, Region.corner(0, 1 / N)) > 0  # reads no grid value
+
+
+@pytest.mark.parametrize("sp", [S3, S3S3], ids=["S3", "S3xS3"])
+def test_away_sup_of_a_region_between_two_nodes(sp):
+    # on (30,) the nodes nearest pi/2 are 7 pi/15 and 8 pi/15, both in the
+    # boxes of radius 1.5: the away piece holds no node and read 0
+    N, t, radius = 3, 0.37, 1.5
+    quad = TorusQuadrature(sp, (30,) * sp.r)
+    fld = kernel_product(sp, N, t, quad, Bump())
+    assert not quad.mask(0, "away", radius).any()
+    away = np.max(np.abs(fld.evaluate_factor(0, np.linspace(radius, math.pi - radius, 2001))))
+    full = np.max(np.abs(fld.evaluate_factor(0, np.linspace(0.0, math.pi, 200001))))
+    want = away * full ** (sp.r - 1)  # identical factors
+    assert sup_norm(fld, Region.away(radius)) == pytest.approx(want, rel=1e-9)
 
 
 @pytest.mark.parametrize("beta", [16, 64])
@@ -658,14 +707,14 @@ def test_fft_size_rejects_a_size_below_1(nominal):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("p", [400.0, 1e6, 1e12])
 def test_a_norm_that_overflows_raises_naming_p_and_N(p):
-    # |K|^p overflows float64: no warning, but an error naming p (and N)
+    # |K|^p overflows float64: no warning, but an error naming p and N
     N = 16
     quad = TorusQuadrature.for_kernel(S3, N)
     regions = [Region.full(), Region.corner(0, 1 / N), Region.away(1 / N)]
     with pytest.raises(ValueError, match=re.escape(f"p = {p:g}, N = 16 is not finite")):
         lp_norm([kernel_product(S3, N, 0.37, quad, Bump())], p, regions)
-    big = FieldSample(S3, quad, (np.full(quad.sizes[0] // 2 + 1, 1e300),))
-    with pytest.raises(ValueError, match=re.escape(f"p = {p:g} is not finite")):
+    big = FieldSample(S3, 1, quad, (np.full(quad.sizes[0] // 2 + 1, 1e300),))
+    with pytest.raises(ValueError, match=re.escape(f"p = {p:g}, N = 1 is not finite")):
         lp_norm(big, p)
 
 
@@ -719,7 +768,7 @@ def test_resolution_check_resamples_a_kappa_field(monkeypatch):
 
 def test_lp_norm_rejects_bad_p():
     quad = TorusQuadrature.for_kernel(S3, 8)
-    fld = FieldSample(S3, quad, (np.ones(quad.sizes[0] // 2 + 1),))
+    fld = FieldSample(S3, 1, quad, (np.ones(quad.sizes[0] // 2 + 1),))
     with pytest.raises(ValueError):
         lp_norm(fld, 0.0)
 
@@ -903,7 +952,7 @@ def test_degree_exact_rule_holds_the_top_degree(d):
                 norms = []
                 for quad in (exact_rule(sp, N, p), TorusQuadrature.for_kernel(sp, N, 16)):
                     values = 0.5 + np.cos(n_top * quad.nodes(0))
-                    norms.append(lp_norm(FieldSample(sp, quad, (values,)), p))
+                    norms.append(lp_norm(FieldSample(sp, N, quad, (values,)), p))
                 assert norms[0] == pytest.approx(norms[1], rel=1e-13, abs=0), (beta, N, p)
 
 
