@@ -18,7 +18,7 @@ period.  Outputs are deterministic for a fixed config and seed.
 
 Exit status: 0 on success (a scan: verdict pass), 1 for a scan whose verdict
 is not pass, 2 for a usage error, such as a bad key or value, an unreadable
-config file, a grid too coarse or an unwritable output.
+config file or an unwritable output.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Callable
 from . import verify
 from .arcs import write_listing
 from .kernel import Bump, kernel_product, write_field
-from .measure import QuadratureError, TorusQuadrature
+from .measure import TorusQuadrature
 from .space import ProductSpace, build_space, format_rational
 
 DEFAULT_N = 64.0  # frequency scale of the kernel and arcs commands
@@ -151,12 +151,6 @@ KEYS = {
     "nlist": Key(_list_of(int), "N_list", "ladder of scales N, e.g. 16,32,64"),
     "arcs": Key(_list_of(_arc), "arcs", "arc centres a/q, e.g. 0/1,1/2"),
     "offsets": Key(_list_of(_rational), "offsets", "offsets in arc half-widths, e.g. 0,1/4"),
-    "oversample": Key(
-        int, "oversample",
-        "grid nodes per unit of kernel bandwidth, rounded up to the next even "
-        "size with no prime factor above 11; at an even p over whole circles, "
-        "an upper bound on the smaller grid that integrates exactly",
-    ),
     "tolerance": Key(float, "tolerance", "slope budget of the verdict"),
     "out": Key(Path, "out", "output path without suffix"),
     "q": Key(int, "Q", "largest arc denominator (default ceil(N) - 1)"),
@@ -225,7 +219,7 @@ def cmd_kernel(cfg: dict) -> int:
     space = _space(cfg)
     N = cfg.get("N", DEFAULT_N)
     t = cfg.get("t") or _time("0")
-    quad = TorusQuadrature.for_kernel(space, N, **_pick(cfg, ("oversample",)))
+    quad = TorusQuadrature.for_kernel(space, N)
     field = kernel_product(space, N, t.seconds(space), quad, **_pick(cfg, ("bump",)))
     base = cfg.get("out", Path("kernel_field"))
     write_field(field, base.with_suffix(".csv"), base.with_suffix(".json"))
@@ -233,7 +227,7 @@ def cmd_kernel(cfg: dict) -> int:
     return 0
 
 
-ARC_SCAN = ("N_list", "arcs", "offsets", "bump", "oversample", "tolerance")
+ARC_SCAN = ("N_list", "arcs", "offsets", "bump", "tolerance")
 # mode -> (scan, keyword of its second argument, keywords it takes)
 SCANS = {
     "decay": (verify.decay_scan, "p", ARC_SCAN),
@@ -242,7 +236,7 @@ SCANS = {
     "threshold": (verify.threshold_check, "p", ARC_SCAN),
     "strichartz": (
         verify.strichartz_zonal_scan, "p",
-        ("N_list", "bump", "oversample", "tolerance", "trials", "seed", "time_samples"),
+        ("N_list", "bump", "tolerance", "trials", "seed", "time_samples"),
     ),
 }
 
@@ -260,7 +254,7 @@ def cmd_scan(cfg: dict) -> int:
     base = cfg.get("out", Path(f"scan_{mode}"))
     verify.write_report(report, base.with_suffix(".json"), base.with_suffix(".csv"))
     for warning in report.warnings:
-        print(f"warning: {warning}")
+        print(f"warning: {warning}", file=sys.stderr)
     print(
         f"{mode} scan on {space}: slope={report.fitted_slope:.4f} "
         f"(target {report.target_exponent:+.4f}, budget {report.tolerance}) "
@@ -293,12 +287,12 @@ def cmd_space_info(cfg: dict) -> int:
 COMMANDS = {
     "kernel": (
         cmd_kernel, "sample a kernel to CSV (+JSON header)",
-        ("dims", "betas", "n", "t", "bump", "oversample", "out"),
+        ("dims", "betas", "n", "t", "bump", "out"),
     ),
     "scan": (
         cmd_scan, "run a scaling scan (exit 0 iff pass)",
         ("dims", "betas", "mode", "p", "nu", "nlist", "arcs", "offsets", "bump",
-         "seed", "trials", "time_samples", "oversample", "tolerance", "out"),
+         "seed", "trials", "time_samples", "tolerance", "out"),
     ),
     "arcs": (cmd_arcs, "enumerate major arcs as JSON", ("q", "n", "out")),
     "space-info": (cmd_space_info, "print exact space invariants", ("dims", "betas")),
@@ -328,7 +322,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(config_path, args)
         return handler(_heed(cfg, {KEYS[key].kwarg for key in keys}, f"the {command} command"))
-    except (ValueError, QuadratureError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

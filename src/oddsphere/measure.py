@@ -10,15 +10,17 @@ integer p so is |K|^p, of degree p n_top for a kernel of top degree n_top
 (space.top_degree, set by the scale N alone, whatever the cutoff's shape):
 a whole-circle L^p integral at even p is exact once M > p n_top + d - 1,
 and TorusQuadrature.for_kernel(power=p) sizes the grid just past that.
-Everywhere else the grid is oversampled (DEFAULT_OVERSAMPLE nodes per unit
-of bandwidth): at fractional p and p = inf, whose |K|^p is not a
+Everywhere else the grid is oversampled (OVERSAMPLE nodes per unit of
+bandwidth): at fractional p and p = inf, whose |K|^p is not a
 trigonometric polynomial, and on pole boxes and their complements, whose
 edges the trapezoid rule does not resolve; an empirical doubling check
-(resolution_check) covers those.  A zonal function is even in theta, so
-the rule folds onto the half grid k = 0..M/2 (M even), and every sampled
+(resolution_check) covers those.  Every rule for_kernel sizes clears the
+aliasing floor of its scale.  A zonal function is even in theta, so the
+rule folds onto the half grid k = 0..M/2 (M even), and every sampled
 field carries the TorusQuadrature it was sampled on and its frequency
-scale N: a norm checks the rule against N's aliasing floor and seeds its
-sups from the degree N bounds, for every field alike.
+scale N: a norm checks the rule against N's aliasing floor, which guards
+rules built by hand, and seeds its sups from the degree N bounds, for
+every field alike.
 
 Regions: "full" is the whole torus; a "corner" region is the product of
 per-factor angular boxes of a given radius around a chosen pole (0 or pi)
@@ -46,7 +48,7 @@ from .arcs import FAREY_BYTES
 from .space import ProductSpace, top_degree
 
 __all__ = [
-    "DEFAULT_OVERSAMPLE",
+    "OVERSAMPLE",
     "QuadratureError",
     "Region",
     "TorusQuadrature",
@@ -57,7 +59,7 @@ __all__ = [
     "resolution_check",
 ]
 
-DEFAULT_OVERSAMPLE = 16  # grid nodes per unit of kernel bandwidth
+OVERSAMPLE = 16  # grid nodes per unit of kernel bandwidth
 RESOLUTION_TOL = 1e-5
 GRID_NODE_BYTES = 48  # sampling peak per grid node: 43-47 traced (S^3, S^11, N <= 16384)
 CHAIN_BYTES = 96  # per lam and unit of bandwidth, in _cosine_coeffs: 80 traced (lam <= 23)
@@ -156,14 +158,9 @@ class TorusQuadrature:
 
     @classmethod
     def for_kernel(
-        cls,
-        space: ProductSpace,
-        N: float,
-        oversample: int = DEFAULT_OVERSAMPLE,
-        *,
-        power: float | None = None,
+        cls, space: ProductSpace, N: float, *, power: float | None = None
     ) -> "TorusQuadrature":
-        """Grid sized oversample times the kernel bandwidth per factor.
+        """Grid sized OVERSAMPLE times the kernel bandwidth per factor.
 
         The bandwidth is 2N + lam, scaled by sqrt(beta) when beta > 1: the
         kernel's top degree is about 2N sqrt(beta).  Each size is rounded up
@@ -175,21 +172,20 @@ class TorusQuadrature:
         p n_top + d - 1, n_top = space.top_degree, which the trapezoid rule
         integrates exactly on more nodes than that: each size is capped at
         _fft_size(p n_top + d), taken no lower than the aliasing floor
-        (_floor_size).  Any other power keeps the oversampled sizes.  rules
-        names the rule that set each size, "degree-exact" where it is below
-        the oversampled size, else "oversample"; a rule built otherwise has none.
+        (_floor_size).  Any other power keeps the oversampled sizes, at
+        least four times that floor.  rules names the rule that set each size,
+        "degree-exact" where it is below the oversampled size, else
+        "oversample"; a rule built otherwise has none.
 
         N < 1 is a ValueError, and so is an oversampled grid whose sampling
         would peak past FAREY_BYTES (GRID_NODE_BYTES per node, CHAIN_BYTES per
         lam and unit of bandwidth, summed over factors), whatever the power.
         """
-        if oversample < 1:
-            raise ValueError(f"need oversample >= 1, got {oversample}")
         if N < 1:
             raise ValueError(f"need N >= 1, got {N}")
-        nominal = [oversample * (2.0 * N + f.lam) * max(1.0, math.sqrt(f.beta))
+        nominal = [OVERSAMPLE * (2.0 * N + f.lam) * max(1.0, math.sqrt(f.beta))
                    for f in space.factors]
-        peak = sum((GRID_NODE_BYTES + CHAIN_BYTES * f.lam / oversample) * nodes
+        peak = sum((GRID_NODE_BYTES + CHAIN_BYTES * f.lam / OVERSAMPLE) * nodes
                    for f, nodes in zip(space.factors, nominal))
         if not peak <= FAREY_BYTES:  # also catches an inf or nan size
             raise ValueError(f"N = {N} needs a grid of {peak:.3g} bytes > {FAREY_BYTES}")

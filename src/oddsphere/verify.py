@@ -35,7 +35,7 @@ import numpy as np
 
 from . import measure
 from .kernel import Bump, _spectrum, kernel_product
-from .measure import DEFAULT_OVERSAMPLE, Region, TorusQuadrature
+from .measure import OVERSAMPLE, Region, TorusQuadrature
 from .space import ProductSpace, format_rational
 from .specialfn import phi_matrix
 
@@ -104,12 +104,15 @@ def _check_ladder(
     space: ProductSpace, N_list: Sequence[int], bump: Bump, tolerance: float
 ) -> None:
     """A scan needs three or more distinct scales N >= 1, the fewest a slope
-    fit takes, a finite slope budget and a degree in every factor's shell at
-    every N, else that N's norms are 0: checked before any kernel is sampled.
+    fit takes, a finite slope budget, a grid within for_kernel's byte bound
+    at every N and a degree in every factor's shell at every N, else that
+    N's norms are 0: checked before any kernel is sampled.
 
-    Only a shell with beta N^2 < lam + 1/2 can be empty: past it some degree
-    has x_n in [3/4, 2], where every cutoff is 1.  So only such shells, of at
-    most four degrees, are built here, and _spectrum refuses an empty one."""
+    A grid's byte charge grows with N, so only the largest N's rule is
+    sized here, which allocates nothing.  Only a shell with beta N^2 <
+    lam + 1/2 can be empty: past it some degree has x_n in [3/4, 2], where
+    every cutoff is 1.  So only such shells, of at most four degrees, are
+    built here, and _spectrum refuses an empty one."""
     if len(set(N_list)) != len(N_list):
         raise ValueError(f"N values must be distinct, got {list(N_list)}")
     if len(N_list) < 3:
@@ -118,6 +121,7 @@ def _check_ladder(
         raise ValueError(f"need every N >= 1, got {min(N_list)}")
     if not math.isfinite(tolerance):
         raise ValueError(f"need a finite tolerance, got {tolerance}")
+    TorusQuadrature.for_kernel(space, max(N_list))  # refuses an oversized grid
     for N in N_list:
         for f in space.factors:
             if f.beta * N * N < f.lam + Fraction(1, 2):
@@ -134,7 +138,6 @@ class ScanPlan:
     arcs: Sequence[tuple[int, int]] = DEFAULT_ARCS
     offsets: Sequence[Fraction] = DEFAULT_OFFSETS  # as fractions of the half-width
     bump: Bump = field(default_factory=Bump)
-    oversample: int = DEFAULT_OVERSAMPLE
     tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self) -> None:
@@ -272,11 +275,9 @@ def _tau_label(a: int, q: int, tau: Fraction) -> str:
     return f"{a}/{q}+{format_rational(delta)}"
 
 
-def _grid_rule(
-    space: ProductSpace, N: int, oversample: int, power: float | None, grids: list
-) -> TorusQuadrature:
+def _grid_rule(space: ProductSpace, N: int, power: float | None, grids: list) -> TorusQuadrature:
     """The rule of scale N (for_kernel); appends each factor's size and rule to grids."""
-    quad = TorusQuadrature.for_kernel(space, N, oversample, power=power)
+    quad = TorusQuadrature.for_kernel(space, N, power=power)
     grids.append({"N": N, "sizes": list(quad.sizes), "rules": list(quad.rules)})
     return quad
 
@@ -338,7 +339,7 @@ def _arc_scan(
         regions = regions_for_N(N)
         whole = all(region.kind == "full" for region in regions)
         power = plan.p if whole else None
-        quad = _grid_rule(space, N, plan.oversample, power, grids)
+        quad = _grid_rule(space, N, power, grids)
         points = _arc_time_points(plan.arcs, plan.offsets, N)
         fields = (
             kernel_product(space, N, float(tau) * space.period_seconds, quad, plan.bump, nu)
@@ -368,7 +369,7 @@ def _arc_scan(
         "arcs": [f"{a}/{q}" for a, q in plan.arcs],
         "offsets": [format_rational(o) for o in plan.offsets],
         "bump": plan.bump.kind,
-        "oversample": plan.oversample,
+        "oversample": OVERSAMPLE,
         "grids": grids,
     }
     return _scan(
@@ -491,7 +492,6 @@ def strichartz_zonal_scan(
     seed: int = 0,
     time_samples: int = 192,
     bump: Bump = Bump(),
-    oversample: int = DEFAULT_OVERSAMPLE,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> ScalingReport:
     """Worst-of-trials space-time L^p growth of random frequency-shell data.
@@ -517,8 +517,8 @@ def strichartz_zonal_scan(
     comment says what is held and why).  On S^3 at p = 8 with 20 trials
     and 192 time samples, traced allocations peak at 8.6 MiB on
     N = 16..512 (8.7 MiB with 768 time samples) and 14.4 MiB on 16..1024;
-    the process's resident peak is 46 and 52 MB.  A grid below the
-    aliasing floor of scale N raises QuadratureError.
+    the process's resident peak is 46 and 52 MB.  The rule clears the
+    aliasing floor of scale N (for_kernel), so |u|^2 does not alias.
     Pass verdict requires the fitted worst-trial exponent at or below
     d/2 - (d+2)/p plus budget.
     """
@@ -541,8 +541,7 @@ def strichartz_zonal_scan(
     grids: list = []
 
     def measure_N(N: int):
-        quad = _grid_rule(space, N, oversample, p, grids)  # refuses a huge grid before the shell
-        measure._resolution_floor(space, quad, N)  # else |u|^2 would alias
+        quad = _grid_rule(space, N, p, grids)
         spec = _spectrum(lam, f.beta, N, bump, None)
         n_shell, dims, mu = spec.n, spec.dims, spec.mu
         # the rule's half grid 2 pi k / M, k = 0..H = M/2, already folds node
@@ -630,7 +629,7 @@ def strichartz_zonal_scan(
         "time_samples": time_samples,
         "N_list": list(N_list),
         "bump": bump.kind,
-        "oversample": oversample,
+        "oversample": OVERSAMPLE,
         "grids": grids,
     }
     report = _scan("strichartz", space, p, target, tolerance, N_list, measure_N, params)

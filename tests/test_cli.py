@@ -335,18 +335,6 @@ def test_scan_modes_validate(tmp_path, capsys):
         assert run(scan + ["--nlist", "16,32,64", "--betas", "1/1000"]) == 2
         err = capsys.readouterr().err
         assert "N = 16: the shell of S^3 with beta = 1/1000 holds no degree" in err
-    # an oversample below the aliasing floor is a usage error, not a verdict
-    assert run(
-        ["scan", "--dims", "3", "--mode", "corner", "--p", 4, "--oversample", 1,
-         "--nlist", "16,32,64", "--out", tmp_path / "coarse"]
-    ) == 2
-    assert "under-resolves" in capsys.readouterr().err
-    # and so is one under a sup that reads grid values
-    for mode in (["--mode", "threshold", "--p", "inf", "--nlist", "16,32,64"],
-                 ["--mode", "kappa", "--nu", 0]):
-        assert run(["scan", "--dims", "3", *mode, "--oversample", 1,
-                    "--out", tmp_path / "coarse"]) == 2
-        assert "under-resolves" in capsys.readouterr().err
     decay = ["scan", "--dims", "3", "--mode", "decay", "--p", 4, "--nlist", "16,32,64",
              "--out", tmp_path / "repeat"]
     for bad, message in ((["--arcs", "0/1,0/1"], "got 0/1 twice"),
@@ -354,6 +342,15 @@ def test_scan_modes_validate(tmp_path, capsys):
         assert run(decay + bad) == 2
         assert message in capsys.readouterr().err
     assert not list(tmp_path.glob("*.json"))
+
+
+def test_scan_warnings_go_to_stderr(tmp_path, capsys):
+    # like every other warning: stdout holds only the summary line
+    run(["scan", "--dims", 3, "--mode", "decay", "--p", 2, "--nlist", "16,32,64",
+         "--out", tmp_path / "low"])
+    out, err = capsys.readouterr()
+    assert out.startswith("decay scan on S^3: ") and out.count("\n") == 1
+    assert err == "warning: exploratory: p=2.0 is below the validity floor s=3\n"
 
 
 def test_scan_threshold_passes_at_the_floor(tmp_path):

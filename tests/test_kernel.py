@@ -224,11 +224,11 @@ def test_kernel_1d_near_guard_band_on_s9():
 
 @pytest.mark.parametrize("lam", [2, 4])
 def test_under_resolved_grid_route_equals_the_recurrence_at_its_nodes(lam):
-    # at oversample 1 the top frequencies pass M/2 and fold back: the node
-    # values stay those of the kernel itself
+    # on about one node per unit of bandwidth 2N + lam the top frequencies
+    # pass M/2 and fold back: the node values stay those of the kernel itself
     N, t = 64, 0.37 * S3.period_seconds
     sp = space.build_space([2 * lam + 1])
-    quad = TorusQuadrature.for_kernel(sp, N, 1)
+    quad = TorusQuadrature(sp, (132,))
     n_top = mode_weights(lam, 1, N, t, Bump())[0][-1]
     assert n_top > quad.sizes[0] // 2
     got = kernel_product(sp, N, t, quad, Bump()).factor_values[0]

@@ -74,8 +74,6 @@ def test_quadrature_construction():
     assert quad.doubled().sizes == (2 * quad.sizes[0],)
     with pytest.raises(ValueError):
         TorusQuadrature(S3, (8, 8))
-    with pytest.raises(ValueError):
-        TorusQuadrature.for_kernel(S3, 32, oversample=0)
 
 
 @pytest.mark.parametrize("M", [99, 7, 1, 0, -4])
@@ -288,7 +286,7 @@ def test_sup_refinement_converges():
     # by O((N h)^2); the proxy sup must not move with the base grid
     bump = Bump()
     N = 128
-    quad = TorusQuadrature.for_kernel(S3, N, oversample=16)
+    quad = TorusQuadrature.for_kernel(S3, N)
     t = 0.37 * S3.period_seconds
     fld = kernel_product(S3, N, t, quad, bump)
     coarse = max(np.abs(fld.factor_values[0]))
@@ -525,9 +523,8 @@ def test_rippled_box_is_flagged_and_sampled_densely():
     assert all(math.pi - radius <= th <= math.pi for th in probed)
 
 
-def _resolution_passes(N, p, oversample):
-    quad = TorusQuadrature.for_kernel(S3, N, oversample)
-    fld = kernel_product(S3, N, 0.618, quad, Bump())
+def _resolution_passes(N, p, M):
+    fld = kernel_product(S3, N, 0.618, TorusQuadrature(S3, (M,)), Bump())
     try:
         ok, _ = resolution_check(fld, p=p)
     except QuadratureError:
@@ -538,19 +535,21 @@ def _resolution_passes(N, p, oversample):
 @pytest.mark.parametrize("N", [32, 128, 512])
 @pytest.mark.parametrize("p", [2.0, 4.0])
 def test_resolution_check_and_failing_oversample(N, p):
-    # convergence study: the default oversample passes; bisect down to the
-    # largest failing one and report it
-    assert _resolution_passes(N, p, 16)
-    assert not _resolution_passes(N, p, 1)
-    lo, hi = 1, 16  # lo fails, hi passes
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
+    # convergence study: the default rule passes and a grid below the
+    # aliasing floor fails; bisect the even sizes between them down to the
+    # largest failing one and report it, with its nodes per unit of bandwidth
+    lo, hi = 2 * N, TorusQuadrature.for_kernel(S3, N).sizes[0]  # lo fails, hi passes
+    assert _resolution_passes(N, p, hi)
+    assert not _resolution_passes(N, p, lo)
+    while hi - lo > 2:
+        mid = (lo + hi) // 4 * 2
         if _resolution_passes(N, p, mid):
             hi = mid
         else:
             lo = mid
-    print(f"\nN={N} p={p}: largest failing oversample {lo}, smallest passing {hi}")
-    assert hi <= 16
+    print(f"\nN={N} p={p}: largest failing size {lo} "
+          f"({lo / (2 * N + 1):.2f} per unit of bandwidth), smallest passing {hi}")
+    assert hi >= measure._floor_size(S3.factors[0], N)
 
 
 def test_lp_norm_rejects_under_resolved_grid():
@@ -571,6 +570,39 @@ def test_sups_that_read_grid_values_reject_under_resolved_grid():
     assert sup_norm(fld, Region.corner(0, 1 / N)) > 0  # reads no grid value
 
 
+def test_sups_that_read_the_grid_check_the_aliasing_floor():
+    # 36 nodes at N = 16 against a floor of 71: an integral and full and away
+    # sups of kernel and kappa fields are refused; corner sups read no grid
+    # value and run
+    N, quad = 16, TorusQuadrature(S3, (36,))
+    assert measure._floor_size(S3.factors[0], N) == 71
+    for nu in (None, 0):
+        fld = kernel_product(S3, N, 0.37, quad, Bump(), nu)
+        with pytest.raises(QuadratureError, match="under-resolves"):
+            lp_norm(fld, 2.0)
+        for region in (Region.full(), Region.away(1 / N)):
+            with pytest.raises(QuadratureError, match="under-resolves"):
+                sup_norm(fld, region)
+        assert sup_norm(fld, Region.corner(0, 1 / N)) > 0
+
+
+def test_away_sups_evaluate_the_region_edges():
+    # |K| can be largest at an edge of the away region, still falling from
+    # the pole box, where a coarse grid's nodes read lower: at N = 32,
+    # t/T = 1/2 + 1/256 the away nodes of 264 read at most 738.12 and the
+    # edge 1859.83, the sup the default rule's 1050 nodes give too
+    N, t, away = 32, (0.5 + 1 / 256) * S3.period_seconds, Region.away(1 / 32)
+    quad = TorusQuadrature(S3, (264,))
+    kern = kernel_product(S3, N, t, quad, Bump())
+    fine = kernel_product(S3, N, t, TorusQuadrature.for_kernel(S3, N), Bump())
+    sup = sup_norm(kern, away)
+    assert sup == pytest.approx(sup_norm(fine, away), rel=1e-12, abs=0)
+    assert sup == pytest.approx(1859.83, abs=0.01)
+    edges = np.abs(kern.evaluate_factor(0, np.array([1 / N, math.pi - 1 / N])))
+    assert sup >= edges.max()
+    assert np.abs(kern.factor_values[0][quad.mask(0, "away", 1 / N)]).max() < 0.5 * sup
+
+
 @pytest.mark.parametrize("sp", [S3, S3S3], ids=["S3", "S3xS3"])
 def test_away_sup_of_a_region_between_two_nodes(sp):
     # on (30,) the nodes nearest pi/2 are 7 pi/15 and 8 pi/15, both in the
@@ -587,14 +619,14 @@ def test_away_sup_of_a_region_between_two_nodes(sp):
 
 @pytest.mark.parametrize("beta", [16, 64])
 def test_lp_norm_floor_follows_beta(beta):
-    # n_max ~ 2N sqrt(beta): 100 nodes (the beta = 1 grid at oversample 3)
-    # hold |K|^2 at beta = 1 but alias it at beta = 16 and beta = 64
+    # n_max ~ 2N sqrt(beta): 100 nodes hold |K|^2 at beta = 1 (floor 71)
+    # but alias it at beta = 16 and beta = 64
     sp = space.build_space([3], [beta])
     fld = kernel_product(sp, 16, 0.3, TorusQuadrature(sp, (100,)), Bump())
     with pytest.raises(QuadratureError, match="under-resolves"):
         lp_norm(fld, 2)
     # the grid for_kernel sizes for this beta clears the floor
-    quad = TorusQuadrature.for_kernel(sp, 16, 3)
+    quad = TorusQuadrature.for_kernel(sp, 16)
     assert quad.sizes[0] > 100
     lp_norm(kernel_product(sp, 16, 0.3, quad, Bump()), 2)
 
@@ -634,6 +666,27 @@ def test_for_kernel_rejects_a_grid_above_the_guard(N):
         TorusQuadrature.for_kernel(S3, N)
 
 
+def test_every_rule_for_kernel_sizes_clears_the_aliasing_floor():
+    # so no scan and no kernel command meets the floor the norms check:
+    # that check guards rules built by hand.  A rank-one space suffices, as
+    # each factor is sized alone; a grid past the byte bound is refused
+    sized = 0
+    for d in (3, 5, 9, 21, 47):
+        for beta in (Fraction(1, 1000), Fraction(1, 7), Fraction(2, 3), 1, Fraction(3, 2),
+                     16, 1000, 10**6):
+            sp = space.build_space([d], [beta])
+            for N in (1, 1.5, 2, 3, 5, 16, 100.5, 1024, 4096):
+                for p in (None, 0.5, 2, 3, 4, 8, 16, math.inf):
+                    try:
+                        quad = TorusQuadrature.for_kernel(sp, N, power=p)
+                    except ValueError as exc:
+                        assert "needs a grid of" in str(exc)
+                        continue
+                    assert quad.sizes[0] >= measure._floor_size(sp.factors[0], N), (d, beta, N, p)
+                    sized += 1
+    assert sized > 2000
+
+
 def test_for_kernel_bounds_the_bytes_of_all_factors():
     # the top of the scan ladders samples 4,199,040 nodes, about 2.3e8 bytes
     assert TorusQuadrature.for_kernel(S3, 131072).sizes == (4_199_040,)
@@ -655,18 +708,17 @@ def test_the_grid_byte_bound_covers_a_traced_sampling(d, monkeypatch):
     N = 2048
     for beta in (1, Fraction(1, 4), 4):
         sp = space.build_space([d, 3], [beta, 1])
-        for oversample in (1, 3, 16):
-            fld = kernel_product(sp, N, 0.37, TorusQuadrature.for_kernel(sp, N, oversample), Bump())
-            tracemalloc.start()
-            try:
-                fld.factor_values
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            monkeypatch.setattr(measure, "FAREY_BYTES", peak - 1)
-            with pytest.raises(ValueError, match="needs a grid of"):
-                TorusQuadrature.for_kernel(sp, N, oversample)
-            monkeypatch.undo()
+        fld = kernel_product(sp, N, 0.37, TorusQuadrature.for_kernel(sp, N), Bump())
+        tracemalloc.start()
+        try:
+            fld.factor_values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(measure, "FAREY_BYTES", peak - 1)
+        with pytest.raises(ValueError, match="needs a grid of"):
+            TorusQuadrature.for_kernel(sp, N)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("d", [3, 5, 7, 9, 11])
@@ -910,7 +962,7 @@ def exact_rule(sp, N, p):
 @pytest.mark.parametrize("d", [3, 5, 7, 9, 11])
 def test_degree_exact_rule_gives_the_oversampled_norms(d):
     # at even p, |K|^p times the density is a cosine polynomial the capped
-    # grid integrates exactly: its norms are those of the oversample-16 rule
+    # grid integrates exactly: its norms are those of the oversampled rule
     # and of that rule doubled.  The grid kernel's values carry an absolute
     # roundoff of the order of eps sum_n |w_n| (kernel.py), which at p = 2 on
     # S^9 and S^11 at N = 64 and t > 0 moves the oversampled norm and its
@@ -921,7 +973,7 @@ def test_degree_exact_rule_gives_the_oversampled_norms(d):
         sp = space.build_space([d], [beta])
         T = sp.period_seconds
         for N in (16, 64):
-            wide = TorusQuadrature.for_kernel(sp, N, 16)
+            wide = TorusQuadrature.for_kernel(sp, N)
             for p in (2.0, 4.0, 6.0, 8.0):
                 capped = exact_rule(sp, N, p)
                 assert capped.sizes[0] < wide.sizes[0]
@@ -950,7 +1002,7 @@ def test_degree_exact_rule_holds_the_top_degree(d):
             n_top = space.top_degree(f.lam, f.beta, N)
             for p in (2.0, 4.0, 6.0, 8.0):
                 norms = []
-                for quad in (exact_rule(sp, N, p), TorusQuadrature.for_kernel(sp, N, 16)):
+                for quad in (exact_rule(sp, N, p), TorusQuadrature.for_kernel(sp, N)):
                     values = 0.5 + np.cos(n_top * quad.nodes(0))
                     norms.append(lp_norm(FieldSample(sp, N, quad, (values,)), p))
                 assert norms[0] == pytest.approx(norms[1], rel=1e-13, abs=0), (beta, N, p)
@@ -1001,10 +1053,9 @@ def test_floor_binds_at_p2_on_small_grids():
 @pytest.mark.parametrize("sp", RULE_SPACES, ids=lambda sp: str(sp))
 def test_other_powers_keep_the_oversampled_rule(sp):
     for N in (16, 100.5, 1024):
-        for oversample in (3, 16):
-            wide = TorusQuadrature.for_kernel(sp, N, oversample)
-            for p in (0.5, 1.0, 2.1, 3.0, 7.5, math.inf, 32.0, 64.0):
-                assert TorusQuadrature.for_kernel(sp, N, oversample, power=p) == wide, p
+        wide = TorusQuadrature.for_kernel(sp, N)
+        for p in (0.5, 1.0, 2.1, 3.0, 7.5, math.inf, 32.0, 64.0):
+            assert TorusQuadrature.for_kernel(sp, N, power=p) == wide, p
     # p = 16 on S^3 is the smallest even power whose cap does not bind
     for N in (16, 100.5, 1024):
         wide = TorusQuadrature.for_kernel(S3, N)

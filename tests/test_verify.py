@@ -199,43 +199,6 @@ def test_full_sups_refine_every_near_maximum(sp, nu, N, label):
     assert dense <= rec.norm < dense * (1.0 + 1e-6)
 
 
-def test_away_sups_evaluate_the_region_edges():
-    # |K| can be largest at an edge of the away region, still falling from
-    # the pole box, where a coarse grid's nearest node reads lower: at N = 32,
-    # tau = 1/2 + 1/256 the node reads 793.77 and the edge 1859.83
-    N_list = (16, 32, 64, 128)
-    coarse = threshold_check(S3, math.inf, N_list, oversample=4)
-    fine = threshold_check(S3, math.inf, N_list)
-    assert [rec.norm for rec in coarse.records] == pytest.approx(
-        [rec.norm for rec in fine.records], rel=1e-12, abs=0
-    )
-    records = iter(coarse.records)
-    for N in N_list:
-        quad = TorusQuadrature.for_kernel(S3, N, 4)
-        for a, q, tau, _ in verify._arc_time_points(DEFAULT_ARCS, DEFAULT_OFFSETS, N):
-            rec = next(records)
-            kern = kernel_product(S3, N, float(tau) * S3.period_seconds, quad, Bump())
-            edges = np.abs(kern.evaluate_factor(0, np.array([1 / N, math.pi - 1 / N])))
-            assert rec.norm >= edges.max()
-            if (N, rec.tau) == (32, "1/2+1/256"):
-                assert rec.norm == pytest.approx(1859.83, abs=0.01)
-    assert next(records, None) is None
-
-
-def test_sups_that_read_the_grid_check_the_aliasing_floor():
-    # 36 nodes at N = 16 against a floor of 71: full and away sups (kernel
-    # and kappa fields) are refused; corner sups read no grid value and run
-    with pytest.raises(measure.QuadratureError, match="under-resolves"):
-        threshold_check(S3, math.inf, (16, 32, 64), oversample=1)
-    with pytest.raises(measure.QuadratureError, match="under-resolves"):
-        decay_scan(S3, math.inf, (16, 32, 64), oversample=1)
-    with pytest.raises(measure.QuadratureError, match="under-resolves"):
-        kappa_scan(S3, 0, (16, 32, 64), oversample=1)
-    with pytest.raises(measure.QuadratureError, match="under-resolves"):
-        strichartz_zonal_scan(S3, 8.0, (16, 32, 64), trials=2, time_samples=16, oversample=1)
-    corner_scan(S3, math.inf, (16, 32, 64), oversample=1)
-
-
 def test_threshold_check_mechanics():
     report = threshold_check(S3, 3.0, SMALL_NS, SMALL_ARCS)
     assert report.mode == "threshold"
@@ -296,8 +259,10 @@ def test_strichartz_deterministic_given_seed():
     assert a.to_json() == b.to_json()
 
 
-def dense_strichartz_norms(sp, p, N_list, trials, seed, time_samples, oversample=16):
-    """Worst-trial norms from the dense formula: phi_matrix on all M nodes."""
+def dense_strichartz_norms(sp, p, N_list, trials, seed, time_samples, oversample):
+    """Worst-trial norms from the dense formula: phi_matrix on all M nodes,
+    oversample per unit of bandwidth 2N + lam rounded up to an FFT size
+    (beta = 1), the library's oversampled rule at 16."""
     f = sp.factors[0]
     lam, beta = f.lam, float(f.beta)
     norms = []
@@ -306,7 +271,7 @@ def dense_strichartz_norms(sp, p, N_list, trials, seed, time_samples, oversample
         n_shell, _ = mode_weights(lam, beta, N, 0.0, Bump())
         dims = np.array([float(space.harmonic_dim(f.dim, int(k))) for k in n_shell])
         mu = n_shell * (n_shell + 2 * lam) / beta
-        M = TorusQuadrature.for_kernel(sp, N, oversample).sizes[0]
+        M = measure._fft_size(math.ceil(oversample * (2 * N + lam)))
         grid = 2.0 * math.pi * np.arange(M) / M
         weights = (
             density_normalizer(f.dim) * (2.0 * math.pi / grid.size)
@@ -328,23 +293,23 @@ def dense_strichartz_norms(sp, p, N_list, trials, seed, time_samples, oversample
 @pytest.mark.parametrize(
     "sp, p, oversample",
     [(sp, p, 16) for sp in (S3, S5, S7) for p in (2.0, 7.5, 8.0)]
-    # oversample 3 on S^3: coarse grids, M = 100, 196, 392
-    + [(S3, 8.0, 3)]
+    # at an even p a reference on twice the nodes integrates exactly too
+    + [(S3, 8.0, 32)]
     # p = 6 takes integer powering with an odd step, p = 3 the generic power
     + [(sp, p, 16) for sp in (S3, S5, S7, S9) for p in (3.0, 6.0)]
     + [(S9, p, 16) for p in (2.0, 7.5, 8.0)],
 )
 def test_strichartz_matches_dense_formula(sp, p, oversample):
-    kwargs = dict(trials=3, seed=11, time_samples=24, oversample=oversample)
+    kwargs = dict(trials=3, seed=11, time_samples=24)
     report = strichartz_zonal_scan(sp, p, (16, 32, 64), **kwargs)
-    ref = dense_strichartz_norms(sp, p, (16, 32, 64), **kwargs)
+    ref = dense_strichartz_norms(sp, p, (16, 32, 64), **kwargs, oversample=oversample)
     assert [rec.norm for rec in report.records] == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 def test_dense_ladder_has_both_midpoint_cases():
     # M/2 even puts a quarter-grid node at pi/2, paired with itself; M/2 odd
     # leaves none, so the dense comparison above covers both
-    sizes = [TorusQuadrature.for_kernel(S3, N, 16).sizes[0] for N in (16, 32, 64)]
+    sizes = [TorusQuadrature.for_kernel(S3, N).sizes[0] for N in (16, 32, 64)]
     assert sizes == [528, 1050, 2100]
 
 
@@ -588,7 +553,7 @@ def _assert_norms_match_single_calls(report, plan, regions_for_N, field_at):
     # own field and region alone, bit for bit
     records = iter(report.records)
     for N in plan.N_list:
-        quad = TorusQuadrature.for_kernel(plan.space, N, plan.oversample)
+        quad = TorusQuadrature.for_kernel(plan.space, N)
         for a, q, tau, dist in verify._arc_time_points(plan.arcs, plan.offsets, N):
             fld = field_at(N, quad, float(tau) * plan.space.period_seconds)
             for region in regions_for_N(N):
@@ -695,6 +660,22 @@ def test_empty_shells_fail_before_any_kernel(monkeypatch):
         lambda: threshold_check(edge, 4.0, (16, 32, 64)),
         lambda: kappa_scan(edge, 0, (16, 32, 64)),
         lambda: strichartz_zonal_scan(edge, 8.0, (16, 32, 64), trials=1, time_samples=4),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            scan()
+    assert sampled == []
+
+
+def test_oversized_grids_fail_before_any_kernel(monkeypatch):
+    # a grid's byte charge grows with N, so the largest N's grid is sized,
+    # and refused, before any kernel or phi row is sampled, wherever it sits
+    sampled = []
+    monkeypatch.setattr(verify, "kernel_product", lambda *args: sampled.append(args))
+    monkeypatch.setattr(verify, "phi_matrix", lambda *args: sampled.append(args))
+    message = "N = 60000000 needs a grid of"
+    for scan in (
+        lambda: kappa_scan(S5, 1, (1024, 2048, 4096, 60_000_000)),
+        lambda: strichartz_zonal_scan(S3, 8.0, (16, 32, 64, 60_000_000), trials=1, time_samples=4),
     ):
         with pytest.raises(ValueError, match=re.escape(message)):
             scan()
