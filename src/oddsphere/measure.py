@@ -253,13 +253,21 @@ class TorusQuadrature:
 class FieldSample:
     """Factored half-grid samples of a zonal function of scale N (its
     degree in each factor at most space.top_degree), with optional
-    per-factor evaluators at fresh angles, which a sup needs (sup_norm)."""
+    per-factor evaluators at fresh angles, which a sup needs (sup_norm).
+    quad must be a rule on space: its weights and aliasing floor are
+    space's."""
 
     space: ProductSpace
     N: float
     quad: TorusQuadrature
     factor_values: tuple[np.ndarray, ...]
     evaluators: tuple[Callable[[np.ndarray], np.ndarray], ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.quad.space != self.space:
+            raise ValueError(
+                f"a quadrature on {self.quad.space} cannot sample a field on {self.space}"
+            )
 
     def evaluate_factor(self, j: int, theta) -> np.ndarray:
         if self.evaluators is None:

@@ -13,8 +13,9 @@ ratio is bounded; at desk scale the epsilon factors and powers of log N in
 the envelope show up as a small positive fitted slope, so each scan carries
 an explicit slope budget (default 0.30) instead of a free epsilon.
 
-One private engine (_scan) does the folding, fitting and judging for every
-mode; a mode only says how to measure the records of one N.
+One private engine (_scan) sizes each N's rule (TorusQuadrature.for_kernel
+at the scan's power) and does the folding, fitting and judging for every
+mode; a mode only says how to measure the records of one N on that rule.
 
 Minor-arc times prove nothing and never enter verdicts: scan times are
 constructed inside chosen windows (center plus exact rational offsets), so
@@ -34,6 +35,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import measure
+from .arcs import FAREY_BYTES
 from .kernel import Bump, _spectrum, kernel_product
 from .measure import OVERSAMPLE, Region, TorusQuadrature
 from .space import ProductSpace, format_rational
@@ -109,10 +111,9 @@ def _check_ladder(
     N's norms are 0: checked before any kernel is sampled.
 
     A grid's byte charge grows with N, so only the largest N's rule is
-    sized here, which allocates nothing.  Only a shell with beta N^2 <
-    lam + 1/2 can be empty: past it some degree has x_n in [3/4, 2], where
-    every cutoff is 1.  So only such shells, of at most four degrees, are
-    built here, and _spectrum refuses an empty one."""
+    sized here, which allocates nothing.  Every factor's shell is built at
+    every N, and _spectrum refuses an empty one; the scan reads them back
+    from _spectrum's cache."""
     if len(set(N_list)) != len(N_list):
         raise ValueError(f"N values must be distinct, got {list(N_list)}")
     if len(N_list) < 3:
@@ -124,13 +125,16 @@ def _check_ladder(
     TorusQuadrature.for_kernel(space, max(N_list))  # refuses an oversized grid
     for N in N_list:
         for f in space.factors:
-            if f.beta * N * N < f.lam + Fraction(1, 2):
-                _spectrum(f.lam, f.beta, N, bump, None)  # refuses an empty shell
+            _spectrum(f.lam, f.beta, N, bump, None)  # refuses an empty shell
 
 
 @dataclass(frozen=True)
 class ScanPlan:
-    """Work list for a ratio scan: the one declaration of its settings and defaults."""
+    """Work list for a scan: the one declaration of its settings and
+    defaults, checked where it is built, the ladder last (_check_ladder
+    builds a shell at every N).  The four arc scans sample the arcs at the
+    offsets; a plan without arcs is the space-time scan's, which averages
+    over every time."""
 
     space: ProductSpace
     p: float
@@ -146,20 +150,20 @@ class ScanPlan:
         object.__setattr__(self, "offsets", tuple(self.offsets))
         if not self.p > 0:
             raise ValueError(f"need p > 0, got {self.p}")
-        _check_ladder(self.space, self.N_list, self.bump, self.tolerance)
-        n_min = min(self.N_list)
+        n_min = min(self.N_list, default=0)  # a ladder without N >= 1 is refused below
         for i, (a, q) in enumerate(self.arcs):
             if (a, q) in self.arcs[:i]:
                 raise ValueError(f"arcs must be distinct, got {a}/{q} twice")
             if math.gcd(a, q) != 1 or not (0 <= a < q or (a, q) == (0, 1)):
                 raise ValueError(f"arc {a}/{q} is not a reduced fraction in [0,1)")
-            if not q < n_min:
+            if 1 <= n_min <= q:
                 raise ValueError(f"arc denominator {q} must stay below min N = {n_min}")
         for i, off in enumerate(self.offsets):
             if not (0 <= off < 1):
                 raise ValueError(f"offsets are fractions of the half-width, got {off}")
             if off in self.offsets[:i]:
                 raise ValueError(f"offsets must be distinct, got {off} twice")
+        _check_ladder(self.space, self.N_list, self.bump, self.tolerance)
 
 
 # the fields of a record in report order: the CSV columns and the JSON keys
@@ -275,45 +279,45 @@ def _tau_label(a: int, q: int, tau: Fraction) -> str:
     return f"{a}/{q}+{format_rational(delta)}"
 
 
-def _grid_rule(space: ProductSpace, N: int, power: float | None, grids: list) -> TorusQuadrature:
-    """The rule of scale N (for_kernel); appends each factor's size and rule to grids."""
-    quad = TorusQuadrature.for_kernel(space, N, power=power)
-    grids.append({"N": N, "sizes": list(quad.sizes), "rules": list(quad.rules)})
-    return quad
-
-
 def _scan(
+    plan: ScanPlan,
     mode: str,
-    space: ProductSpace,
-    p: float,
     target: float,
-    tolerance: float,
-    N_list: Sequence[int],
-    measure_N: Callable[[int], Iterable[ScanRecord]],
+    power: float | None,
+    measure_N: Callable[[int, TorusQuadrature], Iterable[ScanRecord]],
     params: dict,
 ) -> ScalingReport:
-    """The one scan engine: per-N records, worst ratio per N, one fit, one verdict."""
+    """The one scan engine: each N's rule, for_kernel at the scan's power,
+    handed to measure_N with N; per-N records, worst ratio per N, one fit,
+    one verdict.  Adds the params every scan shares to the mode's own."""
+    space = plan.space
     records: list[ScanRecord] = []
     worst: list[tuple[int, float]] = []
-    for N in N_list:
+    grids = []
+    for N in plan.N_list:
+        quad = TorusQuadrature.for_kernel(space, N, power=power)
+        grids.append({"N": N, "sizes": list(quad.sizes), "rules": list(quad.rules)})
         worst_ratio = 0.0
-        for rec in measure_N(N):
+        for rec in measure_N(N, quad):
             records.append(rec)
             worst_ratio = max(worst_ratio, rec.ratio)
         worst.append((N, worst_ratio))
+    params.update(
+        N_list=list(plan.N_list), bump=plan.bump.kind, oversample=OVERSAMPLE, grids=grids
+    )
     slope, _, resid, stderr = fit_loglog(worst)
     return ScalingReport(
         mode=mode,
         space=space.describe(),
-        p=p,
+        p=plan.p,
         target_exponent=target,
-        tolerance=tolerance,
+        tolerance=plan.tolerance,
         records=records,
         worst_per_N=worst,
         fitted_slope=slope,
         slope_CI=stderr,
         residual=resid,
-        verdict="pass" if slope <= tolerance else "fail",
+        verdict="pass" if slope <= plan.tolerance else "fail",
         params=params,
     )
 
@@ -333,13 +337,11 @@ def _arc_scan(
     """
     space = plan.space
     extra = {} if nu is None else {"nu": nu}
-    grids: list = []
+    # region kinds do not depend on N
+    whole = all(region.kind == "full" for region in regions_for_N(plan.N_list[0]))
 
-    def measure_N(N: int):
+    def measure_N(N: int, quad: TorusQuadrature):
         regions = regions_for_N(N)
-        whole = all(region.kind == "full" for region in regions)
-        power = plan.p if whole else None
-        quad = _grid_rule(space, N, power, grids)
         points = _arc_time_points(plan.arcs, plan.offsets, N)
         fields = (
             kernel_product(space, N, float(tau) * space.period_seconds, quad, plan.bump, nu)
@@ -365,16 +367,10 @@ def _arc_scan(
 
     params = {
         **extra,
-        "N_list": list(plan.N_list),
         "arcs": [f"{a}/{q}" for a, q in plan.arcs],
         "offsets": [format_rational(o) for o in plan.offsets],
-        "bump": plan.bump.kind,
-        "oversample": OVERSAMPLE,
-        "grids": grids,
     }
-    return _scan(
-        mode, space, plan.p, target, plan.tolerance, plan.N_list, measure_N, params
-    )
+    return _scan(plan, mode, target, plan.p if whole else None, measure_N, params)
 
 
 def _lp_target(space: ProductSpace, p: float) -> float:
@@ -519,8 +515,11 @@ def strichartz_zonal_scan(
     N = 16..512 (8.7 MiB with 768 time samples) and 14.4 MiB on 16..1024;
     the process's resident peak is 46 and 52 MB.  The rule clears the
     aliasing floor of scale N (for_kernel), so |u|^2 does not alias.
-    Pass verdict requires the fitted worst-trial exponent at or below
-    d/2 - (d+2)/p plus budget.
+    A ScanPlan without arcs or offsets checks the ladder, bump and
+    tolerance; draws that would hold past FAREY_BYTES, 8 T + trials
+    (16 modes + 8 T) bytes for T time samples at the top N, are refused
+    before any is drawn.  Pass verdict requires the fitted worst-trial
+    exponent at or below d/2 - (d+2)/p plus budget.
     """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
@@ -530,18 +529,25 @@ def strichartz_zonal_scan(
         raise ValueError(f"need time_samples >= 1, got {time_samples}")
     if seed < 0:
         raise ValueError(f"need seed >= 0, got {seed}")
-    _check_ladder(space, N_list, bump, tolerance)
     if space.r != 1:
         raise ValueError("random-data scans are implemented for rank-one spaces")
+    plan = ScanPlan(space, p, N_list, arcs=(), offsets=(), bump=bump, tolerance=tolerance)
     f = space.factors[0]
     lam = f.lam
+    T, N_top = time_samples, max(plan.N_list)
+    modes = _spectrum(lam, f.beta, N_top, bump, None).n.size  # built by the plan
+    # the drawn times, and per trial its complex coefficients and power row
+    charge = 8 * T + trials * (16 * modes + 8 * T)
+    if charge > FAREY_BYTES:
+        raise ValueError(
+            f"N = {N_top}: {trials} trials of {T} time samples need {charge:.3g} bytes"
+            f" > {FAREY_BYTES}"
+        )
     d = space.d
     target = d / 2.0 - (d + 2.0) / p
     T_sec = space.period_seconds
-    grids: list = []
 
-    def measure_N(N: int):
-        quad = _grid_rule(space, N, p, grids)
+    def measure_N(N: int, quad: TorusQuadrature):
         spec = _spectrum(lam, f.beta, N, bump, None)
         n_shell, dims, mu = spec.n, spec.dims, spec.mu
         # the rule's half grid 2 pi k / M, k = 0..H = M/2, already folds node
@@ -561,7 +567,6 @@ def strichartz_zonal_scan(
         order = np.argsort(parity, kind="stable")  # even modes first
         n_even = parity.size - int(np.count_nonzero(parity))
         n_sorted = n_shell[order]
-        T = time_samples
         rng = np.random.default_rng((seed, *Fraction(N).as_integer_ratio()))
         t_sec = (np.arange(T) + rng.random(T)) / T * T_sec
         mu_sorted = mu[order]
@@ -623,16 +628,8 @@ def strichartz_zonal_scan(
             ratio=worst_norm / N**target,
         )
 
-    params = {
-        "trials": trials,
-        "seed": seed,
-        "time_samples": time_samples,
-        "N_list": list(N_list),
-        "bump": bump.kind,
-        "oversample": OVERSAMPLE,
-        "grids": grids,
-    }
-    report = _scan("strichartz", space, p, target, tolerance, N_list, measure_N, params)
+    params = {"trials": trials, "seed": seed, "time_samples": time_samples}
+    report = _scan(plan, "strichartz", target, p, measure_N, params)
     if p < float(space.p0):
         report.warnings.append(
             f"exploratory: p={p} is below the space-time threshold "

@@ -429,8 +429,12 @@ def test_config_file_errors(tmp_path, capsys):
         # no degree of S^3 lies in the shell of N = 16 at beta = 1/1000
         (["kernel", "--dims", "3", "--n", 16, "--betas", "1/1000", "--out", "{tmp}/x"],
          "N = 16: the shell of S^3 with beta = 1/1000 holds no degree"),
+        # 10^9 trials would hold about 3 TB of draws at N = 64
+        (["scan", "--dims", "3", "--mode", "strichartz", "--p", 8, "--nlist", "16,32,64",
+          "--trials", 10**9, "--out", "{tmp}/huge_trials"],
+         "N = 64: 1000000000 trials of 192 time samples need"),
     ],
-    ids=["betas", "time", "offsets", "config", "out", "empty-shell"],
+    ids=["betas", "time", "offsets", "config", "out", "empty-shell", "trials"],
 )
 def test_usage_errors_exit_2(args, message, tmp_path, capsys):
     args = [str(a).format(tmp=tmp_path) for a in args]

@@ -489,6 +489,17 @@ def test_sampled_field_below_its_floor_is_rejected():
     assert sup_norm(fld, Region.corner(0, 1 / 16)) == pytest.approx(3.0, rel=1e-12)
 
 
+def test_sampled_field_refuses_a_rule_on_another_space():
+    # S^9's weights and floor (81 nodes at N = 16) would stand in for S^3's
+    S9 = space.build_space([9], [1])
+    quad = TorusQuadrature(S9, (74,))
+    with pytest.raises(ValueError, match="a quadrature on S\\^9 cannot sample a field on S\\^3"):
+        FieldSample(S3, 16, quad, (np.ones(38),))
+    assert measure._floor_size(S9.factors[0], 16) == 81
+    with pytest.raises(QuadratureError, match="under-resolves"):
+        lp_norm(FieldSample(S9, 16, quad, (np.ones(38),)), 2.0)
+
+
 def _box_probes(evaluate):
     N, radius = 16, 1 / 16
     quad = TorusQuadrature.for_kernel(S3, N)
@@ -552,32 +563,15 @@ def test_resolution_check_and_failing_oversample(N, p):
     assert hi >= measure._floor_size(S3.factors[0], N)
 
 
-def test_lp_norm_rejects_under_resolved_grid():
-    bump = Bump()
-    N = 64
-    quad = TorusQuadrature(S3, (32,))  # way below the bandwidth
-    fld = kernel_product(S3, N, 0.0, quad, bump)
-    with pytest.raises(QuadratureError):
-        lp_norm(fld, 2)
-
-
-def test_sups_that_read_grid_values_reject_under_resolved_grid():
-    N = 64
-    fld = kernel_product(S3, N, 0.0, TorusQuadrature(S3, (32,)), Bump())
-    for region in (Region.full(), Region.away(1 / N)):
-        with pytest.raises(QuadratureError, match="under-resolves"):
-            sup_norm(fld, region)
-    assert sup_norm(fld, Region.corner(0, 1 / N)) > 0  # reads no grid value
-
-
-def test_sups_that_read_the_grid_check_the_aliasing_floor():
-    # 36 nodes at N = 16 against a floor of 71: an integral and full and away
-    # sups of kernel and kappa fields are refused; corner sups read no grid
-    # value and run
-    N, quad = 16, TorusQuadrature(S3, (36,))
-    assert measure._floor_size(S3.factors[0], N) == 71
+@pytest.mark.parametrize("N, nodes, t", [(16, 36, 0.37), (64, 32, 0.0)])
+def test_sups_that_read_the_grid_check_the_aliasing_floor(N, nodes, t):
+    # a grid below the aliasing floor of N (71 nodes at N = 16): an integral
+    # and full and away sups of kernel and kappa fields are refused; corner
+    # sups read no grid value and run
+    quad = TorusQuadrature(S3, (nodes,))
+    assert nodes < measure._floor_size(S3.factors[0], N)
     for nu in (None, 0):
-        fld = kernel_product(S3, N, 0.37, quad, Bump(), nu)
+        fld = kernel_product(S3, N, t, quad, Bump(), nu)
         with pytest.raises(QuadratureError, match="under-resolves"):
             lp_norm(fld, 2.0)
         for region in (Region.full(), Region.away(1 / N)):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from oddsphere import measure, space, verify
+from oddsphere.arcs import FAREY_BYTES
 from oddsphere.kernel import Bump, _spectrum, kernel_1d, kernel_product, mode_weights
 from oddsphere.measure import Region, TorusQuadrature, density_normalizer
 from oddsphere.specialfn import phi_matrix
@@ -208,6 +209,41 @@ def test_threshold_check_mechanics():
     assert any("below the away-region floor" in w for w in low.warnings)
     with pytest.raises(ValueError):
         threshold_check(S3S3, 3.0, SMALL_NS, SMALL_ARCS)
+
+
+def test_scan_plan_checks_arcs_and_offsets_before_it_builds_a_shell(monkeypatch):
+    # the shell of N = 10^6 holds 2e6 degrees: a plan refused for its arc
+    # or offset never builds it
+    def small(lam, beta, N, *args):
+        if N >= 1000:
+            raise AssertionError(f"built the shell of N = {N}")
+        return _spectrum(lam, beta, N, *args)
+
+    monkeypatch.setattr(verify, "_spectrum", small)
+    with pytest.raises(ValueError, match="arc denominator 17 must stay below min N = 16"):
+        ScanPlan(S3, 4.0, (16, 32, 1_000_000), arcs=((1, 17),))
+    with pytest.raises(ValueError, match="offsets are fractions of the half-width"):
+        ScanPlan(S3, 4.0, (16, 32, 1_000_000), offsets=(Fraction(3, 2),))
+
+
+def test_strichartz_refuses_draws_past_the_byte_bound(monkeypatch):
+    # 8 T + trials (16 modes + 8 T) bytes at the top N, charged against
+    # FAREY_BYTES before any time or trial is drawn
+    def no_draw(*args):
+        raise AssertionError("drew a trial")
+
+    monkeypatch.setattr(verify, "_random_shell_state", no_draw)
+    for trials, T in ((10**9, 192), (1, 10**9)):
+        message = f"N = 64: {trials} trials of {T} time samples need"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            strichartz_zonal_scan(S3, 8.0, (16, 32, 64), trials=trials, time_samples=T)
+    f = S3.factors[0]
+    modes = _spectrum(f.lam, f.beta, 64, Bump(), None).n.size
+    fit = (FAREY_BYTES - 8 * 192) // (16 * modes + 8 * 192)
+    with pytest.raises(ValueError, match=re.escape(f"{fit + 1} trials of 192 time samples")):
+        strichartz_zonal_scan(S3, 8.0, (16, 32, 64), trials=fit + 1, time_samples=192)
+    with pytest.raises(AssertionError, match="drew a trial"):  # within the bound: it draws
+        strichartz_zonal_scan(S3, 8.0, (16, 32, 64), trials=fit, time_samples=192)
 
 
 def test_strichartz_refuses_a_huge_grid_before_its_shell(monkeypatch):
